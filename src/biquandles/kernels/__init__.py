@@ -3,8 +3,11 @@
 The compiled extension (`_ckern`, built from ``_ckern.pyx``) is preferred
 when importable; otherwise the pure-Python kernels are used.  Set
 ``BIQUANDLES_KERNELS=pure`` or ``=c`` to force a backend (``c`` raises if the
-extension is missing).  Both backends expose the same functions and must
-produce identical results; ``tests/test_backends.py`` enforces that.
+extension is missing).  The backend supplies ``axiom_scan``, ``yang_baxter``
+and ``search_maps``, which must give identical results on both;
+``tests/test_backends.py`` enforces that.  The labeling counter
+``diagram_count`` is the pure frontier contraction whichever backend is
+active.
 """
 
 import os
@@ -29,7 +32,7 @@ BACKEND = _impl.BACKEND
 axiom_scan = _impl.axiom_scan
 yang_baxter = _impl.yang_baxter
 search_maps = _impl.search_maps
-diagram_count = _impl.diagram_count
+diagram_count = pure.diagram_count
 
 
 def available_backends():

@@ -2,8 +2,9 @@
 
 All kernels work on 0-based flattened operation tables (``t[i*n + j]`` is the
 result of element ``i`` operated by element ``j``).  The public library wraps
-these with the 1-based table objects; the compiled extension module mirrors
-this module function-for-function.
+these with the 1-based table objects.  The compiled extension repeats the
+axiom scan, the Yang-Baxter check and the map search; the labeling counter
+``diagram_count`` exists only here and serves every backend.
 
 Clause codes index ``CLAUSE_IDS`` below.  Axioms 2 and 4 quantify one unknown
 jointly over a group of clauses ("there are unique x, y such that ..."), so a
@@ -13,7 +14,13 @@ unique solution, or on the group's first clause when the members solve
 uniquely but disagree.
 """
 
+import itertools
+from collections import Counter
+
 BACKEND = "pure"
+
+# largest {labels of open arcs: count} map diagram_count builds
+MAX_STATES = 1 << 20
 
 CLAUSE_IDS = (
     "1.i", "1.ii", "1.iii", "1.iv",
@@ -309,56 +316,54 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     """Count semi-arc labelings consistent at every crossing.
 
     ``crossings`` holds (sign, under_in, over_in, under_out, over_out) with
-    0-based arc ids.  Outputs of a crossing are forced by its inputs, so the
-    search assigns arcs in id order and propagates to a fixpoint between
-    branches.  Returns (count, assignments-or-None); assignments are 0-based.
+    0-based arc ids.  A frontier contraction, the state-sum view of Carter,
+    Jelsovsky, Kamada, Langford and Saito: a map {labels of open arcs: count}
+    absorbs the crossing sharing the most open arcs (then opening the fewest,
+    then first listed), joining its n^2 valid rows on the shared labels.  An
+    arc is summed out once both of its crossing slots are done; with
+    ``keep`` none is, so the final keys are the full labelings.  More than
+    ``MAX_STATES`` states raise ``ValueError``.  Returns (count, sorted
+    0-based assignments or None).
     """
-    if n_arcs > 4096:
-        raise ValueError("diagram kernels support at most 4096 semi-arcs")
-    a = [-1] * n_arcs
-    sols = [] if keep else None
-    count = 0
-
-    def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
-            for sg, ui, oi, uo, oo in crossings:
-                if a[ui] < 0 or a[oi] < 0:
-                    continue
-                if sg > 0:
-                    ru = up[a[ui] * n + a[oi]]
-                    ro = down[a[oi] * n + a[ui]]
-                else:
-                    ru = upbar[a[ui] * n + a[oi]]
-                    ro = downbar[a[oi] * n + a[ui]]
-                for arc, val in ((uo, ru), (oo, ro)):
-                    if a[arc] < 0:
-                        a[arc] = val
-                        trail.append(arc)
-                        changed = True
-                    elif a[arc] != val:
-                        return False
-        return True
-
-    def dfs():
-        nonlocal count
-        trail = []
-        if propagate(trail):
-            try:
-                i = a.index(-1)
-            except ValueError:
-                count += 1
-                if keep:
-                    sols.append(tuple(a))
-                i = -1
-            if i >= 0:
-                for v in range(n):
-                    a[i] = v
-                    dfs()
-                a[i] = -1
-        for arc in trail:
-            a[arc] = -1
-
-    dfs()
-    return count, sols
+    left = Counter(arc for crossing in crossings for arc in crossing[1:])
+    free = [a for a in range(n_arcs) if not left[a]]
+    opened = free if keep else []
+    states = dict.fromkeys(itertools.product(range(n), repeat=len(opened)),
+                           1 if keep else n ** len(free))
+    todo = list(crossings)
+    while todo:
+        pos = {a: i for i, a in enumerate(opened)}
+        crossing = min(todo, key=lambda c: (
+            -sum(a in pos for a in set(c[1:])),
+            sum(a not in pos for a in set(c[1:]))))
+        todo.remove(crossing)
+        sign, *arcs = crossing
+        for arc in arcs:
+            left[arc] -= 1
+        ids = list(dict.fromkeys(arcs))
+        shared = [pos[a] for a in ids if a in pos]
+        new = [a for a in ids if a not in pos and (keep or left[a])]
+        stay = [i for i, a in enumerate(opened) if keep or left[a]]
+        opened = [opened[i] for i in stay] + new
+        op_u, op_o = (up, down) if sign > 0 else (upbar, downbar)
+        rows = {}
+        for x in range(n):
+            for y in range(n):
+                lab = {}
+                if all(lab.setdefault(a, v) == v for a, v in zip(
+                        arcs, (x, y, op_u[x * n + y], op_o[y * n + x]))):
+                    rows.setdefault(tuple(lab[a] for a in ids if a in pos),
+                                    []).append(tuple(lab[a] for a in new))
+        out = {}
+        for key, cnt in states.items():
+            rest = tuple(key[i] for i in stay)
+            for tail in rows.get(tuple(key[i] for i in shared), ()):
+                out[rest + tail] = out.get(rest + tail, 0) + cnt
+            if len(out) > MAX_STATES:
+                raise ValueError(
+                    f"labeling frontier exceeds {MAX_STATES} states")
+        states = out
+    if not keep:
+        return sum(states.values()), None
+    perm = sorted(range(n_arcs), key=opened.__getitem__)
+    return len(states), sorted(tuple(k[i] for i in perm) for k in states)

@@ -132,9 +132,12 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
                keep_assignments: bool = False) -> HomCountReport:
     """Count biquandle labelings of the diagram's semi-arcs.
 
-    The target must pass the axiom check.  Labelings are counted by
-    constraint propagation: crossing outputs are forced by inputs, so only
-    genuinely free semi-arcs branch.
+    The target must pass the axiom check.  Labelings are counted by a
+    frontier contraction (``kernels.diagram_count``): crossings are joined
+    one at a time into a map from the labels of still-open semi-arcs to
+    counts, so the cost follows the widest frontier rather than the number
+    of crossings.  A frontier past ``kernels.pure.MAX_STATES`` states
+    raises ``ValueError``.
     """
     report = verify_biquandle(target)
     if not report.passed:

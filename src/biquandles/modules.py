@@ -10,12 +10,10 @@ vector always has index 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
-
-from sympy import Matrix
-from sympy.matrices.exceptions import NonInvertibleMatrixError
 
 from .errors import ModuleError
 
@@ -41,12 +39,30 @@ def _mat_mul(a: Mat, b: Mat, m: int) -> Mat:
         for i in range(k))
 
 
+def _minor(mat: Mat, i: int, j: int) -> Mat:
+    return tuple(row[:j] + row[j + 1:] for r, row in enumerate(mat) if r != i)
+
+
+def _det(mat: Mat) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * e * _det(_minor(mat, 0, j))
+               for j, e in enumerate(mat[0]))
+
+
 def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
-    try:
-        inv = Matrix(mat).inv_mod(m)
-    except (NonInvertibleMatrixError, ValueError) as exc:
-        raise ModuleError(f"{name} is not invertible mod {m}: {exc}") from None
-    return tuple(tuple(int(e) % m for e in inv.row(i)) for i in range(len(mat)))
+    """Inverse mod m: the integer adjugate times the inverse determinant."""
+    det = _det(mat) % m
+    if math.gcd(det, m) != 1:
+        raise ModuleError(f"{name} is not invertible mod {m}: "
+                          f"determinant {det} is not a unit")
+    unit = pow(det, -1, m)
+    k = len(mat)
+    return tuple(
+        tuple((-1) ** (i + j) * _det(_minor(mat, j, i)) * unit % m
+              for j in range(k))
+        for i in range(k))
 
 
 @dataclass(frozen=True)

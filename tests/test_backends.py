@@ -75,22 +75,3 @@ class TestAgreement:
                       use_profiles=False, find_all=True, fixed=((0, 0),))
         assert pure.search_maps(*args, **kwargs) == \
             comp.search_maps(*args, **kwargs)
-
-    def test_diagram_count(self, backends, z2z2_table):
-        from biquandles import build_diagram, kishino_codes, parse_gauss_code
-        pure, comp = backends
-        diagrams = [build_diagram(parse_gauss_code(t)) for t in
-                    ("", "O1+,U1+", "O1+,U2+,O3+,U1+,O2+,U3+")]
-        diagrams += [build_diagram(c) for c in kishino_codes()]
-        for diagram in diagrams:
-            args = (diagram.semi_arcs, diagram.crossings, z2z2_table.n,
-                    *z2z2_table.flats())
-            assert pure.diagram_count(*args) == comp.diagram_count(*args)
-            assert pure.diagram_count(*args, keep=True) == \
-                comp.diagram_count(*args, keep=True)
-
-    def test_diagram_arc_limit(self, backends, z2z2_table):
-        for kern in backends:
-            with pytest.raises(ValueError):
-                kern.diagram_count(5000, (), z2z2_table.n,
-                                   *z2z2_table.flats())

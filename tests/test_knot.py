@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biquandles import (GaussCodeError, build_diagram, count_gauss,
+import biquandles
+from biquandles import (GaussCodeError, build_diagram, cli, count_gauss,
                         count_homs, kishino_codes, make_alexander,
                         make_scalar_module, parse_gauss_code,
-                        reidemeister_suite, trivial_biquandle)
+                        reidemeister_suite, serialize_matrix,
+                        trivial_biquandle)
+from biquandles.kernels import pure
 from biquandles.knot import (KINK_POSITIVE, MIRROR_BRAID, MIRROR_BRAID_R3,
                              R2_POKE, REIDEMEISTER_PAIRS, TREFOIL,
                              TREFOIL_BRAID, TREFOIL_BRAID_R3)
@@ -30,6 +38,49 @@ def gauss_codes_strategy(max_crossings=3):
             st.permutations(range(2 * n)),
             st.lists(st.booleans(), min_size=n, max_size=n)).map(
                 lambda t: build(*t)))
+
+
+@st.composite
+def move_related_codes(draw, max_base=3, max_moves=3):
+    """(base, grown): a random code and one grown from it by R1 and R2 moves.
+
+    A kink inserts ``Ok s,Uk s`` or ``Uk s,Ok s`` anywhere.  An R2 pair
+    inserts ``Oa s,Ob -s`` at one position and ``Ua s,Ub -s`` (parallel
+    strands) or ``Ub -s,Ua s`` (antiparallel) at another, never between the
+    two over passages; virtual detours let the stretches sit anywhere.
+    """
+    base = draw(st.one_of(st.just(""), gauss_codes_strategy(max_base)))
+    tokens = base.split(",") if base else []
+    label = len(tokens) // 2
+    for _ in range(draw(st.integers(1, max_moves))):
+        s, t = draw(st.sampled_from(("+-", "-+")))
+        if draw(st.booleans()):
+            label += 1
+            kink = [f"O{label}{s}", f"U{label}{s}"]
+            if draw(st.booleans()):
+                kink.reverse()
+            at = draw(st.integers(0, len(tokens)))
+            tokens[at:at] = kink
+        else:
+            a, b = label + 1, label + 2
+            label += 2
+            under = [f"U{a}{s}", f"U{b}{t}"]
+            if draw(st.booleans()):
+                under.reverse()
+            at = draw(st.integers(0, len(tokens)))
+            tokens[at:at] = [f"O{a}{s}", f"O{b}{t}"]
+            at2 = draw(st.integers(0, len(tokens)).filter(
+                lambda j: j != at + 1))
+            tokens[at2:at2] = under
+    return base, ",".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def move_targets(z2z2_table):
+    return [trivial_biquandle(3), z2z2_table,
+            make_alexander(make_scalar_module(5, 2, 3)),
+            make_alexander(make_scalar_module(8, 3, 5)),
+            make_alexander(make_scalar_module(7, 3, 2))]
 
 
 class TestParse:
@@ -151,6 +202,57 @@ class TestCountHoms:
         assert report.assignments == ((1,), (2,), (3,))
         assert report.count == 3
 
+    @pytest.mark.parametrize("text", [
+        KINK_POSITIVE, R2_POKE, TREFOIL, MIRROR_BRAID,
+        str(kishino_codes()[0])])
+    def test_assignments_satisfy_every_crossing(self, text, z2z2_table):
+        diagram = build_diagram(parse_gauss_code(text))
+        z3 = make_alexander(make_scalar_module(3, 2, 1))
+        for target in (z2z2_table, z3):
+            report = count_homs(diagram, target, keep_assignments=True)
+            sols = report.assignments
+            assert len(sols) == report.count > 0
+            assert list(sols) == sorted(set(sols))
+            for a in sols:
+                assert len(a) == diagram.semi_arcs
+                for sign, ui, oi, uo, oo in diagram.crossings:
+                    up, down = ("up", "down") if sign > 0 else \
+                        ("upbar", "downbar")
+                    assert a[uo] == target.op(up, a[ui], a[oi])
+                    assert a[oo] == target.op(down, a[oi], a[ui])
+
+    def test_torus_knots_against_order_eight(self):
+        # frozen from perfbench/oracle.py's affine_count, which solves the
+        # labeling system over Z_8 by an integer Smith form, no kernels
+        target = make_alexander(make_scalar_module(8, 3, 5))
+        for crossings, expected in ((11, 8), (21, 8)):
+            code = braid_closure_code([(1, 1)] * crossings)
+            assert count_gauss(code, target) == expected
+
+    def test_state_bound(self, monkeypatch, tmp_path, capsys):
+        target = make_alexander(make_scalar_module(8, 3, 5))
+        code = braid_closure_code([(1, 1)] * 5)
+        monkeypatch.setattr(pure, "MAX_STATES", 16)
+        with pytest.raises(ValueError, match="frontier exceeds 16 states"):
+            count_gauss(code, target)
+        path = tmp_path / "z8.bq"
+        path.write_text(serialize_matrix(target))
+        assert cli.main(["count", "--gauss", code, "--target",
+                         str(path)]) == cli.EXIT_INPUT
+        assert "frontier exceeds" in capsys.readouterr().err
+
+    def test_one_counter_for_every_backend(self):
+        env = {k: v for k, v in os.environ.items()
+               if k != "BIQUANDLES_KERNELS"}
+        env["PYTHONPATH"] = str(Path(biquandles.__file__).resolve().parents[1])
+        probe = ("from biquandles import kernels; "
+                 "print(kernels.diagram_count is kernels.pure.diagram_count)")
+        for forced in ({}, {"BIQUANDLES_KERNELS": "pure"}):
+            out = subprocess.run([sys.executable, "-c", probe],
+                                 env={**env, **forced}, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == "True"
+
     def test_invalid_target_rejected(self):
         from biquandles import BiquandleTable
         t = trivial_biquandle(2)
@@ -199,15 +301,28 @@ class TestReidemeister:
         assert braid_closure_code(
             [(1, -1), (1, -1), (2, -1), (1, -1)]) == MIRROR_BRAID_R3
 
-    def test_suite_passes_on_target_set(self, z2z2_table):
-        targets = [trivial_biquandle(3), z2z2_table,
-                   make_alexander(make_scalar_module(5, 2, 3)),
-                   make_alexander(make_scalar_module(8, 3, 5)),
-                   make_alexander(make_scalar_module(7, 3, 2))]
-        for target in targets:
+    def test_suite_passes_on_target_set(self, move_targets):
+        for target in move_targets:
             report = reidemeister_suite(target)
             assert report.passed, report.entries
             assert len(report.entries) == len(REIDEMEISTER_PAIRS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes=move_related_codes())
+    def test_random_moves_keep_counts(self, move_targets, codes):
+        base, grown = codes
+        for target in move_targets:
+            assert count_gauss(grown, target) == count_gauss(base, target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(codes=move_related_codes(max_base=2, max_moves=2))
+    def test_move_generator_against_naive_oracle(self, z2z2_table, codes):
+        assume(codes[1].count(",") < 8)
+        a, b = (build_diagram(parse_gauss_code(c)) for c in codes)
+        z3 = make_alexander(make_scalar_module(3, 2, 1))
+        for target in (z2z2_table, z3):
+            assert naive_labeling_count(a, target) == \
+                naive_labeling_count(b, target) == count_homs(b, target).count
 
     def test_trefoil_presentations_agree(self, z2z2_table):
         a = count_gauss(TREFOIL, z2z2_table)

@@ -1,12 +1,20 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biquandles
 from biquandles import (ModuleError, kernel_one_minus_s, make_module,
-                        make_scalar_module, module_isomorphisms,
-                        one_minus_st_submodule, s_orbit, translation_map,
-                        transversal)
-from biquandles.modules import counting_element_order
+                        make_scalar_module, make_switch_biquandle,
+                        module_isomorphisms, one_minus_st_submodule, s_orbit,
+                        translation_map, transversal)
+from biquandles.errors import SwitchError
+from biquandles.modules import (_mat_inv, _mat_mul, _mat_vec,
+                                counting_element_order)
 
 Z8_35 = make_scalar_module(8, 3, 5)
 Z8_53 = make_scalar_module(8, 5, 3)
@@ -40,6 +48,46 @@ class TestMakeModule:
     def test_matrix_module_accepted(self):
         mod = make_module(3, 2, ((1, 1), (0, 1)), ((2, 0), (0, 2)))
         assert mod.size == 9
+
+
+class TestMatInv:
+    def test_random_matrices_match_bijectivity(self):
+        # invertible mod m iff x -> Ax permutes Z_m^k, checked by brute force
+        rng = random.Random(20061107)
+        for m in range(2, 13):
+            for k in (1, 2, 3):
+                ident = tuple(tuple(int(i == j) for j in range(k))
+                              for i in range(k))
+                for _ in range(12):
+                    mat = tuple(tuple(rng.randrange(m) for _ in range(k))
+                                for _ in range(k))
+                    images = {_mat_vec(mat, x, m) for x in
+                              itertools.product(range(m), repeat=k)}
+                    if len(images) < m ** k:
+                        with pytest.raises(ModuleError,
+                                           match=f"not invertible mod {m}"):
+                            _mat_inv(mat, m, "A")
+                        continue
+                    inv = _mat_inv(mat, m, "A")
+                    assert _mat_mul(mat, inv, m) == ident
+                    assert _mat_mul(inv, mat, m) == ident
+
+    def test_zero_divisor_determinants_rejected(self):
+        with pytest.raises(ModuleError, match="s action is not invertible"):
+            make_module(4, 1, ((2,),), ((1,),))
+        with pytest.raises(ModuleError, match="not invertible mod 6"):
+            _mat_inv(((2, 0), (0, 3)), 6, "A")
+        with pytest.raises(SwitchError, match="A is not invertible mod 6"):
+            make_switch_biquandle(6, 2, ((2, 0), (0, 3)), ((1, 0), (0, 1)))
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = str(Path(biquandles.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, biquandles; print('sympy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestOneMinusSt:
