@@ -1,9 +1,10 @@
 """Biquandle constructors on finite modules.
 
-Two families: the Laurent-module biquandle x^y = tx + (1-st)y, x_y = sx
-(with the barred operations given by the inverse parameters), and the
-affine switch construction x^y = Cx + Dy + c, x_y = Ay + Bx + c with C, D
-derived from invertible A, B.
+One builder makes both families of affine switches x^y = Cx + Dy + c,
+x_y = Ay + Bx + c: the Laurent-module biquandle x^y = tx + (1-st)y, x_y = sx
+(C = t, D = 1 - st, A = 0, B = s, c = 0), and the switch construction with
+C, D derived from invertible A, B.  The barred operations are forced by the
+inverse of the pair map S(a, b) = (b_a, a^b).
 """
 
 from __future__ import annotations
@@ -13,28 +14,41 @@ from dataclasses import dataclass
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import SwitchError, WitnessError
-from .modules import (Elem, FiniteModule, Mat, _mat_inv, _mat_mul, _mat_vec,
-                      kernel_one_minus_s, translation_map)
-from .tables import BiquandleTable, is_homomorphism
+from .modules import (Elem, FiniteModule, Mat, _identity, _mat_inv,
+                      _mat_mul, _mat_sub, _mat_vec, kernel_one_minus_s,
+                      translation_map)
+from .tables import BiquandleTable, from_pair_map, is_homomorphism
 
 
-def _identity(k: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(k))
-                 for i in range(k))
-
-
-def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
-    return tuple(tuple((x - y) % m for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def _resolve_order(module_elements, element_order, m, k):
+def _resolve_order(module_elements, element_order, m):
     if element_order is None:
         return tuple(module_elements)
     order = tuple(tuple(int(c) % m for c in e) for e in element_order)
     if sorted(order) != sorted(module_elements):
         raise ValueError("element_order must enumerate every element once")
     return order
+
+
+def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
+                  amat: Mat, bmat: Mat, shift: Elem) -> BiquandleTable:
+    """Table of x^y = Cx + Dy + c, x_y = Ay + Bx + c; index i is order[i].
+
+    Each matrix is applied once per element and every sum is read from one
+    addition table of the group.  The barred operations invert the pair
+    map, so a non-bijective one raises ``SwitchError``.
+    """
+    index = {e: i for i, e in enumerate(order)}
+    plus = [[index[tuple((p + q) % m for p, q in zip(x, y))] for y in order]
+            for x in order]
+    shifted = plus[index[shift]]
+
+    def images(mat):
+        return [index[_mat_vec(mat, x, m)] for x in order]
+
+    cx, dy, bx, ay = map(images, (cmat, dmat, bmat, amat))
+    up = [row[y] for row in [plus[shifted[x]] for x in cx] for y in dy]
+    down = [row[y] for row in [plus[shifted[x]] for x in bx] for y in ay]
+    return from_pair_map(len(order), up, down)
 
 
 def make_alexander(module: FiniteModule,
@@ -44,32 +58,14 @@ def make_alexander(module: FiniteModule,
 
     Indices follow the module's canonical element order unless
     ``element_order`` supplies another enumeration (printed matrices in the
-    literature commonly put the zero element last).
+    literature commonly put the zero element last).  Inverting the pair map
+    gives x^ybar = t^-1 x + (1 - s^-1 t^-1)y and x_ybar = s^-1 x.
     """
-    m, k = module.m, module.k
-    order = _resolve_order(module.elements, element_order, m, k)
-    index = {e: i for i, e in enumerate(order, start=1)}
-
-    tmat, smat = module.t_matrix, module.s_matrix
-    tinv, sinv = module.t_inverse, module.s_inverse
-    coef = module.one_minus_st
-    coef_bar = _mat_sub(_identity(k), _mat_mul(sinv, tinv, m), m)
-
-    up, down, upbar, downbar = [], [], [], []
-    for x in order:
-        tx = _mat_vec(tmat, x, m)
-        tix = _mat_vec(tinv, x, m)
-        down_row = index[_mat_vec(smat, x, m)]
-        downbar_row = index[_mat_vec(sinv, x, m)]
-        up.append(tuple(
-            index[module.add(tx, _mat_vec(coef, y, m))] for y in order))
-        upbar.append(tuple(
-            index[module.add(tix, _mat_vec(coef_bar, y, m))] for y in order))
-        down.append((down_row,) * len(order))
-        downbar.append((downbar_row,) * len(order))
-
-    return BiquandleTable(len(order), tuple(up), tuple(down), tuple(upbar),
-                          tuple(downbar))
+    order = _resolve_order(module.elements, element_order, module.m)
+    zero = ((0,) * module.k,) * module.k
+    return _affine_table(module.m, order, module.t_matrix,
+                         module.one_minus_st, zero, module.s_matrix,
+                         module.zero)
 
 
 @dataclass(frozen=True)
@@ -110,41 +106,10 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     aibi = _mat_mul(ainv, binv, m)
     cmat = _mat_mul(_mat_mul(aibi, amat, m), _mat_sub(ident, amat, m), m)
     dmat = _mat_sub(ident, _mat_mul(_mat_mul(aibi, amat, m), bmat, m), m)
-
-    elements = tuple(itertools.product(range(m), repeat=k))
-    order = _resolve_order(elements, element_order, m, k)
-    index = {e: i for i, e in enumerate(order, start=1)}
-    n = len(order)
     c = (0,) * k if shift is None else tuple(int(v) % m for v in shift)
-
-    def add(x, y):
-        return tuple((p + q) % m for p, q in zip(x, y))
-
-    up = tuple(
-        tuple(index[add(add(_mat_vec(cmat, x, m), _mat_vec(dmat, y, m)), c)]
-              for y in order) for x in order)
-    down = tuple(
-        tuple(index[add(add(_mat_vec(amat, y, m), _mat_vec(bmat, x, m)), c)]
-              for y in order) for x in order)
-
-    # invert the pair map to obtain the barred blocks
-    inverse = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            key = (down[b - 1][a - 1], up[a - 1][b - 1])
-            if key in inverse:
-                raise SwitchError("switch pair map is not invertible")
-            inverse[key] = (a, b)
-
-    upbar = [[0] * n for _ in range(n)]
-    downbar = [[0] * n for _ in range(n)]
-    for (cc, xx), (a, b) in inverse.items():
-        upbar[xx - 1][cc - 1] = a
-        downbar[cc - 1][xx - 1] = b
-
-    table = BiquandleTable(
-        n, up, down,
-        tuple(tuple(r) for r in upbar), tuple(tuple(r) for r in downbar))
+    order = _resolve_order(itertools.product(range(m), repeat=k),
+                           element_order, m)
+    table = _affine_table(m, order, cmat, dmat, amat, bmat, c)
 
     group_comm = _mat_mul(aibi, _mat_mul(amat, bmat, m), m)  # (A,B)
     term = _mat_mul(_mat_sub(amat, ident, m), group_comm, m)

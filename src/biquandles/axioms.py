@@ -56,4 +56,4 @@ def yang_baxter_check(table: BiquandleTable) -> bool:
     Only the unbarred operations enter: S is checked for bijectivity on
     ordered pairs and for (SxI)(IxS)(SxI) = (IxS)(SxI)(IxS) on all triples.
     """
-    return kernels.yang_baxter(table.n, table.flat("up"), table.flat("down"))
+    return kernels.yang_baxter(table.n, *table.flats()[:2])

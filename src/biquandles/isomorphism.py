@@ -17,10 +17,12 @@ from . import kernels
 from .alexander import make_alexander, normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
+from .kernels.pure import _profiles
 from .modules import (Elem, FiniteModule, ModuleIso,
                       module_isomorphisms, one_minus_st_submodule,
                       transversal)
-from .tables import KINDS, BiquandleTable, is_homomorphism, normalize_map
+from .tables import (KINDS, BiquandleTable, from_pair_map, is_homomorphism,
+                     normalize_map)
 
 _OP_BITS = dict(zip(KINDS, (kernels.OP_UP, kernels.OP_DOWN,
                             kernels.OP_UPBAR, kernels.OP_DOWNBAR)))
@@ -52,19 +54,10 @@ def fixed_point_profile(table: BiquandleTable) -> tuple[tuple, ...]:
 
     For each element and each operation: how many right operands fix it,
     how many left operands are fixed by it, and whether it fixes itself.
-    Isomorphic tables have equal sorted profiles.
+    Isomorphic tables have equal sorted profiles; the map search filters
+    candidate images by them.
     """
-    n = table.n
-    out = []
-    for a in range(1, n + 1):
-        prof = []
-        for kind in KINDS:
-            blk = getattr(table, kind)
-            rowfix = sum(1 for b in range(n) if blk[a - 1][b] == a)
-            colfix = sum(1 for b in range(n) if blk[b][a - 1] == b + 1)
-            prof.append((rowfix, colfix, blk[a - 1][a - 1] == a))
-        out.append(tuple(prof))
-    return tuple(out)
+    return tuple(_profiles(table.n, table.flats(), kernels.ALL_OPS))
 
 
 def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:
@@ -208,9 +201,6 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         val = dst.act(one_minus_st_d, y)
         fibers_by_val[val] = fibers_by_val[val] + (y,)
 
-    table_s = make_alexander(src)
-    table_d = make_alexander(dst)
-
     for h in module_isomorphisms(sub_s, sub_d):
         k_map: dict[Elem, Elem] = {src.zero: dst.zero}
         used_cosets = {trans_d.rep_of(dst.zero)}
@@ -260,7 +250,8 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         if assign(1):
             perm = assemble_witness_map(src, dst, h, k_map)
             if sorted(perm) == list(range(1, dst.size + 1)) and \
-                    is_homomorphism(table_s, table_d, perm):
+                    is_homomorphism(make_alexander(src),
+                                    make_alexander(dst), perm):
                 witness = IsoWitness(
                     source=src, target=dst, submodule_map=h,
                     rep_map=tuple(sorted(k_map.items())), perm=perm)
@@ -439,22 +430,9 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
         return added
 
     def finish():
-        up = tuple(tuple(up_cols[j][i] + 1 for j in range(n))
-                   for i in range(n))
-        down = tuple(tuple(down_cols[j][i] + 1 for j in range(n))
-                     for i in range(n))
-        inverse = {}
-        for a in range(n):
-            for b in range(n):
-                inverse[(down[b][a], up[a][b])] = (a + 1, b + 1)
-        upbar = [[0] * n for _ in range(n)]
-        downbar = [[0] * n for _ in range(n)]
-        for (c, x), (a, b) in inverse.items():
-            upbar[x - 1][c - 1] = a
-            downbar[c - 1][x - 1] = b
-        table = BiquandleTable(
-            n, up, down, tuple(tuple(r) for r in upbar),
-            tuple(tuple(r) for r in downbar))
+        up = tuple(up_cols[j][i] for i in range(n) for j in range(n))
+        down = tuple(down_cols[j][i] for i in range(n) for j in range(n))
+        table = from_pair_map(n, up, down)
         if satisfies_axioms(table):
             found.append(table)
 
@@ -482,7 +460,7 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
             cols[j] = None
 
     extend(0)
-    found.sort(key=lambda t: (t.up, t.down, t.upbar, t.downbar))
+    found.sort(key=BiquandleTable.flats)
 
     classes: list[list[int]] = []
     for idx, table in enumerate(found):

@@ -1,13 +1,13 @@
 """Kernel backend selection.
 
-The compiled extension (`_ckern`, built from ``_ckern.pyx``) is preferred
-when importable; otherwise the pure-Python kernels are used.  Set
-``BIQUANDLES_KERNELS=pure`` or ``=c`` to force a backend (``c`` raises if the
-extension is missing).  The backend supplies ``axiom_scan``, ``yang_baxter``
-and ``search_maps``, which must give identical results on both;
-``tests/test_backends.py`` enforces that.  The labeling counter
-``diagram_count`` is the pure frontier contraction whichever backend is
-active.
+The compiled extension ``_ckern`` is preferred when importable, else the
+pure-Python kernels run.  ``setup.py`` builds it only when Cython is
+installed and skips it otherwise, although the generated ``_ckern.c`` is
+committed.  ``BIQUANDLES_KERNELS=pure`` or ``=c`` forces a backend (``c``
+raises if the extension is missing).  ``axiom_scan``, ``yang_baxter`` and
+``search_maps`` must agree on both; ``tests/test_backends.py`` checks that
+and skips when the extension is absent.  ``diagram_count`` is the pure
+frontier contraction whichever backend is active.
 """
 
 import os

@@ -39,6 +39,16 @@ def _mat_mul(a: Mat, b: Mat, m: int) -> Mat:
         for i in range(k))
 
 
+def _identity(k: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(k))
+                 for i in range(k))
+
+
+def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
+    return tuple(tuple((x - y) % m for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
 def _minor(mat: Mat, i: int, j: int) -> Mat:
     return tuple(row[:j] + row[j + 1:] for r, row in enumerate(mat) if r != i)
 
@@ -100,10 +110,7 @@ class FiniteModule:
     def one_minus_st(self) -> Mat:
         """The matrix of 1 - s*t, computed literally as I - S.T."""
         st = _mat_mul(self.s_matrix, self.t_matrix, self.m)
-        return tuple(
-            tuple(((1 if i == j else 0) - st[i][j]) % self.m
-                  for j in range(self.k))
-            for i in range(self.k))
+        return _mat_sub(_identity(self.k), st, self.m)
 
     @property
     def zero(self) -> Elem:
@@ -204,10 +211,7 @@ def one_minus_st_submodule(module: FiniteModule) -> Submodule:
 
 def kernel_one_minus_s(module: FiniteModule) -> Submodule:
     """Kernel of x -> (1 - s)x."""
-    k, m = module.k, module.m
-    mat = tuple(
-        tuple(((1 if i == j else 0) - module.s_matrix[i][j]) % m
-              for j in range(k)) for i in range(k))
+    mat = _mat_sub(_identity(module.k), module.s_matrix, module.m)
     zero = module.zero
     ker = [x for x in module.elements if module.act(mat, x) == zero]
     return Submodule(module, tuple(ker))

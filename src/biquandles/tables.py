@@ -1,15 +1,20 @@
 """Finite biquandle operation tables and their text format.
 
-A biquandle of order n is presented by a 2n x 2n block matrix
+A ``BiquandleTable`` stores each operation once, as the 0-based flat tuple
+``t[i*n + j]`` the kernels take, validated at construction and returned by
+``flats()``.  The text format is the 1-based 2n x 2n block matrix of
+Nelson & Vo, *Matrices and finite biquandles*:
 
     [ B1 | B2 ]      B1[i][j] = i ^ j     (up)
     [----+----]      B2[i][j] = i sub j   (down)
     [ B3 | B4 ]      B3[i][j] = i ^ jbar  (upbar)
                      B4[i][j] = i sub jbar (downbar)
 
-with elements named by 1-based indices.  A ``BiquandleTable`` stores any
-candidate table; satisfying the axioms is decided separately by
-``axioms.verify_biquandle``.
+with elements named by 1-based indices.  Only this module knows that
+layout: the ``BiquandleTable(n, up, down, upbar, downbar)`` constructor,
+the ``up``/``down``/``upbar``/``downbar`` views and ``op`` are 1-based, as
+are ``parse_matrix`` and ``serialize_matrix``.  A table may be any
+candidate; ``axioms.verify_biquandle`` decides the axioms.
 """
 
 from __future__ import annotations
@@ -17,60 +22,107 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import MatrixParseError
+from .errors import MatrixParseError, SwitchError
 
 KINDS = ("up", "down", "upbar", "downbar")
 
 Block = tuple[tuple[int, ...], ...]
+Flat = tuple[int, ...]
 
 
-def _check_block(n, name, rows):
+def _flatten(n, kind, rows) -> list:
+    """Row-major entries of a 1-based n x n block, shifted to 0-based."""
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"{name} block must be {n}x{n}")
-    for row in rows:
-        for e in row:
-            if not isinstance(e, int) or not 1 <= e <= n:
-                raise ValueError(f"{name} entry {e!r} outside 1..{n}")
+        raise ValueError(f"{kind} block must be {n}x{n}")
+    return [e - 1 if isinstance(e, int) else e for row in rows for e in row]
 
 
-@dataclass(frozen=True)
+def _check_flat(n, kind, flat):
+    if len(flat) != n * n:
+        raise ValueError(f"{kind} block must be {n}x{n}")
+    if not set(map(type, flat)) <= {int} or not set(flat) <= set(range(n)):
+        e = next(e for e in flat if type(e) is not int or not 0 <= e < n)
+        shown = e + 1 if type(e) is int else e
+        raise ValueError(f"{kind} entry {shown!r} outside 1..{n}")
+
+
+def _view(i: int) -> property:
+    """The 1-based block of the i-th stored operation, as rows of tuples."""
+    def block(table) -> Block:
+        n, flat = table.n, table._flats[i]
+        return tuple(tuple(e + 1 for e in flat[r:r + n])
+                     for r in range(0, n * n, n))
+    return property(block)
+
+
+@dataclass(frozen=True, init=False)
 class BiquandleTable:
-    """Order plus the four operation blocks, entries 1-based."""
+    """Order plus the four operations as 0-based flat tuples; ``up``,
+    ``down``, ``upbar`` and ``downbar`` are derived 1-based blocks."""
 
     n: int
-    up: Block
-    down: Block
-    upbar: Block
-    downbar: Block
+    _flats: tuple[Flat, Flat, Flat, Flat]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, up, down, upbar, downbar):
+        """Table from four 1-based blocks, ``up[i-1][j-1] = i ^ j``."""
+        self._store(n, (_flatten(n, kind, rows) for kind, rows in
+                        zip(KINDS, (up, down, upbar, downbar))))
+
+    @classmethod
+    def from_flats(cls, n: int, up, down, upbar, downbar) -> BiquandleTable:
+        """Table from four 0-based flat tables, ``up[i*n + j] = i ^ j``."""
+        table = cls.__new__(cls)
+        table._store(n, (up, down, upbar, downbar))
+        return table
+
+    def _store(self, n, flats):
+        if n < 1:
             raise ValueError("order must be >= 1")
-        for kind in KINDS:
-            _check_block(self.n, kind, getattr(self, kind))
+        flats = tuple(map(tuple, flats))
+        for kind, flat in zip(KINDS, flats):
+            _check_flat(n, kind, flat)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_flats", flats)
+
+    def flats(self) -> tuple[Flat, Flat, Flat, Flat]:
+        """The stored (up, down, upbar, downbar) flat tables, 0-based."""
+        return self._flats
+
+    up, down, upbar, downbar = map(_view, range(4))
 
     def op(self, kind: str, a: int, b: int) -> int:
         """Table entry for ``a <kind> b`` (all 1-based)."""
         if kind not in KINDS:
             raise ValueError(f"unknown operation kind {kind!r}")
-        if not 1 <= a <= self.n or not 1 <= b <= self.n:
+        n = self.n
+        if not 1 <= a <= n or not 1 <= b <= n:
             raise ValueError(
-                f"element index out of range: ({a}, {b}) for order {self.n}")
-        return getattr(self, kind)[a - 1][b - 1]
-
-    def flat(self, kind: str) -> tuple[int, ...]:
-        """0-based flattened block, as consumed by the kernels."""
-        return tuple(e - 1 for row in getattr(self, kind) for e in row)
-
-    def flats(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.flat(kind) for kind in KINDS)
+                f"element index out of range: ({a}, {b}) for order {n}")
+        return self._flats[KINDS.index(kind)][(a - 1) * n + b - 1] + 1
 
 
 def from_blocks(up, down, upbar, downbar) -> BiquandleTable:
-    """Build a table from four row-iterables, inferring the order."""
+    """Build a table from four 1-based row-iterables, inferring the order."""
     blocks = [tuple(tuple(row) for row in blk)
               for blk in (up, down, upbar, downbar)]
     return BiquandleTable(len(blocks[0]), *blocks)
+
+
+def from_pair_map(n: int, up, down) -> BiquandleTable:
+    """Table whose barred operations invert S(a, b) = (b_a, a^b).
+
+    ``up`` and ``down`` are 0-based flat tables.  S(a, b) = (c, x) gives
+    x ^ cbar = a and c _ xbar = b; a non-bijective S raises ``SwitchError``.
+    """
+    upbar, downbar = [-1] * (n * n), [-1] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            c, x = down[b * n + a], up[a * n + b]
+            if upbar[x * n + c] >= 0:
+                raise SwitchError("switch pair map is not invertible")
+            upbar[x * n + c] = a
+            downbar[c * n + x] = b
+    return BiquandleTable.from_flats(n, up, down, upbar, downbar)
 
 
 def op_lookup(table: BiquandleTable, kind: str, a: int, b: int) -> int:
@@ -81,17 +133,19 @@ def trivial_biquandle(n: int) -> BiquandleTable:
     """All four operations return their first argument."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    block = tuple(tuple(i for _ in range(n)) for i in range(1, n + 1))
-    return BiquandleTable(n, block, block, block, block)
+    flat = tuple(i for i in range(n) for _ in range(n))
+    return BiquandleTable.from_flats(n, flat, flat, flat, flat)
 
 
 def serialize_matrix(table: BiquandleTable) -> str:
     """Text form: order line, then 2n rows of the 2n-column block matrix."""
     n = table.n
+    up, down, upbar, downbar = table.flats()
     lines = [str(n)]
-    for left, right in ((table.up, table.down), (table.upbar, table.downbar)):
-        for i in range(n):
-            lines.append(" ".join(str(e) for e in left[i] + right[i]))
+    for left, right in ((up, down), (upbar, downbar)):
+        for r in range(0, n * n, n):
+            lines.append(" ".join(str(e + 1) for e in
+                                  left[r:r + n] + right[r:r + n]))
     return "\n".join(lines) + "\n"
 
 
@@ -147,15 +201,14 @@ def parse_matrix(text: str) -> BiquandleTable:
             if not 1 <= e <= n:
                 raise MatrixParseError(
                     f"entry {e} outside 1..{n}", ln, col)
-            row.append(e)
+            row.append(e - 1)
         grid.append(row)
 
-    def block(r0, c0):
-        return tuple(tuple(grid[r0 + i][c0 + j] for j in range(n))
-                     for i in range(n))
+    def flat(r0, c0):
+        return [grid[r0 + i][c0 + j] for i in range(n) for j in range(n)]
 
-    return BiquandleTable(n, block(0, 0), block(0, n), block(n, 0),
-                          block(n, n))
+    return BiquandleTable.from_flats(n, flat(0, 0), flat(0, n), flat(n, 0),
+                                     flat(n, n))
 
 
 def normalize_map(f, n_src: int, n_dst: int) -> tuple[int, ...]:
@@ -182,13 +235,12 @@ def is_homomorphism(src: BiquandleTable, dst: BiquandleTable, f) -> bool:
     ``f`` maps 1-based src elements to 1-based dst elements, given either as
     a sequence of images for 1..n or as a mapping.
     """
-    images = normalize_map(f, src.n, dst.n)
-    for kind in KINDS:
-        ts = getattr(src, kind)
-        td = getattr(dst, kind)
-        for a in range(src.n):
-            fa = images[a]
-            for b in range(src.n):
-                if images[ts[a][b] - 1] != td[fa - 1][images[b] - 1]:
+    images = [v - 1 for v in normalize_map(f, src.n, dst.n)]
+    n, nd = src.n, dst.n
+    for ts, td in zip(src.flats(), dst.flats()):
+        for a in range(n):
+            row, fa = a * n, images[a] * nd
+            for b in range(n):
+                if images[ts[row + b]] != td[fa + images[b]]:
                     return False
     return True

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's kernels: axiom clauses are
 spelled out over `BiquandleTable.op`, the Yang-Baxter check composes explicit
-pair maps, and the labeling counter enumerates the full assignment space.
+pair maps, the labeling counter enumerates the full assignment space, and the
+affine tables are evaluated pair by pair from their formulas without the
+library's builders or matrix helpers.
 """
 
 import itertools
@@ -144,3 +146,83 @@ def braid_closure_code(word):
     return ",".join(
         f"{role}{label}{'+' if sign > 0 else '-'}"
         for role, label, sign in tokens)
+
+
+def _vec(mat, x, m):
+    return tuple(sum(a * b for a, b in zip(row, x)) % m for row in mat)
+
+
+def _sum(m, *vecs):
+    return tuple(sum(coords) % m for coords in zip(*vecs))
+
+
+def _neg(x, m):
+    return tuple(-v % m for v in x)
+
+
+def _mul(a, b, m):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(p * q for p, q in zip(row, col)) % m
+                       for col in cols) for row in a)
+
+
+def _ident(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
+def matrix_inverse(mat, m):
+    """Inverse mod m found by trying every k x k matrix, or None."""
+    k = len(mat)
+    for entries in itertools.product(range(m), repeat=k * k):
+        cand = tuple(entries[i * k:(i + 1) * k] for i in range(k))
+        if _mul(mat, cand, m) == _ident(k):
+            return cand
+    return None
+
+
+def _blocks(order, up, down, upbar, downbar):
+    """1-based blocks of four element-valued operations on ``order``."""
+    index = {e: i for i, e in enumerate(order, start=1)}
+    return tuple(tuple(tuple(index[op(x, y)] for y in order) for x in order)
+                 for op in (up, down, upbar, downbar))
+
+
+def alexander_blocks(m, s, t, order):
+    """(up, down, upbar, downbar) of the module biquandle, pair by pair:
+    x^y = tx + (1-st)y, x_y = sx, x^ybar = t^-1 x + (1 - s^-1 t^-1)y and
+    x_ybar = s^-1 x."""
+    si, ti = matrix_inverse(s, m), matrix_inverse(t, m)
+    return _blocks(
+        order,
+        lambda x, y: _sum(m, _vec(t, x, m), y,
+                          _neg(_vec(s, _vec(t, y, m), m), m)),
+        lambda x, y: _vec(s, x, m),
+        lambda x, y: _sum(m, _vec(ti, x, m), y,
+                          _neg(_vec(si, _vec(ti, y, m), m), m)),
+        lambda x, y: _vec(si, x, m))
+
+
+def switch_blocks(m, a, b, c, order):
+    """(up, down, upbar, downbar) of x^y = Cx + Dy + c, x_y = Ay + Bx + c
+    with C = A^-1 B^-1 A (I - A) and D = I - A^-1 B^-1 A B, pair by pair;
+    the barred operations invert S(a, b) = (b_a, a^b) by a lookup over all
+    pairs.  None when S is not a bijection."""
+    aibi_a = _mul(_mul(matrix_inverse(a, m), matrix_inverse(b, m), m), a, m)
+    k = len(a)
+    ident_minus_a = tuple(tuple((i - j) % m for i, j in zip(ri, rj))
+                          for ri, rj in zip(_ident(k), a))
+    cmat = _mul(aibi_a, ident_minus_a, m)
+
+    def up(x, y):
+        return _sum(m, _vec(cmat, x, m), y,
+                    _neg(_vec(aibi_a, _vec(b, y, m), m), m), c)
+
+    def down(x, y):
+        return _sum(m, _vec(a, y, m), _vec(b, x, m), c)
+
+    inverse = {(down(y, x), up(x, y)): (x, y) for x in order for y in order}
+    if len(inverse) != len(order) ** 2:
+        return None
+    return _blocks(order, up, down,
+                   lambda x, y: inverse[(y, x)][0],
+                   lambda x, y: inverse[(x, y)][1])

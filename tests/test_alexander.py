@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,17 @@ from biquandles import (SwitchError, WitnessError, is_homomorphism,
                         trivial_biquandle, verify_biquandle)
 from biquandles.modules import counting_element_order
 
-from conftest import SWITCH_A, SWITCH_B, Z2Z2_MATRIX, scalar_modules
+from conftest import SWITCH_A, SWITCH_B, Z2Z2_MATRIX, scalar_modules, units
+from oracles import alexander_blocks, matrix_inverse, switch_blocks
+
+
+def blocks(table):
+    return (table.up, table.down, table.upbar, table.downbar)
+
+
+def orders(m, k):
+    return (tuple(itertools.product(range(m), repeat=k)),
+            counting_element_order(m, k))
 
 
 class TestMakeAlexander:
@@ -112,7 +123,10 @@ class TestMakeSwitch:
         # A = B = I gives C = D = 0, so the pair map (a, b) -> (a + b, 0)
         # cannot be inverted; recorded as the error verdict
         ident = ((1, 0), (0, 1))
-        with pytest.raises(SwitchError):
+        assert switch_blocks(2, ident, ident, (0, 0), orders(2, 2)[0]) \
+            is None
+        with pytest.raises(SwitchError,
+                           match="switch pair map is not invertible"):
             make_switch_biquandle(2, 2, ident, ident)
 
     def test_non_invertible_inputs_rejected(self):
@@ -125,6 +139,58 @@ class TestMakeSwitch:
         # over Z_5 with A=2, B=3: C = 2^{-1}3^{-1}2(1-2), D = 1-2^{-1}3^{-1}23
         report = make_switch_biquandle(5, 1, ((2,),), ((3,),))
         assert report.table.n == 5
+
+
+class TestFormulaOracle:
+    """Both builders against the per-pair formulas of ``oracles``."""
+
+    def test_scalar_alexander(self):
+        for m in range(2, 10):
+            for s in units(m):
+                for t in units(m):
+                    mod = make_scalar_module(m, s, t)
+                    for order in orders(m, 1):
+                        assert blocks(make_alexander(mod, order)) == \
+                            alexander_blocks(m, ((s,),), ((t,),), order)
+
+    @pytest.mark.parametrize("m,s,t", [
+        (2, ((1, 1), (0, 1)), ((1, 1), (0, 1))),
+        (3, ((1, 1), (0, 1)), ((2, 0), (0, 2))),
+        (3, ((2, 1), (0, 2)), ((2, 1), (0, 2))),
+        (4, ((0, 1), (3, 0)), ((0, 1), (3, 0))),
+        (5, ((1, 1), (0, 1)), ((4, 0), (0, 4))),
+    ])
+    def test_rank_two_alexander(self, m, s, t):
+        mod = make_module(m, 2, s, t)
+        for order in orders(m, 2):
+            assert blocks(make_alexander(mod, order)) == \
+                alexander_blocks(m, s, t, order)
+
+    def test_random_switches(self):
+        rng = random.Random(31)
+        singular = 0
+        for m in range(2, 6):
+            for k in (1, 2):
+                for _ in range(10):
+                    a = b = None
+                    while a is None or matrix_inverse(a, m) is None or \
+                            matrix_inverse(b, m) is None:
+                        a, b = (tuple(tuple(rng.randrange(m)
+                                            for _ in range(k))
+                                      for _ in range(k)) for _ in "ab")
+                    c = tuple(rng.randrange(m) for _ in range(k))
+                    for order in orders(m, k):
+                        want = switch_blocks(m, a, b, c, order)
+                        if want is None:
+                            singular += 1
+                            with pytest.raises(
+                                    SwitchError, match="not invertible"):
+                                make_switch_biquandle(m, k, a, b, c, order)
+                            continue
+                        report = make_switch_biquandle(m, k, a, b, c, order)
+                        assert blocks(report.table) == want, (m, a, b, c)
+        # this seed draws 30 switches with an invertible pair map, 50 without
+        assert singular == 2 * 50
 
 
 class TestTranslations:

@@ -91,9 +91,18 @@ class TestProfiles:
 
 
 class TestStructural:
-    def test_z8_swapped_parameters_not_isomorphic(self):
+    def test_z8_swapped_parameters_not_isomorphic(self, monkeypatch):
+        # tables are built only to check an assembled witness, so a pair
+        # without one builds none
+        from biquandles import isomorphism
+        built = []
+        monkeypatch.setattr(isomorphism, "make_alexander",
+                            lambda mod: built.append(mod) or
+                            make_alexander(mod))
         witness, _ = structural_iso(Z8_35, Z8_53)
-        assert witness is None
+        assert witness is None and built == []
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        assert witness is not None and built == [Z8_35, Z8_35]
 
     def test_z8_closure_check_fails_for_both_candidates(self):
         # with representatives {0, 1} and the negation map on {0,2,4,6}:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,17 +12,22 @@ from biquandles import (BiquandleTable, MatrixParseError, is_homomorphism,
 from conftest import Z2Z2_MATRIX
 
 
-def tables_strategy(max_n=4):
+def blocks_strategy(max_n=4):
+    """(n, up, down, upbar, downbar): random 1-based blocks."""
     def build(n, entries):
         it = iter(entries)
         block = lambda: tuple(tuple(next(it) for _ in range(n))
                               for _ in range(n))
-        return BiquandleTable(n, block(), block(), block(), block())
+        return n, block(), block(), block(), block()
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.integers(1, n), min_size=4 * n * n,
                      max_size=4 * n * n)).map(lambda t: build(*t)))
+
+
+def tables_strategy(max_n=4):
+    return blocks_strategy(max_n).map(lambda args: BiquandleTable(*args))
 
 
 class TestOpLookup:
@@ -61,14 +68,28 @@ class TestTrivial:
 
 class TestTableValidation:
     def test_entry_out_of_range(self):
-        with pytest.raises(ValueError):
-            BiquandleTable(2, ((1, 3), (2, 2)), ((1, 1), (2, 2)),
-                           ((1, 1), (2, 2)), ((1, 1), (2, 2)))
+        good = ((1, 1), (2, 2))
+        for kind, block, message in [
+                (0, ((1, 3), (2, 2)), "up entry 3 outside 1..2"),
+                (3, ((1, 1), (0, 2)), "downbar entry 0 outside 1..2"),
+                (1, ((1, "x"), (2, 2)), "down entry 'x' outside 1..2")]:
+            blocks = [good] * 4
+            blocks[kind] = block
+            with pytest.raises(ValueError, match=re.escape(message)):
+                BiquandleTable(2, *blocks)
+            flats = [(0, 0, 1, 1)] * 4
+            flats[kind] = [e - 1 if isinstance(e, int) else e
+                           for row in block for e in row]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                BiquandleTable.from_flats(2, *flats)
 
     def test_ragged_block(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="up block must be 2x2"):
             BiquandleTable(2, ((1,), (2, 2)), ((1, 1), (2, 2)),
                            ((1, 1), (2, 2)), ((1, 1), (2, 2)))
+        with pytest.raises(ValueError, match="upbar block must be 2x2"):
+            BiquandleTable.from_flats(2, (0, 0, 1, 1), (0, 0, 1, 1),
+                                      (0, 0, 1), (0, 0, 1, 1))
 
 
 class TestSerialization:
@@ -109,9 +130,18 @@ class TestSerialization:
             parse_matrix("# nothing\n")
 
     @settings(max_examples=60, deadline=None)
-    @given(tables_strategy())
-    def test_round_trip_identity(self, table):
-        assert parse_matrix(serialize_matrix(table)) == table
+    @given(blocks_strategy())
+    def test_round_trip_identity(self, args):
+        n, *blocks = args
+        table = BiquandleTable(n, *blocks)
+        assert [table.up, table.down, table.upbar, table.downbar] == blocks
+        flats = table.flats()
+        assert table.flats() is flats
+        assert list(flats) == [tuple(e - 1 for row in block for e in row)
+                               for block in blocks]
+        back = parse_matrix(serialize_matrix(table))
+        assert back == table and hash(back) == hash(table)
+        assert verify_biquandle(back) is verify_biquandle(table)
 
 
 class TestIsHomomorphism:
