@@ -4,8 +4,8 @@ Operation tables and axiom checking, module biquandles (Alexander-style and
 affine switch constructions), two cross-validated isomorphism deciders, and
 the homomorphism-counting invariant of virtual knots given by Gauss codes.
 
-Hot loops run on a compiled kernel when the extension built; see
-``biquandles.kernels.BACKEND`` for the active one.
+Hot loops run on the pure-Python kernels in ``biquandles.kernels``;
+``BACKEND`` names them.
 """
 
 from .alexander import (SwitchReport, make_alexander, make_switch_biquandle,

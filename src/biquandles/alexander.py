@@ -89,6 +89,8 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     commutator condition [B, (A-I)(A,B)] = 0 holds and the axiom verdict,
     since neither is guaranteed for arbitrary inputs.
     """
+    if shift is not None and len(shift) != k:
+        raise SwitchError(f"shift needs {k} coordinates")
     if m < 2 or k < 1:
         raise SwitchError("need modulus >= 2 and rank >= 1")
     amat = tuple(tuple(int(e) % m for e in row) for row in a_matrix)

@@ -159,8 +159,6 @@ def cmd_switch(args) -> int:
     shift = None
     if args.c is not None:
         shift = tuple(int(tok) for tok in args.c.replace(",", " ").split())
-        if len(shift) != args.k:
-            raise BiquandleError(f"shift needs {args.k} coordinates")
     report = make_switch_biquandle(
         args.m, args.k, a_mat, b_mat, shift,
         counting_element_order(args.m, args.k))

@@ -1,10 +1,8 @@
-"""Pure-Python reference kernels for the hot loops.
+"""Pure-Python kernels for the hot loops.
 
 All kernels work on 0-based flattened operation tables (``t[i*n + j]`` is the
 result of element ``i`` operated by element ``j``).  The public library wraps
-these with the 1-based table objects.  The compiled extension repeats the
-axiom scan, the Yang-Baxter check and the map search; the labeling counter
-``diagram_count`` exists only here and serves every backend.
+these with the 1-based table objects.
 
 Clause codes index ``CLAUSE_IDS`` below.  Axioms 2 and 4 quantify one unknown
 jointly over a group of clauses ("there are unique x, y such that ..."), so a
@@ -16,8 +14,6 @@ uniquely but disagree.
 
 import itertools
 from collections import Counter
-
-BACKEND = "pure"
 
 # largest {labels of open arcs: count} map diagram_count builds
 MAX_STATES = 1 << 20

@@ -135,6 +135,11 @@ class TestMakeSwitch:
         with pytest.raises(SwitchError):
             make_switch_biquandle(4, 1, ((2,),), ((1,),))
 
+    def test_shift_length_checked(self):
+        with pytest.raises(SwitchError, match="^shift needs 2 coordinates$"):
+            make_switch_biquandle(5, 2, ((1, 0), (0, 1)), ((2, 0), (0, 2)),
+                                  (1,))
+
     def test_scalar_switch(self):
         # over Z_5 with A=2, B=3: C = 2^{-1}3^{-1}2(1-2), D = 1-2^{-1}3^{-1}23
         report = make_switch_biquandle(5, 1, ((2,),), ((3,),))

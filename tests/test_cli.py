@@ -100,6 +100,13 @@ class TestSwitch:
         assert code == EXIT_INPUT
         assert "not invertible" in err
 
+    def test_shift_length_mismatch(self, capsys):
+        code, out, err = run(capsys, "switch", "5", "2", "--A", "1 0;0 1",
+                             "--B", "2 0;0 2", "--c", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: shift needs 2 coordinates\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "switch", "2", "2", "--A", "0 1;1 1",
                            "--B", "1 1;0 1", "--c", "1 1", "--json")

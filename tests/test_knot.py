@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import biquandles
 from biquandles import (GaussCodeError, build_diagram, cli, count_gauss,
-                        count_homs, kishino_codes, make_alexander,
+                        count_homs, kernels, kishino_codes, make_alexander,
                         make_scalar_module, parse_gauss_code,
                         reidemeister_suite, serialize_matrix,
                         trivial_biquandle)
@@ -241,17 +236,12 @@ class TestCountHoms:
                          str(path)]) == cli.EXIT_INPUT
         assert "frontier exceeds" in capsys.readouterr().err
 
-    def test_one_counter_for_every_backend(self):
-        env = {k: v for k, v in os.environ.items()
-               if k != "BIQUANDLES_KERNELS"}
-        env["PYTHONPATH"] = str(Path(biquandles.__file__).resolve().parents[1])
-        probe = ("from biquandles import kernels; "
-                 "print(kernels.diagram_count is kernels.pure.diagram_count)")
-        for forced in ({}, {"BIQUANDLES_KERNELS": "pure"}):
-            out = subprocess.run([sys.executable, "-c", probe],
-                                 env={**env, **forced}, capture_output=True,
-                                 text=True, check=True)
-            assert out.stdout.strip() == "True"
+    def test_kernels_are_the_pure_functions(self):
+        # the library calls the kernels through the package attributes
+        for name in ("axiom_scan", "yang_baxter", "search_maps",
+                     "diagram_count"):
+            assert getattr(kernels, name) is getattr(pure, name)
+        assert biquandles.BACKEND == kernels.BACKEND == "pure"
 
     def test_invalid_target_rejected(self):
         from biquandles import BiquandleTable
