@@ -35,6 +35,14 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
     axiom 3, (a,) for axiom 4.  With ``first_only`` the scan stops at the
     first violation (used by enumeration; reports stay exhaustive otherwise).
+
+    Axioms 2 and 3 are scanned on two levels.  First a whole-row pass
+    decides each pair (a, b): clause 2.ii pins a = x^bar b and 2.v pins
+    a = y^b, so one O(n^2) pass counts every axiom-2 group's joint
+    solutions, and the six axiom-3 clauses are compared as whole lists over
+    c, gathered from the tables' rows and columns.  Only a pair that fails
+    there is rescanned element by element, which assigns the blame, so the
+    violations and their order are those of a plain element-wise scan.
     """
     out = []
 
@@ -55,6 +63,21 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
                 return True
         return False
 
+    # joint solution counts of the axiom-2 groups: x solves the x-group of
+    # (a, b) only for a = upbar[x][b], y the y-group only for a = up[y][b]
+    joint_x = [0] * (n * n)
+    joint_y = [0] * (n * n)
+    for b in range(n):
+        for x in range(n):
+            a = upbar[x * n + b]
+            d = downbar[b * n + x]
+            if x == up[a * n + d] and b == down[d * n + a]:
+                joint_x[a * n + b] += 1
+            a = up[x * n + b]
+            d = down[b * n + x]
+            if x == upbar[a * n + d] and b == downbar[d * n + a]:
+                joint_y[a * n + b] += 1
+
     for a in range(n):
         ra_up = up[a * n:a * n + n]
         ra_upbar = upbar[a * n:a * n + n]
@@ -74,24 +97,57 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
                 return out
 
             # axiom 2, x-group (codes 4..6) and y-group (codes 7..9)
-            s1 = [x for x in range(n) if x == ra_up[downbar[b * n + x]]]
-            s2 = [x for x in range(n) if a == upbar[x * n + b]]
-            s3 = [x for x in range(n) if b == down[downbar[b * n + x] * n + a]]
-            if group(4, (a, b), s1, s2, s3) and first_only:
-                return out
+            if joint_x[a * n + b] != 1:
+                s1 = [x for x in range(n) if x == ra_up[downbar[b * n + x]]]
+                s2 = [x for x in range(n) if a == upbar[x * n + b]]
+                s3 = [x for x in range(n)
+                      if b == down[downbar[b * n + x] * n + a]]
+                if group(4, (a, b), s1, s2, s3) and first_only:
+                    return out
 
-            s1 = [y for y in range(n) if y == ra_upbar[down[b * n + y]]]
-            s2 = [y for y in range(n) if a == up[y * n + b]]
-            s3 = [y for y in range(n) if b == downbar[down[b * n + y] * n + a]]
-            if group(7, (a, b), s1, s2, s3) and first_only:
-                return out
+            if joint_y[a * n + b] != 1:
+                s1 = [y for y in range(n) if y == ra_upbar[down[b * n + y]]]
+                s2 = [y for y in range(n) if a == up[y * n + b]]
+                s3 = [y for y in range(n)
+                      if b == downbar[down[b * n + y] * n + a]]
+                if group(7, (a, b), s1, s2, s3) and first_only:
+                    return out
 
+    # axiom 3 over all c at once: rows[i][c] = t[i][c], cols[j][c] = t[c][j]
+    up_r, down_r, upbar_r, downbar_r = (
+        [list(t[i * n:i * n + n]) for i in range(n)]
+        for t in (up, down, upbar, downbar))
+    down_c = [down[j::n] for j in range(n)]
+    downbar_c = [downbar[j::n] for j in range(n)]
     for a in range(n):
+        ra_up, ra_upbar = up_r[a], upbar_r[a]
+        ca_down, ca_downbar = down_c[a], downbar_c[a]
         for b in range(n):
             ab_up = up[a * n + b]
             ba_down = down[b * n + a]
             ab_upbar = upbar[a * n + b]
             ba_downbar = downbar[b * n + a]
+            cb, c_ab, bc = down_c[b], down_c[ab_up], up_r[b]
+            a_cb = [ra_up[i] for i in cb]
+            cb_bar, c_ab_bar, bc_bar = (downbar_c[b], downbar_c[ab_upbar],
+                                        upbar_r[b])
+            a_cb_bar = [ra_upbar[i] for i in cb_bar]
+            if (
+                    # 3.i and 3.iv: (a^b)^c = (a^(c_b))^(b^c)
+                    up_r[ab_up] == [up_r[i][j] for i, j in zip(a_cb, bc)]
+                    and upbar_r[ab_upbar] ==
+                    [upbar_r[i][j] for i, j in zip(a_cb_bar, bc_bar)]
+                    # 3.ii and 3.v: (c_b)_a = (c_(a^b))_(b_a)
+                    and [ca_down[i] for i in cb] ==
+                    [down_c[ba_down][i] for i in c_ab]
+                    and [ca_downbar[i] for i in cb_bar] ==
+                    [downbar_c[ba_downbar][i] for i in c_ab_bar]
+                    # 3.iii and 3.vi: (b_a)^(c_(a^b)) = (b^c)_(a^(c_b))
+                    and [up_r[ba_down][i] for i in c_ab] ==
+                    [down_r[i][j] for i, j in zip(bc, a_cb)]
+                    and [upbar_r[ba_downbar][i] for i in c_ab_bar] ==
+                    [downbar_r[i][j] for i, j in zip(bc_bar, a_cb_bar)]):
+                continue
             for c in range(n):
                 cb_down = down[c * n + b]
                 bc_up = up[b * n + c]

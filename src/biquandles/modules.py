@@ -348,10 +348,11 @@ def _iso_valid(src: Submodule, dst: Submodule, phi: dict[Elem, Elem]) -> bool:
     ms, md = src.module, dst.module
     if set(phi.values()) != set(dst.elements):
         return False
-    return all(
+    intertwines = all(phi[ms.act_s(x)] == md.act_s(phi[x])
+                      and phi[ms.act_t(x)] == md.act_t(phi[x])
+                      for x in src.elements)
+    return intertwines and all(
         phi[ms.add(x, y)] == md.add(phi[x], phi[y])
-        and phi[ms.act_s(x)] == md.act_s(phi[x])
-        and phi[ms.act_t(x)] == md.act_t(phi[x])
         for x in src.elements for y in src.elements)
 
 

@@ -146,6 +146,7 @@ def test_criterion_4_oracle_equivalence_sweep(acceptance, sweep):
                f"{disagreements} disagreements, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5a_homomorphism_zero_image(acceptance, sweep):
     start = time.perf_counter()
     mods, tables, _ = sweep

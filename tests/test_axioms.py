@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import (AxiomReport, BiquandleTable, enumerate_biquandles,
-                        make_alexander, make_scalar_module,
+                        kernels, make_alexander, make_module,
+                        make_scalar_module, make_switch_biquandle,
                         trivial_biquandle, verify_biquandle,
                         yang_baxter_check)
+from biquandles.axioms import satisfies_axioms
+from biquandles.tables import from_pair_map
 
 from oracles import recheck_axioms, recheck_yang_baxter
 from test_tables import tables_strategy
@@ -14,6 +19,66 @@ from test_tables import tables_strategy
 def corrupted_trivial():
     t = trivial_biquandle(2)
     return BiquandleTable(2, ((2, 1), (2, 2)), t.down, t.upbar, t.downbar)
+
+
+def _blocks(table):
+    return [[list(row) for row in block]
+            for block in (table.up, table.down, table.upbar, table.downbar)]
+
+
+def corrupted(table, cells, rng):
+    """Copy of ``table`` with ``cells`` random entries changed."""
+    blocks = _blocks(table)
+    for _ in range(cells):
+        row = rng.choice(rng.choice(blocks))
+        j = rng.randrange(table.n)
+        row[j] = rng.choice([v for v in range(1, table.n + 1) if v != row[j]])
+    return BiquandleTable(table.n, *blocks)
+
+
+def row_swapped(table, rng):
+    """Copy with two unequal entries of one up or upbar row swapped."""
+    blocks = _blocks(table)
+    row = rng.choice([row for block in (blocks[0], blocks[2])
+                      for row in block if len(set(row)) > 1])
+    i = rng.randrange(table.n)
+    j = rng.choice([j for j in range(table.n) if row[j] != row[i]])
+    row[i], row[j] = row[j], row[i]
+    return BiquandleTable(table.n, *blocks)
+
+
+def affine_table(m, c, d, a, b):
+    """x^y = cx + dy, x_y = ay + bx on Z_m; the barred pair inverts S."""
+    up = [(c * x + d * y) % m for x in range(m) for y in range(m)]
+    down = [(a * y + b * x) % m for x in range(m) for y in range(m)]
+    return from_pair_map(m, up, down)
+
+
+# affine tables on Z_7 that keep axioms 1 and 2 and first fail 3.i, 3.ii
+# and 3.iii, so that a first-only scan stops inside axiom 3
+AXIOM_3_FIRST = [((1, 1, 0, 1), 10), ((1, 0, 1, 1), 11), ((1, 2, 1, 6), 12)]
+
+
+@pytest.fixture(scope="module")
+def larger_tables():
+    """(table, oracle verdict) for valid tables of order 7 to 27, for
+    copies with 1-3 corrupted cells or two entries of a row swapped, and
+    for the ``AXIOM_3_FIRST`` tables."""
+    rng = random.Random(20061107)
+    bases = [
+        make_alexander(make_scalar_module(7, 2, 3)),
+        make_switch_biquandle(3, 2, ((0, 1), (1, 2)), ((2, 1), (0, 1)),
+                              (1, 1)).table,
+        make_alexander(make_scalar_module(12, 5, 7)),
+        make_alexander(make_module(3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                                   ((1, 1, 0), (0, 1, 1), (0, 0, 1)))),
+    ]
+    tables = []
+    for base in bases:
+        tables += [base, corrupted(base, 1, rng), corrupted(base, 2, rng),
+                   corrupted(base, 3, rng), row_swapped(base, rng)]
+    tables += [affine_table(7, *params) for params, _ in AXIOM_3_FIRST]
+    return [(table, recheck_axioms(table)) for table in tables]
 
 
 class TestVerify:
@@ -93,6 +158,26 @@ class TestDoubleEntry:
             report = verify_biquandle(table)
             passed, violations = recheck_axioms(table)
             assert (report.passed, report.violations) == (passed, violations)
+
+    def test_larger_tables_agree(self, larger_tables):
+        verdicts = [passed for _, (passed, _) in larger_tables]
+        # each valid base passes and each of its four altered copies fails
+        assert verdicts == [True, False, False, False, False] * 4 + \
+            [False] * len(AXIOM_3_FIRST)
+        for table, expected in larger_tables:
+            report = verify_biquandle(table)
+            assert (report.passed, report.violations) == expected, table.n
+
+    def test_first_only_stops_at_first_violation(self, larger_tables):
+        for table, (passed, _) in larger_tables:
+            full = kernels.axiom_scan(table.n, *table.flats())
+            assert kernels.axiom_scan(table.n, *table.flats(),
+                                      first_only=True) == full[:1]
+            assert satisfies_axioms(table) == passed
+        firsts = [kernels.axiom_scan(7, *table.flats(), first_only=True)
+                  for table, _ in larger_tables[-len(AXIOM_3_FIRST):]]
+        assert [code for (code, _), in firsts] == \
+            [code for _, code in AXIOM_3_FIRST]
 
     def test_alexander_sweep_passes(self):
         import math
