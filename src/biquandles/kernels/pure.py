@@ -41,8 +41,9 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
     a = y^b, so one O(n^2) pass counts every axiom-2 group's joint
     solutions, and the six axiom-3 clauses are compared as whole lists over
     c, gathered from the tables' rows and columns.  Only a pair that fails
-    there is rescanned element by element, which assigns the blame, so the
-    violations and their order are those of a plain element-wise scan.
+    there is looked at element by element (axiom 2 recomputes each clause's
+    solutions to assign blame; axiom 3 walks c through the same lists), so
+    the violations and their order are those of a plain element-wise scan.
     """
     out = []
 
@@ -119,62 +120,33 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
         for t in (up, down, upbar, downbar))
     down_c = [down[j::n] for j in range(n)]
     downbar_c = [downbar[j::n] for j in range(n)]
+
+    def axiom3(ur, dr, dc, a, b):
+        """Left and right sides, as lists over c, of one bar type's clauses."""
+        ra, ca = ur[a], dc[a]
+        ab, ba = ra[b], ca[b]
+        cb, c_ab, bc = dc[b], dc[ab], ur[b]
+        rba, cba = ur[ba], dc[ba]
+        a_cb = [ra[i] for i in cb]
+        # 3.i: (a^b)^c = (a^(c_b))^(b^c)
+        # 3.ii: (c_b)_a = (c_(a^b))_(b_a)
+        # 3.iii: (b_a)^(c_(a^b)) = (b^c)_(a^(c_b))
+        return ((ur[ab], [ca[i] for i in cb], [rba[i] for i in c_ab]),
+                ([ur[i][j] for i, j in zip(a_cb, bc)],
+                 [cba[i] for i in c_ab],
+                 [dr[i][j] for i, j in zip(bc, a_cb)]))
+
     for a in range(n):
-        ra_up, ra_upbar = up_r[a], upbar_r[a]
-        ca_down, ca_downbar = down_c[a], downbar_c[a]
         for b in range(n):
-            ab_up = up[a * n + b]
-            ba_down = down[b * n + a]
-            ab_upbar = upbar[a * n + b]
-            ba_downbar = downbar[b * n + a]
-            cb, c_ab, bc = down_c[b], down_c[ab_up], up_r[b]
-            a_cb = [ra_up[i] for i in cb]
-            cb_bar, c_ab_bar, bc_bar = (downbar_c[b], downbar_c[ab_upbar],
-                                        upbar_r[b])
-            a_cb_bar = [ra_upbar[i] for i in cb_bar]
-            if (
-                    # 3.i and 3.iv: (a^b)^c = (a^(c_b))^(b^c)
-                    up_r[ab_up] == [up_r[i][j] for i, j in zip(a_cb, bc)]
-                    and upbar_r[ab_upbar] ==
-                    [upbar_r[i][j] for i, j in zip(a_cb_bar, bc_bar)]
-                    # 3.ii and 3.v: (c_b)_a = (c_(a^b))_(b_a)
-                    and [ca_down[i] for i in cb] ==
-                    [down_c[ba_down][i] for i in c_ab]
-                    and [ca_downbar[i] for i in cb_bar] ==
-                    [downbar_c[ba_downbar][i] for i in c_ab_bar]
-                    # 3.iii and 3.vi: (b_a)^(c_(a^b)) = (b^c)_(a^(c_b))
-                    and [up_r[ba_down][i] for i in c_ab] ==
-                    [down_r[i][j] for i, j in zip(bc, a_cb)]
-                    and [upbar_r[ba_downbar][i] for i in c_ab_bar] ==
-                    [downbar_r[i][j] for i, j in zip(bc_bar, a_cb_bar)]):
+            lhs, rhs = axiom3(up_r, down_r, down_c, a, b)
+            lhs_bar, rhs_bar = axiom3(upbar_r, downbar_r, downbar_c, a, b)
+            if lhs == rhs and lhs_bar == rhs_bar:
                 continue
+            # codes 10..12 unbarred, 13..15 barred
+            lhs, rhs = lhs + lhs_bar, rhs + rhs_bar
             for c in range(n):
-                cb_down = down[c * n + b]
-                bc_up = up[b * n + c]
-                if up[ab_up * n + c] != up[up[a * n + cb_down] * n + bc_up]:
-                    if emit(10, (a, b, c)):
-                        return out
-                if down[down[c * n + b] * n + a] != \
-                        down[down[c * n + ab_up] * n + ba_down]:
-                    if emit(11, (a, b, c)):
-                        return out
-                if up[ba_down * n + down[c * n + ab_up]] != \
-                        down[bc_up * n + up[a * n + cb_down]]:
-                    if emit(12, (a, b, c)):
-                        return out
-                cb_downbar = downbar[c * n + b]
-                bc_upbar = upbar[b * n + c]
-                if upbar[ab_upbar * n + c] != \
-                        upbar[upbar[a * n + cb_downbar] * n + bc_upbar]:
-                    if emit(13, (a, b, c)):
-                        return out
-                if downbar[downbar[c * n + b] * n + a] != \
-                        downbar[downbar[c * n + ab_upbar] * n + ba_downbar]:
-                    if emit(14, (a, b, c)):
-                        return out
-                if upbar[ba_downbar * n + downbar[c * n + ab_upbar]] != \
-                        downbar[bc_upbar * n + upbar[a * n + cb_downbar]]:
-                    if emit(15, (a, b, c)):
+                for k in range(6):
+                    if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
                         return out
 
     for a in range(n):

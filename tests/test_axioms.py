@@ -179,6 +179,16 @@ class TestDoubleEntry:
         assert [code for (code, _), in firsts] == \
             [code for _, code in AXIOM_3_FIRST]
 
+    def test_scan_order_is_element_wise(self, larger_tables):
+        # axioms 1-2 by (a, b), then axiom 3 by (a, b, c), then axiom 4 by
+        # a; clause codes ascend within one witness
+        def key(violation):
+            code, witness = violation
+            return (code >= 10) + (code >= 16), witness, code
+        for table, _ in larger_tables:
+            full = kernels.axiom_scan(table.n, *table.flats())
+            assert full == sorted(full, key=key)
+
     def test_alexander_sweep_passes(self):
         import math
         for m in range(2, 9):
