@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import SwitchError, WitnessError
-from .modules import (Elem, FiniteModule, Mat, _identity, _mat_inv,
-                      _mat_mul, _mat_sub, _mat_vec, kernel_one_minus_s,
-                      translation_map)
+from .modules import (Elem, FiniteModule, Mat, _addition_table, _identity,
+                      _mat_inv, _mat_mul, _mat_sub, _mat_vec,
+                      kernel_one_minus_s, translation_map)
 from .tables import BiquandleTable, from_pair_map, is_homomorphism
 
 
@@ -38,8 +38,7 @@ def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
     map, so a non-bijective one raises ``SwitchError``.
     """
     index = {e: i for i, e in enumerate(order)}
-    plus = [[index[tuple((p + q) % m for p, q in zip(x, y))] for y in order]
-            for x in order]
+    plus = _addition_table(m, index)
     shifted = plus[index[shift]]
 
     def images(mat):

@@ -18,9 +18,9 @@ from .errors import BiquandleError
 from .isomorphism import (brute_force_iso, enumerate_biquandles,
                           format_witness, structural_iso, witness_to_dict)
 from .knot import build_diagram, count_homs, parse_gauss_code
-from .modules import (FiniteModule, counting_element_order, kernel_one_minus_s,
-                      make_module, make_scalar_module, one_minus_st_submodule,
-                      s_orbit, transversal)
+from .modules import (FiniteModule, counting_element_order, format_elem,
+                      kernel_one_minus_s, make_module, make_scalar_module,
+                      one_minus_st_submodule, transversal)
 from .tables import parse_matrix, serialize_matrix
 
 SCHEMA_PREFIX = "biquandles-cli"
@@ -96,12 +96,8 @@ def _module_table(module: FiniteModule):
         module, counting_element_order(module.m, module.k))
 
 
-def _fmt_elem(e):
-    return str(e[0]) if len(e) == 1 else "(" + ",".join(map(str, e)) + ")"
-
-
 def _fmt_set(elems):
-    return "{" + ", ".join(_fmt_elem(e) for e in elems) + "}"
+    return "{" + ", ".join(map(format_elem, elems)) + "}"
 
 
 def _emit_json(payload, command):

@@ -4,7 +4,11 @@ Two independent routes: a backtracking search over element bijections that
 works for any pair of finite biquandles, and a structural search for module
 biquandles that looks for an intertwining isomorphism of the (1-st)
 submodules plus a compatible map of coset representatives.  The two must
-agree; the test suite sweeps them against each other.
+agree; the test suite sweeps them against each other.  Both get their maps
+from the one propagate-and-branch search, ``kernels.iter_maps``: the first
+over the four biquandle tables, the second, through
+``module_isomorphisms``, over the submodules' addition and action tables,
+one submodule isomorphism at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .alexander import make_alexander, normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
 from .kernels.pure import _profiles
-from .modules import (Elem, FiniteModule, ModuleIso,
+from .modules import (Elem, FiniteModule, ModuleIso, format_elem,
                       module_isomorphisms, one_minus_st_submodule,
                       transversal)
 from .tables import (KINDS, BiquandleTable, from_pair_map, is_homomorphism,
@@ -82,8 +86,7 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
     _require_biquandle(src, "source")
     _require_biquandle(dst, "target")
     maps, raw = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats(),
-        find_all=False, limit=1)
+        src.n, src.flats(), dst.n, dst.flats())
     found = tuple(v + 1 for v in maps[0]) if maps else None
     return found, _stats(raw)
 
@@ -161,7 +164,9 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     one coset per image, and s'k(a) = k(b) + h(w) whenever sa = b + w with
     b a representative and w in the submodule.  Any candidate passing those
     constraints is assembled into a full map and verified outright, so a
-    returned witness is always a genuine isomorphism.
+    returned witness is always a genuine isomorphism.  The h are drawn
+    lazily from ``module_isomorphisms``, so the search for them stops at the
+    first h that extends.
     """
     prunes = {"size": 0, "fiber": 0, "coset": 0, "closure": 0, "verify": 0}
     candidates = 0
@@ -194,12 +199,9 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     incoming = {rep: [r for r in reps if s_dec[r][0] == rep] for rep in reps}
 
     one_minus_st_d = dst.one_minus_st
-    fibers_by_val: dict[Elem, tuple[Elem, ...]] = {}
+    fibers_by_val: dict[Elem, list[Elem]] = {}
     for y in dst.elements:
-        fibers_by_val.setdefault(dst.act(one_minus_st_d, y), ())
-    for y in dst.elements:
-        val = dst.act(one_minus_st_d, y)
-        fibers_by_val[val] = fibers_by_val[val] + (y,)
+        fibers_by_val.setdefault(dst.act(one_minus_st_d, y), []).append(y)
 
     for h in module_isomorphisms(sub_s, sub_d):
         k_map: dict[Elem, Elem] = {src.zero: dst.zero}
@@ -332,10 +334,7 @@ def witness_to_dict(witness: IsoWitness) -> dict:
 def format_witness(witness: IsoWitness) -> str:
     def side(pairs):
         return ", ".join(
-            f"{_fmt(x)}->{_fmt(y)}" for x, y in pairs)
-
-    def _fmt(e):
-        return str(e[0]) if len(e) == 1 else "(" + ",".join(map(str, e)) + ")"
+            f"{format_elem(x)}->{format_elem(y)}" for x, y in pairs)
 
     return "\n".join([
         "submodule map: " + side(witness.submodule_map.pairs),

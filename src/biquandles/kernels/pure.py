@@ -209,26 +209,44 @@ def _profiles(n, tables, mask):
 
 def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
                 require_bijection=True, fixed=(), use_profiles=True,
-                find_all=False, limit=0):
+                find_all=False):
+    """Operation-preserving maps src -> dst, collected from ``iter_maps``.
+
+    Returns (maps, stats): every map when ``find_all`` is set, otherwise at
+    most the first, as length-n_src tuples in search order, and the search
+    counters ``iter_maps`` fills in.
+    """
+    stats = {}
+    maps = list(itertools.islice(
+        iter_maps(n_src, src, n_dst, dst, stats, ops_mask, require_bijection,
+                  fixed, use_profiles),
+        None if find_all else 1))
+    return maps, stats
+
+
+def iter_maps(n_src, src, n_dst, dst, stats, ops_mask=ALL_OPS,
+              require_bijection=True, fixed=(), use_profiles=True):
     """Backtracking search for operation-preserving maps src -> dst.
 
-    ``src``/``dst`` are 4-tuples of flat tables (up, down, upbar, downbar);
-    ``ops_mask`` selects which operations must be preserved.  ``fixed``
+    ``src``/``dst`` are equal-length sequences of flat binary-operation
+    tables; bit i of ``ops_mask`` selects table i, so the biquandle tables
+    (up, down, upbar, downbar) go with the ``OP_*`` bits.  ``fixed``
     pre-assigns (i, j) pairs.  Assigning f(i) propagates every consequence
     f(t(i, i2)) = t'(f(i), f(i2)) over already-assigned i2 before the next
-    branch, so branching happens only at genuinely free elements.
+    branch, so branching happens only at genuinely free elements.  The
+    profile filter (bijections only) needs the four biquandle tables.
 
-    Returns (maps, stats) where maps is a list of length-n_src tuples in
-    deterministic search order and stats counts candidates, prunes by
-    reason, and constraint evaluations ("work").
+    A generator: it yields each map as a length-n_src tuple, in
+    deterministic search order, only when asked for the next one.  It fills
+    ``stats`` with counts of candidates, prunes by reason, and constraint
+    evaluations ("work"), up to the last map taken.
     """
-    ops = [(s, d) for bit, s, d in zip(
-        (OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR), src, dst) if ops_mask & bit]
-    stats = {"candidates": 0, "work": 0,
-             "prunes": {"profile": 0, "used": 0, "conflict": 0}}
-    results = []
+    ops = [(s, d) for bit, (s, d) in enumerate(zip(src, dst))
+           if ops_mask >> bit & 1]
+    stats.update(candidates=0, work=0,
+                 prunes={"profile": 0, "used": 0, "conflict": 0})
     if require_bijection and n_src != n_dst:
-        return results, stats
+        return
 
     profs_ok = None
     if use_profiles and require_bijection:
@@ -293,20 +311,18 @@ def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
             assigned.pop()
 
     def pick_var():
-        # first-fail: fewest images passing the cheap profile/used filters
+        # first-fail: fewest unused images passing the profile filter;
+        # without the filter every free element ties, so take the first
         best, best_count = -1, n_dst + 1
         for i in range(n_src):
             if f[i] != -1:
                 continue
-            if not require_bijection:
+            if profs_ok is None:
                 return i
             cnt = 0
             for j in range(n_dst):
-                if finv[j] != -1:
-                    continue
-                if profs_ok is not None and not profs_ok[i][j]:
-                    continue
-                cnt += 1
+                if finv[j] == -1 and profs_ok[i][j]:
+                    cnt += 1
             if cnt < best_count:
                 best, best_count = i, cnt
         return best
@@ -314,26 +330,22 @@ def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
     def dfs():
         i = pick_var()
         if i == -1:
-            results.append(tuple(f))
-            return (not find_all) or (limit > 0 and len(results) >= limit)
+            yield tuple(f)
+            return
         for j in range(n_dst):
             stats["candidates"] += 1
             trail, reason = propagate([(i, j)])
             if trail is None:
                 stats["prunes"][reason] += 1
                 continue
-            done = dfs()
+            yield from dfs()
             _undo(trail)
-            if done:
-                return True
-        return False
 
     trail, reason = propagate(list(fixed))
     if trail is None:
         stats["prunes"][reason] += 1
-        return results, stats
-    dfs()
-    return results, stats
+        return
+    yield from dfs()
 
 
 def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from . import kernels
 from .errors import ModuleError
 
 Elem = tuple[int, ...]
@@ -47,6 +48,13 @@ def _identity(k: int) -> Mat:
 def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
     return tuple(tuple((x - y) % m for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
+
+
+def _addition_table(m: int, index: dict[Elem, int]) -> list[list[int]]:
+    """Addition on the keys of ``index`` (closed under + mod m): row i,
+    column j holds the index of the sum of the i-th and j-th keys."""
+    return [[index[tuple((p + q) % m for p, q in zip(x, y))] for y in index]
+            for x in index]
 
 
 def _minor(mat: Mat, i: int, j: int) -> Mat:
@@ -174,6 +182,11 @@ def counting_element_order(m: int, k: int) -> tuple[Elem, ...]:
         for i in range(1, m ** k + 1))
 
 
+def format_elem(e: Elem) -> str:
+    """A scalar element as its value, a vector as (a,b,...)."""
+    return str(e[0]) if len(e) == 1 else "(" + ",".join(map(str, e)) + ")"
+
+
 @dataclass(frozen=True)
 class Submodule:
     """A subset of a module closed under +, -, and both actions."""
@@ -293,55 +306,21 @@ class ModuleIso:
         return self.mapping[x]
 
 
-def _iso_search(src: Submodule, dst: Submodule) -> Iterator[dict[Elem, Elem]]:
-    """Backtracking enumeration with closure propagation.
+def _op_tables(sub: Submodule) -> tuple[tuple[int, ...], ...]:
+    """x + y, x + s.y and x + t.y as flat tables over ``sub.elements``.
 
-    Choosing the image of one element propagates images through sums,
-    negatives, and both actions (the extension-consistency check); branching
-    only happens on elements outside the closure of earlier choices, i.e. on
-    a minimal generating sequence.
+    A zero-fixing bijection preserving all three is additive, and setting
+    x = 0 shows it intertwines s and t; the converse is immediate.  The two
+    action tables permute the columns of the addition table.
     """
-    ms, md = src.module, dst.module
-    xs = src.elements
-    if len(xs) != len(dst.elements):
-        return
-
-    def propagate(phi, used, queue):
-        qi = 0
-        while qi < len(queue):
-            x, y = queue[qi]
-            qi += 1
-            cur = phi.get(x)
-            if cur is not None:
-                if cur != y:
-                    return False
-                continue
-            if y in used or y not in dst.members:
-                return False
-            phi[x] = y
-            used.add(y)
-            queue.append((ms.act_s(x), md.act_s(y)))
-            queue.append((ms.act_t(x), md.act_t(y)))
-            queue.append((ms.neg(x), md.neg(y)))
-            for x2 in list(phi):
-                queue.append((ms.add(x, x2), md.add(y, phi[x2])))
-        return True
-
-    def extend(phi, used):
-        rem = [x for x in xs if x not in phi]
-        if not rem:
-            yield dict(phi)
-            return
-        x = rem[0]
-        for y in dst.elements:
-            phi2 = dict(phi)
-            used2 = set(used)
-            if propagate(phi2, used2, [(x, y)]):
-                yield from extend(phi2, used2)
-
-    base = {ms.zero: md.zero}
-    if propagate(base, {md.zero}, []):
-        yield from extend(base, {md.zero})
+    mod = sub.module
+    index = {e: i for i, e in enumerate(sub.elements)}
+    plus = _addition_table(mod.m, index)
+    columns = (range(len(plus)),
+               [index[mod.act_s(y)] for y in sub.elements],
+               [index[mod.act_t(y)] for y in sub.elements])
+    return tuple(tuple(row[c] for row in plus for c in cols)
+                 for cols in columns)
 
 
 def _iso_valid(src: Submodule, dst: Submodule, phi: dict[Elem, Elem]) -> bool:
@@ -356,31 +335,26 @@ def _iso_valid(src: Submodule, dst: Submodule, phi: dict[Elem, Elem]) -> bool:
         for x in src.elements for y in src.elements)
 
 
-def module_isomorphisms(src: Submodule, dst: Submodule,
-                        strategy: str = "generators") -> Iterator[ModuleIso]:
-    """All intertwining additive bijections src -> dst, deterministically.
+def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
+    """All intertwining additive bijections src -> dst, lazily.
 
-    ``strategy="generators"`` extends images of a minimal generating
-    sequence with closure propagation; ``strategy="scan"`` filters every
-    bijection (only sensible for tiny submodules).  Both must produce the
-    same set; tests enforce the agreement.
+    Runs the biquandle map search ``kernels.iter_maps`` on the ``_op_tables``
+    encoding of both submodules with zero fixed to zero, and yields each map
+    as it is found, in increasing order of ``pairs``.  Choosing the image of
+    one element propagates images through sums and both actions, so the
+    search branches only on a minimal generating sequence.
     """
-    if strategy == "generators":
-        for phi in _iso_search(src, dst):
-            if _iso_valid(src, dst, phi):  # re-check, defence in depth
-                yield ModuleIso(tuple(sorted(phi.items())))
-    elif strategy == "scan":
-        xs, ys = src.elements, dst.elements
-        if len(xs) != len(ys):
-            return
-        for perm in itertools.permutations(ys):
-            phi = dict(zip(xs, perm))
-            if phi.get(src.module.zero) != dst.module.zero:
-                continue
-            if _iso_valid(src, dst, phi):
-                yield ModuleIso(tuple(sorted(phi.items())))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    xs, ys = src.elements, dst.elements
+    if len(xs) != len(ys):
+        return
+    stats: dict = {}
+    fixed = ((xs.index(src.module.zero), ys.index(dst.module.zero)),)
+    for f in kernels.iter_maps(len(xs), _op_tables(src), len(ys),
+                               _op_tables(dst), stats, fixed=fixed,
+                               use_profiles=False):
+        phi = {x: ys[j] for x, j in zip(xs, f)}
+        if _iso_valid(src, dst, phi):  # re-check, defence in depth
+            yield ModuleIso(tuple(sorted(phi.items())))
 
 
 def translation_map(module: FiniteModule, z: Elem,

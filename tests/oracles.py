@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's kernels: axiom clauses are
 spelled out over `BiquandleTable.op`, the Yang-Baxter check composes explicit
-pair maps, the labeling counter enumerates the full assignment space, and the
+pair maps, the labeling counter enumerates the full assignment space, the
 affine tables are evaluated pair by pair from their formulas without the
-library's builders or matrix helpers.
+library's builders or matrix helpers, and submodule isomorphisms are
+filtered from every zero-fixing bijection.
 """
 
 import itertools
@@ -226,3 +227,33 @@ def switch_blocks(m, a, b, c, order):
     return _blocks(order, up, down,
                    lambda x, y: inverse[(y, x)][0],
                    lambda x, y: inverse[(x, y)][1])
+
+
+def scan_module_isomorphisms(src, dst):
+    """Every zero-fixing bijection of submodules src -> dst that is additive
+    and intertwines s and t, as sorted (x, h(x)) pair tuples, filtered from
+    all zero-fixing bijections in lexicographic order of the images."""
+    ms, md = src.module, dst.module
+    xs, ys = src.elements, dst.elements
+    if len(xs) != len(ys):
+        return []
+
+    def tables(mod, elems):
+        index = {e: i for i, e in enumerate(elems)}
+        return (index[mod.zero], [index[mod.act_s(x)] for x in elems],
+                [index[mod.act_t(x)] for x in elems],
+                [[index[mod.add(x, y)] for y in elems] for x in elems])
+
+    zs, s_src, t_src, add_src = tables(ms, xs)
+    zd, s_dst, t_dst, add_dst = tables(md, ys)
+    rng = range(len(xs))
+    found = []
+    for images in itertools.permutations([j for j in rng if j != zd]):
+        h = list(images)
+        h.insert(zs, zd)
+        if all(h[s_src[i]] == s_dst[h[i]] and h[t_src[i]] == t_dst[h[i]]
+               for i in rng) and \
+                all(h[add_src[i][j]] == add_dst[h[i]][h[j]]
+                    for i in rng for j in rng):
+            found.append(tuple(sorted((xs[i], ys[h[i]]) for i in rng)))
+    return found

@@ -120,6 +120,26 @@ class TestStructural:
             rhs = (g1 + h[(2,)][0]) % 8   # k(1) + h(2)
             assert lhs != rhs
 
+    def test_submodule_search_is_lazy(self, monkeypatch):
+        # the identity on {0,2,4,6} extends, so the structural search must
+        # stop after the first of the two submodule isomorphisms
+        from biquandles import kernels, module_isomorphisms
+        from biquandles import one_minus_st_submodule
+        pulled = []
+        search = kernels.iter_maps
+
+        def counted(*args, **kwargs):
+            for f in search(*args, **kwargs):
+                pulled.append(f)
+                yield f
+
+        monkeypatch.setattr(kernels, "iter_maps", counted)
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        assert witness is not None and len(pulled) == 1
+        sub = one_minus_st_submodule(Z8_35)
+        assert len(list(module_isomorphisms(sub, sub))) == 2
+        assert len(pulled) == 3
+
     def test_self_pair_identity_witness(self):
         witness, _ = structural_iso(Z8_35, Z8_35)
         assert witness is not None

@@ -239,7 +239,7 @@ class TestCountHoms:
     def test_kernels_are_the_pure_functions(self):
         # the library calls the kernels through the package attributes
         for name in ("axiom_scan", "yang_baxter", "search_maps",
-                     "diagram_count"):
+                     "iter_maps", "diagram_count"):
             assert getattr(kernels, name) is getattr(pure, name)
         assert biquandles.BACKEND == kernels.BACKEND == "pure"
 

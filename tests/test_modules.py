@@ -16,6 +16,9 @@ from biquandles.errors import SwitchError
 from biquandles.modules import (Submodule, _iso_valid, _mat_inv, _mat_mul,
                                 _mat_vec, counting_element_order)
 
+from conftest import scalar_modules
+from oracles import scan_module_isomorphisms
+
 Z8_35 = make_scalar_module(8, 3, 5)
 Z8_53 = make_scalar_module(8, 5, 3)
 
@@ -161,10 +164,10 @@ class TestModuleIsomorphisms:
     def test_z8_cross_pair_has_no_intertwiner(self):
         # negation on {0,2,4,6} does not intertwine the (3,5) and (5,3)
         # actions: h(3*2) = 2 while 5*h(2) = 6 mod 8; no additive bijection
-        # does, as both enumeration strategies confirm
+        # does, as the search and the scan oracle confirm
         n, np_ = (one_minus_st_submodule(m) for m in (Z8_35, Z8_53))
         assert list(module_isomorphisms(n, np_)) == []
-        assert list(module_isomorphisms(n, np_, strategy="scan")) == []
+        assert scan_module_isomorphisms(n, np_) == []
 
     def test_negation_fails_intertwining_pointwise(self):
         neg = {x: Z8_35.neg(x) for x in one_minus_st_submodule(Z8_35).elements}
@@ -185,15 +188,57 @@ class TestModuleIsomorphisms:
         assert any(all(x == y for x, y in iso.pairs) for iso in isos)
         assert len(isos) == 2  # identity and negation
 
-    def test_strategies_agree(self):
+    def test_search_agrees_with_scan(self):
         mods = [Z8_35, Z8_53, make_scalar_module(6, 5, 5),
                 make_scalar_module(5, 2, 3), make_scalar_module(4, 3, 3)]
         for a, b in itertools.product(mods, repeat=2):
             na, nb = one_minus_st_submodule(a), one_minus_st_submodule(b)
             gen = {iso.pairs for iso in module_isomorphisms(na, nb)}
-            scan = {iso.pairs
-                    for iso in module_isomorphisms(na, nb, strategy="scan")}
+            scan = set(scan_module_isomorphisms(na, nb))
             assert gen == scan, (a.describe(), b.describe())
+
+    @staticmethod
+    def _rank_two_submodules():
+        """(1-st) submodules of at most 6 elements of seeded Z_m^2 modules,
+        m = 2..6, each module followed by a conjugate copy."""
+        rng = random.Random(6)
+        subs = []
+        for m in range(2, 7):
+            while sum(sub.module.m == m for sub in subs) < 12:
+                s, p = (tuple(tuple(rng.randrange(m) for _ in range(2))
+                              for _ in range(2)) for _ in range(2))
+                a, b = rng.randrange(m), rng.randrange(m)
+                t = tuple(tuple((a * (i == j) + b * s[i][j]) % m
+                                for j in range(2)) for i in range(2))
+                try:
+                    p_inv = _mat_inv(p, m, "P")
+                    mods = [make_module(m, 2, s, t)]
+                except ModuleError:
+                    continue
+                mods.append(make_module(
+                    m, 2, *(_mat_mul(_mat_mul(p, x, m), p_inv, m)
+                            for x in (s, t))))
+                for mod in mods:
+                    sub = one_minus_st_submodule(mod)
+                    if len(sub) <= 6:
+                        subs.append(sub)
+        return subs
+
+    def test_matches_scan_oracle_in_order(self):
+        # every scalar pair Z_2..Z_7 with unit s and t, and rank-2 pairs
+        # with submodules of at most 6 elements
+        subs = [one_minus_st_submodule(mod)
+                for m in range(2, 8) for mod in scalar_modules(m)]
+        subs += self._rank_two_submodules()
+        sizes = {len(sub) for sub in subs}
+        assert sizes == {1, 2, 3, 4, 5, 6, 7}
+        found = 0
+        for a, b in itertools.product(subs, repeat=2):
+            got = [iso.pairs for iso in module_isomorphisms(a, b)]
+            assert got == scan_module_isomorphisms(a, b), (a, b)
+            assert got == sorted(got)
+            found += bool(got) and a.module != b.module
+        assert found > 100
 
     def test_outputs_recheck(self):
         sub = one_minus_st_submodule(Z8_35)
