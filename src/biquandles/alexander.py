@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import SwitchError, WitnessError
@@ -35,7 +36,10 @@ def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
 
     Each matrix is applied once per element and every sum is read from one
     addition table of the group.  The barred operations invert the pair
-    map, so a non-bijective one raises ``SwitchError``.
+    map, so a non-bijective one raises ``SwitchError``.  The table's
+    ``affine_basis`` holds the indices of the zero vector and of the unit
+    vectors, which lets ``verify_biquandle`` decide axiom 3 on 1 + 2k
+    pairs.
     """
     index = {e: i for i, e in enumerate(order)}
     plus = _addition_table(m, index)
@@ -47,7 +51,9 @@ def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
     cx, dy, bx, ay = map(images, (cmat, dmat, bmat, amat))
     up = [row[y] for row in [plus[shifted[x]] for x in cx] for y in dy]
     down = [row[y] for row in [plus[shifted[x]] for x in bx] for y in ay]
-    return from_pair_map(len(order), up, down)
+    basis = (index[(0,) * len(shift)],) + tuple(
+        index[e] for e in _identity(len(shift)))
+    return from_pair_map(len(order), up, down, basis)
 
 
 def make_alexander(module: FiniteModule,
@@ -69,11 +75,16 @@ def make_alexander(module: FiniteModule,
 
 @dataclass(frozen=True)
 class SwitchReport:
-    """Constructed switch table plus the two verdicts about it."""
+    """Constructed switch table plus the two verdicts about it; the axiom
+    report is built on first access, since a failing table's exhaustive
+    report can hold hundreds of thousands of violations."""
 
     table: BiquandleTable
     switch_condition_holds: bool
-    axioms: AxiomReport
+
+    @cached_property
+    def axioms(self) -> AxiomReport:
+        return verify_biquandle(self.table)
 
 
 def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
@@ -85,8 +96,8 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     x^y = Cx + Dy + shift and x_y = Ay + Bx + shift.  The barred operations
     are read off the inverse of the pair map S(a, b) = (b_a, a^b); a
     non-bijective S raises ``SwitchError``.  The report carries whether the
-    commutator condition [B, (A-I)(A,B)] = 0 holds and the axiom verdict,
-    since neither is guaranteed for arbitrary inputs.
+    commutator condition [B, (A-I)(A,B)] = 0 holds and, when asked for, the
+    axiom report, since neither is guaranteed for arbitrary inputs.
     """
     if shift is not None and len(shift) != k:
         raise SwitchError(f"shift needs {k} coordinates")
@@ -116,7 +127,7 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     term = _mat_mul(_mat_sub(amat, ident, m), group_comm, m)
     holds = _mat_mul(bmat, term, m) == _mat_mul(term, bmat, m)
 
-    return SwitchReport(table, holds, verify_biquandle(table))
+    return SwitchReport(table, holds)
 
 
 def normalize_iso(src: FiniteModule, dst: FiniteModule, f) -> tuple[int, ...]:

@@ -29,12 +29,17 @@ OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR = 1, 2, 4, 8
 ALL_OPS = OP_UP | OP_DOWN | OP_UPBAR | OP_DOWNBAR
 
 
-def axiom_scan(n, up, down, upbar, downbar, first_only=False):
+def axiom_scan(n, up, down, upbar, downbar, first_only=False,
+               axiom3_pairs=None):
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
     axiom 3, (a,) for axiom 4.  With ``first_only`` the scan stops at the
     first violation (used by enumeration; reports stay exhaustive otherwise).
+    ``axiom3_pairs`` limits axiom 3 to those (a, b) pairs, each over every
+    c; the default is every pair.  Axioms 1, 2 and 4 are always scanned in
+    full.  ``axioms.verify_biquandle`` passes the pairs that decide axiom 3
+    of an affine table.
 
     Axioms 2 and 3 are scanned on two levels.  First a whole-row pass
     decides each pair (a, b): clause 2.ii pins a = x^bar b and 2.v pins
@@ -136,18 +141,19 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False):
                  [cba[i] for i in c_ab],
                  [dr[i][j] for i, j in zip(bc, a_cb)]))
 
-    for a in range(n):
-        for b in range(n):
-            lhs, rhs = axiom3(up_r, down_r, down_c, a, b)
-            lhs_bar, rhs_bar = axiom3(upbar_r, downbar_r, downbar_c, a, b)
-            if lhs == rhs and lhs_bar == rhs_bar:
-                continue
-            # codes 10..12 unbarred, 13..15 barred
-            lhs, rhs = lhs + lhs_bar, rhs + rhs_bar
-            for c in range(n):
-                for k in range(6):
-                    if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
-                        return out
+    if axiom3_pairs is None:
+        axiom3_pairs = itertools.product(range(n), repeat=2)
+    for a, b in axiom3_pairs:
+        lhs, rhs = axiom3(up_r, down_r, down_c, a, b)
+        lhs_bar, rhs_bar = axiom3(upbar_r, downbar_r, downbar_c, a, b)
+        if lhs == rhs and lhs_bar == rhs_bar:
+            continue
+        # codes 10..12 unbarred, 13..15 barred
+        lhs, rhs = lhs + lhs_bar, rhs + rhs_bar
+        for c in range(n):
+            for k in range(6):
+                if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
+                    return out
 
     for a in range(n):
         # axiom 4, x-group (codes 16..17), y-group (18..19)

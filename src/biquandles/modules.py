@@ -52,9 +52,29 @@ def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
 
 def _addition_table(m: int, index: dict[Elem, int]) -> list[list[int]]:
     """Addition on the keys of ``index`` (closed under + mod m): row i,
-    column j holds the index of the sum of the i-th and j-th keys."""
-    return [[index[tuple((p + q) % m for p, q in zip(x, y))] for y in index]
-            for x in index]
+    column j holds the index of the sum of the i-th and j-th keys.
+
+    Only a key that the rows so far do not reach gets its row by adding
+    vectors.  Every other row is composed from two known ones, since
+    row(x + g)[v] = row(x)[row(g)[v]].
+    """
+    keys = list(index)
+    rows: list = [None] * len(keys)
+    known = []  # indices of the keys with a row; a subgroup between steps
+    for i, x in enumerate(keys):
+        if rows[i] is not None:
+            continue
+        gen = rows[i] = [index[tuple((p + q) % m for p, q in zip(x, y))]
+                         for y in keys]
+        known.append(i)
+        # the loop also visits the keys it appends, so ``known`` ends
+        # closed under + x: the subgroup generated by the old one and x
+        for j in known:
+            if rows[gen[j]] is None:
+                row = rows[j]
+                rows[gen[j]] = [row[v] for v in gen]
+                known.append(gen[j])
+    return rows
 
 
 def _minor(mat: Mat, i: int, j: int) -> Mat:

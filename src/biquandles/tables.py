@@ -19,7 +19,7 @@ candidate; ``axioms.verify_biquandle`` decides the axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import MatrixParseError, SwitchError
@@ -58,10 +58,18 @@ def _view(i: int) -> property:
 @dataclass(frozen=True, init=False)
 class BiquandleTable:
     """Order plus the four operations as 0-based flat tuples; ``up``,
-    ``down``, ``upbar`` and ``downbar`` are derived 1-based blocks."""
+    ``down``, ``upbar`` and ``downbar`` are derived 1-based blocks.
+
+    ``affine_basis`` is set only by builders whose four operations are
+    affine maps of Z_m^k: it holds the 0-based indices of the zero vector
+    and of the k unit vectors, in that order.  Equality, hashing and repr
+    ignore it, so a marked table equals the same table parsed from text.
+    """
 
     n: int
     _flats: tuple[Flat, Flat, Flat, Flat]
+    affine_basis: tuple[int, ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __init__(self, n: int, up, down, upbar, downbar):
         """Table from four 1-based blocks, ``up[i-1][j-1] = i ^ j``."""
@@ -69,10 +77,12 @@ class BiquandleTable:
                         zip(KINDS, (up, down, upbar, downbar))))
 
     @classmethod
-    def from_flats(cls, n: int, up, down, upbar, downbar) -> BiquandleTable:
+    def from_flats(cls, n: int, up, down, upbar, downbar,
+                   affine_basis=None) -> BiquandleTable:
         """Table from four 0-based flat tables, ``up[i*n + j] = i ^ j``."""
         table = cls.__new__(cls)
         table._store(n, (up, down, upbar, downbar))
+        object.__setattr__(table, "affine_basis", affine_basis)
         return table
 
     def _store(self, n, flats):
@@ -108,11 +118,12 @@ def from_blocks(up, down, upbar, downbar) -> BiquandleTable:
     return BiquandleTable(len(blocks[0]), *blocks)
 
 
-def from_pair_map(n: int, up, down) -> BiquandleTable:
+def from_pair_map(n: int, up, down, affine_basis=None) -> BiquandleTable:
     """Table whose barred operations invert S(a, b) = (b_a, a^b).
 
     ``up`` and ``down`` are 0-based flat tables.  S(a, b) = (c, x) gives
     x ^ cbar = a and c _ xbar = b; a non-bijective S raises ``SwitchError``.
+    ``affine_basis`` is passed through to the table.
     """
     upbar, downbar = [-1] * (n * n), [-1] * (n * n)
     for a in range(n):
@@ -122,7 +133,8 @@ def from_pair_map(n: int, up, down) -> BiquandleTable:
                 raise SwitchError("switch pair map is not invertible")
             upbar[x * n + c] = a
             downbar[c * n + x] = b
-    return BiquandleTable.from_flats(n, up, down, upbar, downbar)
+    return BiquandleTable.from_flats(n, up, down, upbar, downbar,
+                                     affine_basis)
 
 
 def op_lookup(table: BiquandleTable, kind: str, a: int, b: int) -> int:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from biquandles import alexander
 from biquandles import (SwitchError, WitnessError, is_homomorphism,
                         kernel_one_minus_s, make_alexander, make_module,
                         make_scalar_module, make_switch_biquandle,
@@ -139,6 +140,19 @@ class TestMakeSwitch:
         with pytest.raises(SwitchError, match="^shift needs 2 coordinates$"):
             make_switch_biquandle(5, 2, ((1, 0), (0, 1)), ((2, 0), (0, 2)),
                                   (1,))
+
+    def test_axiom_report_is_built_on_first_access(self, monkeypatch):
+        calls = []
+
+        def verify(table):
+            calls.append(table)
+            return verify_biquandle(table)
+
+        monkeypatch.setattr(alexander, "verify_biquandle", verify)
+        report = make_switch_biquandle(2, 2, SWITCH_A, SWITCH_B)
+        assert calls == []
+        assert report.axioms is report.axioms
+        assert report.axioms.passed and calls == [report.table]
 
     def test_scalar_switch(self):
         # over Z_5 with A=2, B=3: C = 2^{-1}3^{-1}2(1-2), D = 1-2^{-1}3^{-1}23

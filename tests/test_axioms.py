@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,9 +10,12 @@ from biquandles import (AxiomReport, BiquandleTable, enumerate_biquandles,
                         make_scalar_module, make_switch_biquandle,
                         trivial_biquandle, verify_biquandle,
                         yang_baxter_check)
-from biquandles.axioms import satisfies_axioms
+from biquandles.axioms import CLAUSE_IDS, satisfies_axioms
+from biquandles.errors import SwitchError
+from biquandles.modules import _det, _mat_mul, counting_element_order
 from biquandles.tables import from_pair_map
 
+from conftest import scalar_modules, units
 from oracles import recheck_axioms, recheck_yang_baxter
 from test_tables import tables_strategy
 
@@ -197,3 +201,93 @@ class TestDoubleEntry:
                 for t in units:
                     table = make_alexander(make_scalar_module(m, s, t))
                     assert verify_biquandle(table).passed, (m, s, t)
+
+
+def full_scan_report(table):
+    """(passed, violations) of the unrestricted kernel scan, 1-based."""
+    raw = kernels.axiom_scan(table.n, *table.flats())
+    violations = tuple(sorted((CLAUSE_IDS[code], tuple(x + 1 for x in wit))
+                              for code, wit in raw))
+    return not violations, violations
+
+
+def random_unit_matrix(rng, m, k):
+    """A random k x k matrix invertible mod m."""
+    while True:
+        mat = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+        if math.gcd(_det(mat), m) == 1:
+            return mat
+
+
+def affine_sweep_tables():
+    """Marked tables: every scalar Z_2..Z_12 Alexander table in both
+    element orders, rank-2 and rank-3 modules, and seeded random switches
+    (some fail the axioms, some only axiom 3)."""
+    tables = []
+    for m in range(2, 13):
+        for mod in scalar_modules(m):
+            tables += [make_alexander(mod),
+                       make_alexander(mod, counting_element_order(m, 1))]
+    rng = random.Random(20061118)
+    for m, k, count in ((2, 2, 3), (3, 2, 3), (4, 2, 3), (5, 2, 2),
+                        (2, 3, 2), (3, 3, 2)):
+        for _ in range(count):
+            t = random_unit_matrix(rng, m, k)
+            # s a power of t times a unit scalar commutes with t
+            scale = rng.choice(units(m))
+            s = [[scale * e % m for e in row] for row in _mat_mul(t, t, m)]
+            mod = make_module(m, k, s, t)
+            tables += [make_alexander(mod),
+                       make_alexander(mod, counting_element_order(m, k))]
+    for _ in range(150):
+        m, k = rng.choice([(2, 2), (3, 2), (4, 2), (7, 1)])
+        a, b = (random_unit_matrix(rng, m, k) for _ in range(2))
+        shift = [rng.randrange(m) for _ in range(k)]
+        try:
+            tables.append(make_switch_biquandle(m, k, a, b, shift).table)
+        except SwitchError:
+            pass
+    return tables
+
+
+class TestAffineBasis:
+    """Axiom 3 of a marked affine table is decided on 1 + 2k pairs."""
+
+    def test_verdict_agrees_with_full_scan(self):
+        tables = affine_sweep_tables()
+        only_axiom_3 = 0
+        for table in tables:
+            assert table.affine_basis is not None
+            expected = full_scan_report(table)
+            # bypass the cache: an equal unmarked table may sit in it
+            report = verify_biquandle.__wrapped__(table)
+            assert (report.passed, report.violations) == expected
+            assert satisfies_axioms(table) == expected[0]
+            clauses = {cid for cid, _ in expected[1]}
+            only_axiom_3 += bool(clauses) and all(
+                cid.startswith("3.") for cid in clauses)
+        assert only_axiom_3 >= 1
+
+    def test_marked_table_scans_few_axiom_3_pairs(self, monkeypatch):
+        table = make_alexander(make_module(
+            3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+            ((1, 1, 0), (0, 1, 1), (0, 0, 1))))
+        scan, seen = kernels.axiom_scan, []
+
+        def spy(*args, axiom3_pairs=None, **kwargs):
+            seen.append(None if axiom3_pairs is None else len(axiom3_pairs))
+            return scan(*args, axiom3_pairs=axiom3_pairs, **kwargs)
+
+        monkeypatch.setattr(kernels, "axiom_scan", spy)
+        assert verify_biquandle.__wrapped__(table).passed
+        assert satisfies_axioms(table)
+        assert seen == [1 + 2 * 3] * 2
+
+    def test_marked_and_unmarked_tables_are_one_key(self):
+        marked = make_alexander(make_scalar_module(9, 2, 4))
+        unmarked = BiquandleTable.from_flats(9, *marked.flats())
+        assert marked.affine_basis == (0, 1)
+        assert unmarked.affine_basis is None
+        assert marked == unmarked and hash(marked) == hash(unmarked)
+        assert repr(marked) == repr(unmarked)
+        assert verify_biquandle(marked) is verify_biquandle(unmarked)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from biquandles import cli
+from biquandles import alexander, cli
 from biquandles.cli import (EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NEGATIVE,
                             EXIT_OK, main, parse_module_text)
 from biquandles.errors import BiquandleError
@@ -106,6 +106,18 @@ class TestSwitch:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == "error: shift needs 2 coordinates\n"
+
+    def test_failing_order_125_table(self, capsys, monkeypatch):
+        def exhaustive_report(table):
+            raise AssertionError("switch built the exhaustive axiom report")
+
+        monkeypatch.setattr(alexander, "verify_biquandle", exhaustive_report)
+        code, out, err = run(capsys, "switch", "5", "3",
+                             "--A", "1 1 0;0 1 1;1 0 1",
+                             "--B", "2 0 0;0 1 0;0 0 1")
+        assert code == EXIT_NEGATIVE
+        assert out.startswith("125\n")
+        assert err == "switch condition: fails\naxioms: fail\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "switch", "2", "2", "--A", "0 1;1 1",

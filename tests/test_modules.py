@@ -13,8 +13,9 @@ from biquandles import (ModuleError, kernel_one_minus_s, make_module,
                         module_isomorphisms, one_minus_st_submodule, s_orbit,
                         translation_map, transversal)
 from biquandles.errors import SwitchError
-from biquandles.modules import (Submodule, _iso_valid, _mat_inv, _mat_mul,
-                                _mat_vec, counting_element_order)
+from biquandles.modules import (Submodule, _addition_table, _iso_valid,
+                                _mat_inv, _mat_mul, _mat_vec,
+                                counting_element_order)
 
 from conftest import scalar_modules
 from oracles import scan_module_isomorphisms
@@ -91,6 +92,40 @@ class TestMatInv:
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+class TestAdditionTable:
+    @staticmethod
+    def naive(m, keys):
+        index = {e: i for i, e in enumerate(keys)}
+        return [[index[tuple((p + q) % m for p, q in zip(x, y))]
+                 for y in keys] for x in keys]
+
+    def key_sets(self):
+        """Whole groups in canonical, counting and shuffled orders, and
+        the (1-st) submodules and Ker(1-s) of scalar and rank-2 modules."""
+        rng = random.Random(11)
+        for m, k in ((2, 1), (12, 1), (2, 3), (3, 2), (4, 2), (6, 2)):
+            whole = list(itertools.product(range(m), repeat=k))
+            yield m, whole
+            yield m, list(counting_element_order(m, k))
+            yield m, rng.sample(whole, len(whole))
+        mods = [make_scalar_module(12, 5, 7), Z8_35,
+                make_module(6, 2, ((1, 0), (0, 1)), ((1, 1), (0, 1))),
+                make_module(4, 2, ((3, 0), (0, 3)), ((1, 2), (0, 1)))]
+        for mod in mods:
+            for sub in (one_minus_st_submodule(mod), kernel_one_minus_s(mod)):
+                yield mod.m, list(sub.elements)
+                yield mod.m, rng.sample(sub.elements, len(sub))
+
+    def test_matches_naive_fill(self):
+        sizes = set()
+        for m, keys in self.key_sets():
+            index = {e: i for i, e in enumerate(keys)}
+            assert _addition_table(m, index) == self.naive(m, keys), keys
+            sizes.add(len(keys))
+        # proper submodules are among the key sets
+        assert {4, 6} <= sizes
 
 
 class TestOneMinusSt:
