@@ -28,7 +28,7 @@ from .modules import (FiniteModule, ModuleIso, Submodule, Transversal,
                       make_scalar_module, module_isomorphisms,
                       one_minus_st_submodule, s_orbit, translation_map,
                       transversal)
-from .tables import (BiquandleTable, from_blocks, is_homomorphism, op_lookup,
+from .tables import (BiquandleTable, from_blocks, is_homomorphism,
                      parse_matrix, serialize_matrix, trivial_biquandle)
 
 __version__ = "0.1.0"
@@ -45,9 +45,8 @@ __all__ = [
     "fixed_point_profile", "from_blocks", "is_homomorphism",
     "kernel_one_minus_s", "kishino_codes", "make_alexander", "make_module",
     "make_scalar_module", "make_switch_biquandle", "module_isomorphisms",
-    "normalize_iso", "one_minus_st_submodule", "op_lookup",
-    "parse_gauss_code", "parse_matrix", "profiles_compatible",
-    "reidemeister_suite", "s_orbit", "serialize_matrix", "structural_iso",
-    "translation_map", "transversal", "trivial_biquandle",
-    "verify_biquandle", "yang_baxter_check",
+    "normalize_iso", "one_minus_st_submodule", "parse_gauss_code",
+    "parse_matrix", "profiles_compatible", "reidemeister_suite", "s_orbit",
+    "serialize_matrix", "structural_iso", "translation_map", "transversal",
+    "trivial_biquandle", "verify_biquandle", "yang_baxter_check",
 ]

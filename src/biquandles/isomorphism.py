@@ -2,11 +2,11 @@
 
 Two independent routes: a backtracking search over element bijections that
 works for any pair of finite biquandles, and a structural search for module
-biquandles that looks for an intertwining isomorphism of the (1-st)
-submodules plus a compatible map of coset representatives.  The two must
-agree; the test suite sweeps them against each other.  Both get their maps
-from the one propagate-and-branch search, ``kernels.iter_maps``: the first
-over the four biquandle tables, the second, through
+biquandles that pairs an intertwining isomorphism of the (1-st) submodules
+with a map of coset representatives chosen once per s-cycle of cosets.  The
+two must agree; the test suite sweeps them against each other.  Both get
+their maps from the one propagate-and-branch search, ``kernels.iter_maps``:
+the first over the four biquandle tables, the second, through
 ``module_isomorphisms``, over the submodules' addition and action tables,
 one submodule isomorphism at a time.
 """
@@ -22,9 +22,9 @@ from .alexander import make_alexander, normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
 from .kernels.pure import _profiles
-from .modules import (Elem, FiniteModule, ModuleIso, format_elem,
-                      module_isomorphisms, one_minus_st_submodule,
-                      transversal)
+from .modules import (Elem, FiniteModule, ModuleIso, Transversal,
+                      format_elem, module_isomorphisms,
+                      one_minus_st_submodule, transversal)
 from .tables import (KINDS, BiquandleTable, from_pair_map, is_homomorphism,
                      normalize_map)
 
@@ -118,8 +118,7 @@ def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
     fixed = tuple((i - 1, j - 1) for i, j in (fix or {}).items())
     maps, _ = kernels.search_maps(
         src.n, src.flats(), dst.n, dst.flats(), ops_mask=mask,
-        require_bijection=require_bijection, fixed=fixed,
-        use_profiles=require_bijection, find_all=True)
+        require_bijection=require_bijection, fixed=fixed, find_all=True)
     return sorted(tuple(v + 1 for v in m) for m in maps)
 
 
@@ -155,20 +154,44 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
     return tuple(perm)
 
 
+def _s_cycles(mod: FiniteModule, trans: Transversal
+              ) -> list[list[tuple[Elem, Elem]]]:
+    """Cycles of rep -> base, s*rep = base + w, as (rep, w) lists; 0 first."""
+    cycles, seen = [], set()
+    for rep in trans.reps:
+        cycle = []
+        while rep not in seen:
+            seen.add(rep)
+            srep = mod.act_s(rep)
+            base = trans.rep_of(srep)
+            cycle.append((rep, mod.sub(srep, base)))
+            rep = base
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 def structural_iso(src: FiniteModule, dst: FiniteModule
                    ) -> tuple[Optional[IsoWitness], SearchStats]:
     """Decide isomorphism of two module biquandles structurally.
 
     Searches for an intertwining submodule isomorphism h and a zero-fixing
-    assignment of coset representatives k with (1-st)k(a) = h((1-st)a),
-    one coset per image, and s'k(a) = k(b) + h(w) whenever sa = b + w with
-    b a representative and w in the submodule.  Any candidate passing those
-    constraints is assembled into a full map and verified outright, so a
-    returned witness is always a genuine isomorphism.  The h are drawn
-    lazily from ``module_isomorphisms``, so the search for them stops at the
-    first h that extends.
+    map k of coset representatives with (1-st)k(a) = h((1-st)a), one coset
+    per image, and s'k(a) = k(b) + h(w) whenever sa = b + w with b a
+    representative and w in the submodule.  As s permutes the cosets and k
+    must intertwine s and s', both sides need equal s-cycle lengths.  Per h,
+    k of a cycle's first representative, from the (1-st) fibre, forces k
+    around the cycle; the first start whose walk closes on an unused target
+    cycle of equal length is kept (zero's cycle comes first and keeps 0).
+    No choice is ever undone: the closing starts of a length-L cycle form a
+    coset of the s'-stable group ker(1-st') & ker(s'^L - 1), so if cycles C
+    and C' can both take D and C can take D', then C' can take D' too.  The
+    full map is verified outright.  The h are drawn lazily from
+    ``module_isomorphisms``, so the search for them stops at the first h
+    that extends.
     """
-    prunes = {"size": 0, "fiber": 0, "coset": 0, "closure": 0, "verify": 0}
+    prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
+              "closure": 0, "verify": 0}
     candidates = 0
     work = 0
 
@@ -182,83 +205,56 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
 
     sub_s = one_minus_st_submodule(src)
     sub_d = one_minus_st_submodule(dst)
-    if len(sub_s) != len(sub_d):
-        prunes["size"] += 1
-        return done(None)
-
-    trans_s = transversal(src, sub_s)
     trans_d = transversal(dst, sub_d)
-    reps = trans_s.reps  # zero first by construction
+    cycles = _s_cycles(src, transversal(src, sub_s))
+    d_cycles = _s_cycles(dst, trans_d)
+    if sorted(map(len, cycles)) != sorted(map(len, d_cycles)):
+        prunes["cycle_type"] += 1
+        return done(None)
+    cycle_of = {rep: c for c, cyc in enumerate(d_cycles) for rep, _ in cyc}
 
-    # decomposition s*rep = base + w with base a representative, w in sub
-    s_dec = {}
-    for rep in reps:
-        srep = src.act_s(rep)
-        base = trans_s.rep_of(srep)
-        s_dec[rep] = (base, src.sub(srep, base))
-    incoming = {rep: [r for r in reps if s_dec[r][0] == rep] for rep in reps}
-
-    one_minus_st_d = dst.one_minus_st
     fibers_by_val: dict[Elem, list[Elem]] = {}
     for y in dst.elements:
-        fibers_by_val.setdefault(dst.act(one_minus_st_d, y), []).append(y)
+        fibers_by_val.setdefault(dst.act(dst.one_minus_st, y), []).append(y)
 
+    h = None
     for h in module_isomorphisms(sub_s, sub_d):
-        k_map: dict[Elem, Elem] = {src.zero: dst.zero}
-        used_cosets = {trans_d.rep_of(dst.zero)}
+        k_map: dict[Elem, Elem] = {}
+        used: set[int] = set()  # target cycles taken
 
-        def closure_ok(rep) -> bool:
-            nonlocal work
-            edges = [(rep, *s_dec[rep])]
-            edges += [(r, *s_dec[r]) for r in incoming[rep] if r != rep]
-            for start, base, w in edges:
-                if start not in k_map or base not in k_map:
-                    continue
-                work += 1
-                if dst.act_s(k_map[start]) != dst.add(k_map[base], h(w)):
-                    return False
-            return True
-
-        def assign(i) -> bool:
-            nonlocal candidates
-            if i == len(reps):
-                return True
-            rep = reps[i]
-            target = h(src.act(src.one_minus_st, rep))
-            fiber = fibers_by_val.get(target, ())
-            if not fiber:
-                prunes["fiber"] += 1
-                return False
-            for y in fiber:
+        def place(cycle) -> bool:
+            nonlocal candidates, work
+            for y in fibers_by_val[h(src.act(src.one_minus_st, cycle[0][0]))]:
                 candidates += 1
-                coset = trans_d.rep_of(y)
-                if coset in used_cosets:
+                c = cycle_of[trans_d.rep_of(y)]
+                if c in used or len(d_cycles[c]) != len(cycle):
                     prunes["coset"] += 1
                     continue
-                k_map[rep] = y
-                used_cosets.add(coset)
-                if closure_ok(rep):
-                    if assign(i + 1):
-                        return True
-                else:
-                    prunes["closure"] += 1
-                del k_map[rep]
-                used_cosets.remove(coset)
+                ks, k = {}, y
+                for rep, w in cycle:
+                    work += 1
+                    ks[rep] = k
+                    k = dst.sub(dst.act_s(k), h(w))  # k(base)
+                if k == y:
+                    k_map.update(ks)
+                    used.add(c)
+                    return True
+                prunes["closure"] += 1
             return False
 
-        if not closure_ok(src.zero):
-            prunes["closure"] += 1
+        if not all(map(place, cycles)):
             continue
-        if assign(1):
-            perm = assemble_witness_map(src, dst, h, k_map)
-            if sorted(perm) == list(range(1, dst.size + 1)) and \
-                    is_homomorphism(make_alexander(src),
-                                    make_alexander(dst), perm):
-                witness = IsoWitness(
-                    source=src, target=dst, submodule_map=h,
-                    rep_map=tuple(sorted(k_map.items())), perm=perm)
-                return done(witness)
-            prunes["verify"] += 1
+        perm = assemble_witness_map(src, dst, h, k_map)
+        if sorted(perm) == list(range(1, dst.size + 1)) and \
+                is_homomorphism(make_alexander(src),
+                                make_alexander(dst), perm):
+            witness = IsoWitness(
+                source=src, target=dst, submodule_map=h,
+                rep_map=tuple(sorted(k_map.items())), perm=perm)
+            return done(witness)
+        prunes["verify"] += 1
+    if h is None:
+        prunes["submodule"] += 1
     return done(None)
 
 

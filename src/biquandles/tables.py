@@ -137,10 +137,6 @@ def from_pair_map(n: int, up, down, affine_basis=None) -> BiquandleTable:
                                      affine_basis)
 
 
-def op_lookup(table: BiquandleTable, kind: str, a: int, b: int) -> int:
-    return table.op(kind, a, b)
-
-
 def trivial_biquandle(n: int) -> BiquandleTable:
     """All four operations return their first argument."""
     if n < 1:

@@ -156,6 +156,16 @@ class TestIso:
         assert payload["methods"]["brute"]["isomorphic"] is False
         assert payload["methods"]["structural"]["isomorphic"] is False
 
+    def test_json_counts_missing_submodule_isomorphism(self, capsys):
+        # no isomorphism of the (1-st) submodules intertwines s and s', so
+        # the structural search stops before any coset is tried
+        code, out, _ = run(capsys, "iso", "--zn", "8", "3", "5",
+                           "--zn", "8", "5", "3", "--json")
+        structural = json.loads(out)["methods"]["structural"]
+        assert code == EXIT_NEGATIVE
+        assert structural["prunes"]["submodule"] == 1
+        assert structural["candidates"] == 0
+
     def test_json_witness_payload(self, capsys):
         code, out, _ = run(capsys, "iso", "--zn", "8", "3", "5",
                            "--zn", "8", "3", "5", "--json")

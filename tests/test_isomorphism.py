@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -7,9 +8,10 @@ from biquandles import (WitnessError, all_isomorphisms,
                         assemble_witness_map, brute_force_iso,
                         enumerate_biquandles, enumerate_homomorphisms,
                         extract_witness, fixed_point_profile,
-                        is_homomorphism, make_alexander, make_scalar_module,
-                        profiles_compatible, structural_iso,
-                        translation_map, trivial_biquandle, verify_biquandle)
+                        is_homomorphism, make_alexander, make_module,
+                        make_scalar_module, profiles_compatible,
+                        structural_iso, translation_map, trivial_biquandle,
+                        verify_biquandle)
 from biquandles.isomorphism import format_witness, witness_to_dict
 
 from conftest import scalar_modules
@@ -151,6 +153,12 @@ class TestStructural:
         witness, stats = structural_iso(Z8_35, make_scalar_module(5, 2, 3))
         assert witness is None and stats.prunes["size"] == 1
 
+    def test_unequal_submodules_rejected_by_cycle_type(self):
+        # st = 1 on the right: 8 cosets there against 2 on the left
+        witness, stats = structural_iso(Z8_35, make_scalar_module(8, 3, 3))
+        assert witness is None and stats.prunes["cycle_type"] == 1
+        assert stats.candidates == 0
+
     def test_verdict_symmetric(self):
         mods = scalar_modules(8)[:8] + scalar_modules(5)[:4]
         for a, b in itertools.combinations(mods, 2):
@@ -167,6 +175,150 @@ class TestStructural:
             ta, tb = make_alexander(a), make_alexander(b)
             assert is_homomorphism(ta, tb, witness.perm)
             assert is_homomorphism(tb, ta, inverse_perm(witness.perm))
+
+
+def diag(*entries):
+    return tuple(tuple(e if i == j else 0 for j in range(len(entries)))
+                 for i, e in enumerate(entries))
+
+
+def check_against_brute_force(a, b):
+    """Structural verdict equals brute force; a witness fixes zero, is a
+    homomorphism both ways and survives extraction."""
+    ta, tb = make_alexander(a), make_alexander(b)
+    brute, _ = brute_force_iso(ta, tb)
+    witness, stats = structural_iso(a, b)
+    assert (brute is None) == (witness is None), \
+        (a.s_matrix, a.t_matrix, b.s_matrix, b.t_matrix)
+    if witness is not None:
+        assert dict(witness.rep_map)[a.zero] == b.zero
+        assert is_homomorphism(ta, tb, witness.perm)
+        assert is_homomorphism(tb, ta, inverse_perm(witness.perm))
+        again = extract_witness(a, b, witness.perm)
+        assert assemble_witness_map(a, b, again.submodule_map,
+                                    dict(again.rep_map)) == again.perm
+    return witness, stats
+
+
+# st = 1 pairs (the submodule is zero, every element its own coset) that a
+# search placing one representative at a time took seconds on or never
+# finished; the cycle walk decides each in milliseconds
+CYCLE_WALK_PAIRS = {
+    "z12": (make_scalar_module(12, 5, 5), make_scalar_module(12, 7, 7)),
+    "z4_squared": (
+        make_module(4, 2, ((1, 1), (0, 1)), ((1, 3), (0, 1))),
+        make_module(4, 2, ((1, 0), (1, 1)), ((1, 0), (3, 1)))),
+    "z5_squared": (
+        make_module(5, 2, ((1, 1), (0, 1)), ((1, 4), (0, 1))),
+        make_module(5, 2, ((1, 0), (1, 1)), ((1, 0), (4, 1)))),
+    "z3_cubed": (
+        make_module(3, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+                    ((1, 2, 1), (0, 1, 2), (0, 0, 1))),
+        make_module(3, 3, ((1, 0, 0), (1, 1, 0), (0, 1, 1)),
+                    ((1, 0, 0), (2, 1, 0), (1, 2, 1)))),
+    "z5_diagonal": (make_module(5, 2, diag(1, 2), diag(1, 3)),
+                    make_module(5, 2, diag(2, 2), diag(3, 3))),
+}
+
+
+GL2 = {m: [((a, b), (c, d))
+           for a, b, c, d in itertools.product(range(m), repeat=4)
+           if math.gcd(a * d - b * c, m) == 1] for m in (2, 3, 4)}
+
+
+def random_rank_two_pairs(count, seed):
+    """Pairs over Z_2..Z_4 with commuting invertible s and t; st = 1 in
+    every other pair, and every other two the right side is a conjugate of
+    the left (so isomorphic) instead of a second draw."""
+    rng = random.Random(seed)
+
+    def mul(x, y, m):
+        return tuple(tuple(sum(x[i][l] * y[l][j] for l in range(2)) % m
+                           for j in range(2)) for i in range(2))
+
+    def draw(m, st_one):
+        s = rng.choice(GL2[m])
+        if st_one:
+            return s, make_module(m, 2, s, s).s_inverse
+        return s, rng.choice([t for t in GL2[m]
+                              if mul(s, t, m) == mul(t, s, m)])
+
+    for i in range(count):
+        m = rng.choice((2, 3, 4))
+        s, t = draw(m, i % 2 == 0)
+        if i % 4 < 2:
+            p = rng.choice(GL2[m])
+            p_inv = make_module(m, 2, p, p).s_inverse
+            s2, t2 = (mul(mul(p, x, m), p_inv, m) for x in (s, t))
+        else:
+            s2, t2 = draw(m, i % 2 == 0)
+        yield make_module(m, 2, s, t), make_module(m, 2, s2, t2)
+
+
+class TestCycleWalk:
+    @pytest.mark.parametrize("name", sorted(CYCLE_WALK_PAIRS))
+    def test_hard_pairs_agree_with_brute_force(self, name):
+        check_against_brute_force(*CYCLE_WALK_PAIRS[name])
+
+    @pytest.mark.parametrize("name", ["z12", "z5_diagonal"])
+    def test_cycle_type_rejects_before_any_h(self, name, monkeypatch):
+        from biquandles import kernels
+        monkeypatch.setattr(kernels, "iter_maps", None)  # no h is drawn
+        witness, stats = structural_iso(*CYCLE_WALK_PAIRS[name])
+        assert witness is None and stats.prunes["cycle_type"] == 1
+
+    def test_closure_failure_decided_without_backtracking(self):
+        # Z_4 with (s, t) = (1, 3) against (3, 1), plus two coordinates on
+        # which s = t = 1: the 15 cosets with first coordinate 0 form
+        # length-1 cycles that close anywhere, the others close nowhere, so
+        # undoing earlier choices would try every arrangement of those 15
+        a = make_module(4, 3, diag(1, 1, 1), diag(3, 1, 1))
+        b = make_module(4, 3, diag(3, 1, 1), diag(1, 1, 1))
+        witness, stats = check_against_brute_force(a, b)
+        assert witness is None and stats.prunes["closure"] > 0
+        assert stats.candidates < 1000
+
+    def test_cycles_sharing_a_target_share_all_targets(self):
+        # why a cycle's first closing start never needs undoing: for one h,
+        # the sets of target cycles that two source cycles can take (walk
+        # closes, equal length) are equal or disjoint
+        from biquandles import (module_isomorphisms, one_minus_st_submodule,
+                                transversal)
+        from biquandles.isomorphism import _s_cycles
+        pairs = list(random_rank_two_pairs(60, seed=3))
+        pairs += [(make_module(4, 3, ((3, 0, 1), (0, 3, 3), (3, 3, 3)),
+                               ((3, 0, 3), (0, 3, 1), (1, 1, 3))),
+                   make_module(4, 3, ((2, 2, 1), (1, 3, 2), (1, 2, 0)),
+                               ((0, 2, 3), (3, 3, 2), (3, 2, 2))))]
+        for a, b in pairs:
+            sub_a, sub_b = one_minus_st_submodule(a), one_minus_st_submodule(b)
+            trans_b = transversal(b, sub_b)
+            d_cycles = _s_cycles(b, trans_b)
+            cycle_of = {rep: c for c, cyc in enumerate(d_cycles)
+                        for rep, _ in cyc}
+            for h in module_isomorphisms(sub_a, sub_b):
+                takes = []
+                for cycle in _s_cycles(a, transversal(a, sub_a)):
+                    value = h(a.act(a.one_minus_st, cycle[0][0]))
+                    found = set()
+                    for y in b.elements:
+                        c = cycle_of[trans_b.rep_of(y)]
+                        if b.act(b.one_minus_st, y) != value or \
+                                len(d_cycles[c]) != len(cycle):
+                            continue
+                        k = y
+                        for _, w in cycle:
+                            k = b.sub(b.act_s(k), h(w))
+                        if k == y:
+                            found.add(c)
+                    takes.append(found)
+                for x, y in itertools.combinations(takes, 2):
+                    assert x == y or not x & y
+
+    def test_random_rank_two_sweep(self):
+        found = [check_against_brute_force(a, b)[0] is not None
+                 for a, b in random_rank_two_pairs(150, seed=8)]
+        assert 40 < sum(found) < 150
 
 
 class TestOracleEquivalence:

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import (BiquandleTable, MatrixParseError, is_homomorphism,
-                        make_alexander, make_scalar_module, op_lookup,
-                        parse_matrix, serialize_matrix, trivial_biquandle,
-                        verify_biquandle)
+                        make_alexander, make_scalar_module, parse_matrix,
+                        serialize_matrix, trivial_biquandle, verify_biquandle)
 
 from conftest import Z2Z2_MATRIX
 
@@ -32,20 +31,20 @@ def tables_strategy(max_n=4):
 
 class TestOpLookup:
     def test_trivial_first_argument(self):
-        assert op_lookup(trivial_biquandle(3), "up", 2, 3) == 2
+        assert trivial_biquandle(3).op("up", 2, 3) == 2
 
     def test_published_matrix_entries(self, z2z2_table):
-        assert op_lookup(z2z2_table, "up", 1, 1) == 3
-        assert op_lookup(z2z2_table, "down", 1, 1) == 4
+        assert z2z2_table.op("up", 1, 1) == 3
+        assert z2z2_table.op("down", 1, 1) == 4
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (5, 1), (1, 5)])
     def test_out_of_range(self, z2z2_table, a, b):
         with pytest.raises(ValueError):
-            op_lookup(z2z2_table, "up", a, b)
+            z2z2_table.op("up", a, b)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            op_lookup(trivial_biquandle(2), "sideways", 1, 1)
+            trivial_biquandle(2).op("sideways", 1, 1)
 
 
 class TestTrivial:
