@@ -8,7 +8,8 @@ two must agree; the test suite sweeps them against each other.  Both get
 their maps from the one propagate-and-branch search, ``kernels.iter_maps``:
 the first over the four biquandle tables, the second, through
 ``module_isomorphisms``, over the submodules' addition and action tables,
-one submodule isomorphism at a time.
+one submodule isomorphism at a time.  Enumeration runs no map search: it
+groups the tables it finds by a canonical form.
 """
 
 from __future__ import annotations
@@ -363,59 +364,43 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
 
     Builds the unbarred blocks column by column (each column must be a
     permutation), pruning on injectivity of the pair map S(a,b)=(b_a, a^b)
-    and on every fully-determined unbarred triple clause.  The barred
-    blocks of a completed candidate are forced by inverting S; survivors of
-    the full axiom scan are collected in lexicographic order.
+    and on every unbarred triple clause with both sides known.  Index n
+    stands for "not placed yet" and every read through it gives n again.
+    The barred blocks of a completed candidate are forced by inverting S;
+    survivors of the full axiom scan are collected in lexicographic order.
+    Up and down fix S, hence S^-1 and the barred flats, so a class is keyed
+    by the least of a table's up and down flats under all n! relabellings.
     """
     _enumeration_guard(n, allow_order_4)
-    perms = list(itertools.permutations(range(n)))
-    up_cols = [None] * n    # up_cols[j][a]   = a^j
-    down_cols = [None] * n  # down_cols[j][a] = a_j
-    seen = set()            # occupied S outputs
+    perms = [p + (n,) for p in itertools.permutations(range(n))]
+    unknown = (n,) * (n + 1)    # an unplaced column; placed ones end in n
+    up = [unknown] * (n + 1)    # up[j][a]   = a^j
+    down = [unknown] * (n + 1)  # down[j][a] = a_j
+    seen = set()                # occupied S outputs
     found = []
 
-    def lookup(cols, i, j):
-        col = cols[j]
-        return None if col is None else col[i]
-
     def triples_ok() -> bool:
-        # check unbarred triple clauses whose entries are all available
+        # unbarred triple clauses; a side reading an unknown is n
         for a in range(n):
             for b in range(n):
-                ab_up = lookup(up_cols, a, b)
-                ba_down = lookup(down_cols, b, a)
+                ab, ba = up[b][a], down[a][b]
                 for c in range(n):
-                    cb_down = lookup(down_cols, c, b)
-                    bc_up = lookup(up_cols, b, c)
-                    if ab_up is not None and cb_down is not None \
-                            and bc_up is not None:
-                        l = lookup(up_cols, ab_up, c)
-                        x = lookup(up_cols, a, cb_down)
-                        r = None if x is None else lookup(up_cols, x, bc_up)
-                        if l is not None and r is not None and l != r:
-                            return False
-                    if cb_down is not None and ab_up is not None \
-                            and ba_down is not None:
-                        l = lookup(down_cols, cb_down, a)
-                        x = lookup(down_cols, c, ab_up)
-                        r = None if x is None else lookup(down_cols, x,
-                                                          ba_down)
-                        if l is not None and r is not None and l != r:
-                            return False
-                    if ba_down is not None and ab_up is not None \
-                            and cb_down is not None and bc_up is not None:
-                        x = lookup(down_cols, c, ab_up)
-                        l = None if x is None else lookup(up_cols, ba_down, x)
-                        y = lookup(up_cols, a, cb_down)
-                        r = None if y is None else lookup(down_cols, bc_up, y)
-                        if l is not None and r is not None and l != r:
-                            return False
+                    cb, bc = down[b][c], up[c][b]
+                    l, r = up[c][ab], up[bc][up[cb][a]]
+                    if l != r and l < n and r < n:
+                        return False
+                    l, r = down[a][cb], down[ba][down[ab][c]]
+                    if l != r and l < n and r < n:
+                        return False
+                    l, r = up[down[ab][c]][ba], down[up[cb][a]][bc]
+                    if l != r and l < n and r < n:
+                        return False
         return True
 
     def place_pairs(pairs) -> list:
         added = []
         for a, b in pairs:
-            key = (down_cols[a][b], up_cols[b][a])
+            key = (down[a][b], up[b][a])
             if key in seen:
                 for k in added:
                     seen.remove(k)
@@ -425,9 +410,9 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
         return added
 
     def finish():
-        up = tuple(up_cols[j][i] for i in range(n) for j in range(n))
-        down = tuple(down_cols[j][i] for i in range(n) for j in range(n))
-        table = from_pair_map(n, up, down)
+        up_flat = tuple(up[j][i] for i in range(n) for j in range(n))
+        down_flat = tuple(down[j][i] for i in range(n) for j in range(n))
+        table = from_pair_map(n, up_flat, down_flat)
         if satisfies_axioms(table):
             found.append(table)
 
@@ -437,7 +422,7 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
             finish()
             return
         j, is_down = divmod(slot, 2)
-        cols = down_cols if is_down else up_cols
+        cols = down if is_down else up
         if is_down:
             # S(a,b) needs down col a and up col b; placing down col j
             # completes pairs (j, b) for placed up columns b <= j
@@ -452,21 +437,19 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
                     extend(slot + 1)
                 for key in added:
                     seen.remove(key)
-            cols[j] = None
+            cols[j] = unknown
 
     extend(0)
     found.sort(key=BiquandleTable.flats)
 
-    classes: list[list[int]] = []
+    # relabel by p: entry (x, y) becomes p[t[q[x]*n + q[y]]], q = p^-1
+    relabels = [(p, [p.index(x) for x in range(n)]) for p in perms]
+    classes: dict[tuple, list[int]] = {}
     for idx, table in enumerate(found):
-        for cls in classes:
-            witness, _ = brute_force_iso(found[cls[0]], table)
-            if witness is not None:
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
+        key = min(tuple(p[t[i * n + j]] for t in table.flats()[:2]
+                        for i in q for j in q) for p, q in relabels)
+        classes.setdefault(key, []).append(idx)
 
     return EnumerationResult(
         order=n, tables=tuple(found),
-        classes=tuple(tuple(cls) for cls in classes))
+        classes=tuple(map(tuple, classes.values())))

@@ -343,18 +343,6 @@ def _op_tables(sub: Submodule) -> tuple[tuple[int, ...], ...]:
                  for cols in columns)
 
 
-def _iso_valid(src: Submodule, dst: Submodule, phi: dict[Elem, Elem]) -> bool:
-    ms, md = src.module, dst.module
-    if set(phi.values()) != set(dst.elements):
-        return False
-    intertwines = all(phi[ms.act_s(x)] == md.act_s(phi[x])
-                      and phi[ms.act_t(x)] == md.act_t(phi[x])
-                      for x in src.elements)
-    return intertwines and all(
-        phi[ms.add(x, y)] == md.add(phi[x], phi[y])
-        for x in src.elements for y in src.elements)
-
-
 def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
     """All intertwining additive bijections src -> dst, lazily.
 
@@ -372,9 +360,7 @@ def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
     for f in kernels.iter_maps(len(xs), _op_tables(src), len(ys),
                                _op_tables(dst), stats, fixed=fixed,
                                use_profiles=False):
-        phi = {x: ys[j] for x, j in zip(xs, f)}
-        if _iso_valid(src, dst, phi):  # re-check, defence in depth
-            yield ModuleIso(tuple(sorted(phi.items())))
+        yield ModuleIso(tuple(sorted((x, ys[j]) for x, j in zip(xs, f))))
 
 
 def translation_map(module: FiniteModule, z: Elem,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -272,6 +273,12 @@ class TestEnumerate:
     def test_order_four_needs_flag(self, capsys):
         code, _, err = run(capsys, "enumerate", "4")
         assert code == EXIT_INPUT
+
+    def test_order_three_json_frozen(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "3", "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "92fb1cf4552c382e37ab04d4ba7e321575d324a814692bf9b9cf24d1be92abf5")
 
 
 class TestDeterminism:

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from biquandles import (WitnessError, all_isomorphisms,
+from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         assemble_witness_map, brute_force_iso,
                         enumerate_biquandles, enumerate_homomorphisms,
                         extract_witness, fixed_point_profile,
@@ -15,6 +16,7 @@ from biquandles import (WitnessError, all_isomorphisms,
 from biquandles.isomorphism import format_witness, witness_to_dict
 
 from conftest import scalar_modules
+from oracles import recheck_axioms, recheck_yang_baxter
 
 Z8_35 = make_scalar_module(8, 3, 5)
 Z8_53 = make_scalar_module(8, 5, 3)
@@ -47,7 +49,6 @@ class TestBruteForce:
         assert witness == tuple(range(1, 9))
 
     def test_invalid_input_refused(self):
-        from biquandles import BiquandleTable
         t = trivial_biquandle(2)
         bad = BiquandleTable(2, ((2, 1), (2, 2)), t.down, t.upbar, t.downbar)
         with pytest.raises(ValueError):
@@ -455,7 +456,6 @@ class TestEnumeration:
         assert len(result.classes) == 2
         # independent 256-candidate scan: every choice of permutation
         # columns for all four blocks, filtered by the axiom checker
-        from biquandles import BiquandleTable
         perms = list(itertools.permutations((1, 2)))
         scan = set()
         for columns in itertools.product(perms, repeat=8):
@@ -476,19 +476,44 @@ class TestEnumeration:
         for table in result.tables[::7]:
             assert verify_biquandle(table).passed
 
+    def test_order_three_complete(self):
+        # independent 6^6-candidate scan: every choice of permutation
+        # columns for up and down, filtered by the Yang-Baxter oracle, with
+        # the barred blocks from S^-1 and the axioms rechecked from scratch
+        rng = range(1, 4)
+        perms = list(itertools.permutations(rng))
+        scan = set()
+        for columns in itertools.product(perms, repeat=6):
+            up, down = tuple(zip(*columns[:3])), tuple(zip(*columns[3:]))
+            # the barred blocks are placeholders: the oracle reads up, down
+            if not recheck_yang_baxter(BiquandleTable(3, up, down, up, down)):
+                continue
+            upbar, downbar = {}, {}
+            for a, b in itertools.product(rng, rng):
+                c, x = down[b - 1][a - 1], up[a - 1][b - 1]  # S(a, b)
+                upbar[x, c], downbar[c, x] = a, b
+            table = BiquandleTable(3, up, down, *(
+                tuple(tuple(m[i, j] for j in rng) for i in rng)
+                for m in (upbar, downbar)))
+            if recheck_axioms(table)[0]:
+                scan.add(table)
+        assert scan == set(enumerate_biquandles(3).tables)
+
     def test_classes_partition_correctly(self):
         result = enumerate_biquandles(3)
-        all_indices = sorted(i for cls in result.classes for i in cls)
-        assert all_indices == list(range(36))
+        assert result.classes == (
+            (0,), (1, 2, 3), (4,), (5, 20, 27), (6, 21, 28), (7, 12, 14),
+            (8, 13, 15), (9, 22, 34), (10, 23, 35), (11, 24, 33),
+            (16, 19, 29), (17,), (18, 30), (25, 32), (26, 31))
         # members of one class are isomorphic to the class representative
-        for cls in result.classes[:5]:
+        for cls in result.classes:
             rep = result.tables[cls[0]]
             for idx in cls[1:]:
                 witness, _ = brute_force_iso(rep, result.tables[idx])
                 assert witness is not None
         # distinct representatives are non-isomorphic
         reps = [result.tables[cls[0]] for cls in result.classes]
-        for a, b in itertools.combinations(reps[:8], 2):
+        for a, b in itertools.combinations(reps, 2):
             witness, _ = brute_force_iso(a, b)
             assert witness is None
 
@@ -502,10 +527,13 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_order_four_behind_flag(self):
-        # ~15 s: frozen by the pruned column search (whose completeness is
+        # ~6-9 s: frozen by the pruned column search (whose completeness is
         # cross-checked against the unpruned scan at order 3)
         result = enumerate_biquandles(4, allow_order_4=True)
         assert len(result.tables) == 744
         assert len(result.classes) == 98
+        frozen = repr(([t.flats() for t in result.tables], result.classes))
+        assert hashlib.sha256(frozen.encode()).hexdigest() == (
+            "abdf0c9d4691914c6597a3da0dd8137c4ffd97f310ce4cfb85323ac2eee06cf9")
         for table in result.tables[::97]:
             assert verify_biquandle(table).passed
