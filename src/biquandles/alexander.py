@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
-from .errors import SwitchError, WitnessError
-from .modules import (Elem, FiniteModule, Mat, _addition_table, _identity,
-                      _mat_inv, _mat_mul, _mat_sub, _mat_vec,
+from .errors import ModuleError, SwitchError, WitnessError
+from .modules import (Elem, FiniteModule, Mat, _addition_table, _as_matrix,
+                      _identity, _mat_inv, _mat_mul, _mat_sub, _mat_vec,
                       kernel_one_minus_s, translation_map)
 from .tables import BiquandleTable, from_pair_map, is_homomorphism
 
@@ -103,15 +103,12 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
         raise SwitchError(f"shift needs {k} coordinates")
     if m < 2 or k < 1:
         raise SwitchError("need modulus >= 2 and rank >= 1")
-    amat = tuple(tuple(int(e) % m for e in row) for row in a_matrix)
-    bmat = tuple(tuple(int(e) % m for e in row) for row in b_matrix)
-    if len(amat) != k or len(bmat) != k or any(
-            len(r) != k for r in amat + bmat):
-        raise SwitchError(f"A and B must be {k}x{k} matrices")
     try:
+        amat = _as_matrix(m, k, a_matrix, "A")
+        bmat = _as_matrix(m, k, b_matrix, "B")
         ainv = _mat_inv(amat, m, "A")
         binv = _mat_inv(bmat, m, "B")
-    except Exception as exc:
+    except ModuleError as exc:
         raise SwitchError(str(exc)) from None
 
     ident = _identity(k)

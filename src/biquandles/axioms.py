@@ -84,6 +84,7 @@ def yang_baxter_check(table: BiquandleTable) -> bool:
     """True iff S(a,b) = (b_a, a^b) is a bijective Yang-Baxter solution.
 
     Only the unbarred operations enter: S is checked for bijectivity on
-    ordered pairs and for (SxI)(IxS)(SxI) = (IxS)(SxI)(IxS) on all triples.
+    ordered pairs, and (SxI)(IxS)(SxI) = (IxS)(SxI)(IxS) is decided by the
+    row lists of the unbarred axiom-3 clauses, one pair (a, b) at a time.
     """
     return kernels.yang_baxter(table.n, *table.flats()[:2])

@@ -141,17 +141,15 @@ def cmd_alexander(args) -> int:
     return EXIT_OK
 
 
-def _parse_small_matrix(text, k):
-    rows = [r for r in text.replace(";", "\n").splitlines() if r.strip()]
-    mat = [[int(tok) for tok in row.split()] for row in rows]
-    if len(mat) != k or any(len(r) != k for r in mat):
-        raise BiquandleError(f"expected a {k}x{k} matrix")
-    return mat
+def _parse_small_matrix(text):
+    """Rows split on ';' or newlines; the switch builder checks the shape."""
+    return [[int(tok) for tok in row.split()]
+            for row in text.replace(";", "\n").splitlines() if row.strip()]
 
 
 def cmd_switch(args) -> int:
-    a_mat = _parse_small_matrix(args.A, args.k)
-    b_mat = _parse_small_matrix(args.B, args.k)
+    a_mat = _parse_small_matrix(args.A)
+    b_mat = _parse_small_matrix(args.B)
     shift = None
     if args.c is not None:
         shift = tuple(int(tok) for tok in args.c.replace(",", " ").split())

@@ -22,7 +22,7 @@ from . import kernels
 from .alexander import make_alexander, normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
-from .kernels.pure import _profiles
+from .kernels import _profiles
 from .modules import (Elem, FiniteModule, ModuleIso, Transversal,
                       format_elem, module_isomorphisms,
                       one_minus_st_submodule, transversal)

@@ -1,5 +1,7 @@
-"""Pure-Python kernels for the hot loops.
+"""Every hot-loop kernel, in one pure-Python module named by ``BACKEND``.
 
+The library calls each kernel through this module's attributes
+(``kernels.axiom_scan``), so tests and the benchmark tracer can rebind it.
 All kernels work on 0-based flattened operation tables (``t[i*n + j]`` is the
 result of element ``i`` operated by element ``j``).  The public library wraps
 these with the 1-based table objects.
@@ -14,6 +16,8 @@ uniquely but disagree.
 
 import itertools
 from collections import Counter
+
+BACKEND = "pure"
 
 # largest {labels of open arcs: count} map diagram_count builds
 MAX_STATES = 1 << 20
@@ -108,7 +112,7 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False,
                 s2 = [x for x in range(n) if a == upbar[x * n + b]]
                 s3 = [x for x in range(n)
                       if b == down[downbar[b * n + x] * n + a]]
-                if group(4, (a, b), s1, s2, s3) and first_only:
+                if group(4, (a, b), s1, s2, s3):
                     return out
 
             if joint_y[a * n + b] != 1:
@@ -116,36 +120,16 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False,
                 s2 = [y for y in range(n) if a == up[y * n + b]]
                 s3 = [y for y in range(n)
                       if b == downbar[down[b * n + y] * n + a]]
-                if group(7, (a, b), s1, s2, s3) and first_only:
+                if group(7, (a, b), s1, s2, s3):
                     return out
 
-    # axiom 3 over all c at once: rows[i][c] = t[i][c], cols[j][c] = t[c][j]
-    up_r, down_r, upbar_r, downbar_r = (
-        [list(t[i * n:i * n + n]) for i in range(n)]
-        for t in (up, down, upbar, downbar))
-    down_c = [down[j::n] for j in range(n)]
-    downbar_c = [downbar[j::n] for j in range(n)]
-
-    def axiom3(ur, dr, dc, a, b):
-        """Left and right sides, as lists over c, of one bar type's clauses."""
-        ra, ca = ur[a], dc[a]
-        ab, ba = ra[b], ca[b]
-        cb, c_ab, bc = dc[b], dc[ab], ur[b]
-        rba, cba = ur[ba], dc[ba]
-        a_cb = [ra[i] for i in cb]
-        # 3.i: (a^b)^c = (a^(c_b))^(b^c)
-        # 3.ii: (c_b)_a = (c_(a^b))_(b_a)
-        # 3.iii: (b_a)^(c_(a^b)) = (b^c)_(a^(c_b))
-        return ((ur[ab], [ca[i] for i in cb], [rba[i] for i in c_ab]),
-                ([ur[i][j] for i, j in zip(a_cb, bc)],
-                 [cba[i] for i in c_ab],
-                 [dr[i][j] for i, j in zip(bc, a_cb)]))
-
+    # axiom 3 over all c at once
+    rows, rows_bar = _rows(n, up, down), _rows(n, upbar, downbar)
     if axiom3_pairs is None:
         axiom3_pairs = itertools.product(range(n), repeat=2)
     for a, b in axiom3_pairs:
-        lhs, rhs = axiom3(up_r, down_r, down_c, a, b)
-        lhs_bar, rhs_bar = axiom3(upbar_r, downbar_r, downbar_c, a, b)
+        lhs, rhs = _axiom3(*rows, a, b)
+        lhs_bar, rhs_bar = _axiom3(*rows_bar, a, b)
         if lhs == rhs and lhs_bar == rhs_bar:
             continue
         # codes 10..12 unbarred, 13..15 barred
@@ -159,43 +143,53 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False,
         # axiom 4, x-group (codes 16..17), y-group (18..19)
         s1 = [x for x in range(n) if x == down[a * n + x]]
         s2 = [x for x in range(n) if a == up[x * n + a]]
-        if group(16, (a,), s1, s2) and first_only:
+        if group(16, (a,), s1, s2):
             return out
 
         s1 = [y for y in range(n) if y == upbar[a * n + y]]
         s2 = [y for y in range(n) if a == downbar[y * n + a]]
-        if group(18, (a,), s1, s2) and first_only:
+        if group(18, (a,), s1, s2):
             return out
 
     return out
 
 
-def yang_baxter(n, up, down):
-    """True iff S(a,b) = (b_a, a^b) is a bijection satisfying the YBE."""
-    seen = bytearray(n * n)
-    for a in range(n):
-        for b in range(n):
-            key = down[b * n + a] * n + up[a * n + b]
-            if seen[key]:
-                return False
-            seen[key] = 1
+def _rows(n, up, down):
+    """Rows of ``up`` and ``down`` and columns of ``down``, as lists over c:
+    rows[i][c] = t[i][c], cols[j][c] = t[c][j]."""
+    return ([list(up[i * n:i * n + n]) for i in range(n)],
+            [list(down[i * n:i * n + n]) for i in range(n)],
+            [down[j::n] for j in range(n)])
 
-    for a in range(n):
-        for b in range(n):
-            p, q = down[b * n + a], up[a * n + b]
-            for c in range(n):
-                # (S x I)(I x S)(S x I)
-                r1, s1 = down[c * n + q], up[q * n + c]
-                t1, u1 = down[r1 * n + p], up[p * n + r1]
-                lhs = (t1, u1, s1)
-                # (I x S)(S x I)(I x S)
-                r2, s2 = down[c * n + b], up[b * n + c]
-                t2, u2 = down[r2 * n + a], up[a * n + r2]
-                v2, w2 = down[s2 * n + u2], up[u2 * n + s2]
-                rhs = (t2, v2, w2)
-                if lhs != rhs:
-                    return False
-    return True
+
+def _axiom3(ur, dr, dc, a, b):
+    """Left and right sides, as lists over c, of one bar type's clauses."""
+    ra, ca = ur[a], dc[a]
+    ab, ba = ra[b], ca[b]
+    cb, c_ab, bc = dc[b], dc[ab], ur[b]
+    rba, cba = ur[ba], dc[ba]
+    a_cb = [ra[i] for i in cb]
+    # 3.i: (a^b)^c = (a^(c_b))^(b^c)
+    # 3.ii: (c_b)_a = (c_(a^b))_(b_a)
+    # 3.iii: (b_a)^(c_(a^b)) = (b^c)_(a^(c_b))
+    return ((ur[ab], [ca[i] for i in cb], [rba[i] for i in c_ab]),
+            ([ur[i][j] for i, j in zip(a_cb, bc)],
+             [cba[i] for i in c_ab],
+             [dr[i][j] for i, j in zip(bc, a_cb)]))
+
+
+def yang_baxter(n, up, down):
+    """True iff S(a,b) = (b_a, a^b) is a bijection satisfying the YBE.
+
+    The three components of (SxI)(IxS)(SxI) = (IxS)(SxI)(IxS) on (a, b, c)
+    are the unbarred axiom-3 clauses, compared over all c at once.
+    """
+    pairs = list(itertools.product(range(n), repeat=2))
+    if len({(down[b * n + a], up[a * n + b]) for a, b in pairs}) < n * n:
+        return False
+    rows = _rows(n, up, down)
+    return all(lhs == rhs for lhs, rhs in
+               (_axiom3(*rows, a, b) for a, b in pairs))
 
 
 def _profiles(n, tables, mask):
@@ -214,8 +208,7 @@ def _profiles(n, tables, mask):
 
 
 def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
-                require_bijection=True, fixed=(), use_profiles=True,
-                find_all=False):
+                require_bijection=True, fixed=(), find_all=False):
     """Operation-preserving maps src -> dst, collected from ``iter_maps``.
 
     Returns (maps, stats): every map when ``find_all`` is set, otherwise at
@@ -225,7 +218,7 @@ def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
     stats = {}
     maps = list(itertools.islice(
         iter_maps(n_src, src, n_dst, dst, stats, ops_mask, require_bijection,
-                  fixed, use_profiles),
+                  fixed),
         None if find_all else 1))
     return maps, stats
 

@@ -136,7 +136,7 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     frontier contraction (``kernels.diagram_count``): crossings are joined
     one at a time into a map from the labels of still-open semi-arcs to
     counts, so the cost follows the widest frontier rather than the number
-    of crossings.  A frontier past ``kernels.pure.MAX_STATES`` states
+    of crossings.  A frontier past ``kernels.MAX_STATES`` states
     raises ``ValueError``.
     """
     report = verify_biquandle(target)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -82,11 +82,22 @@ def _minor(mat: Mat, i: int, j: int) -> Mat:
 
 
 def _det(mat: Mat) -> int:
-    """Integer determinant by cofactor expansion along the first row."""
-    if not mat:
-        return 1
-    return sum((-1) ** j * e * _det(_minor(mat, 0, j))
-               for j, e in enumerate(mat[0]))
+    """Integer determinant by fraction-free (Bareiss) elimination: every
+    division is exact, so it stays in the integers in O(k^3) steps."""
+    a = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for p in range(len(a) - 1):
+        if not a[p][p]:
+            swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
+            if swap is None:
+                return 0
+            a[p], a[swap] = a[swap], a[p]
+            sign = -sign
+        for i in range(p + 1, len(a)):
+            for j in range(p + 1, len(a)):
+                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return sign * a[-1][-1] if a else 1
 
 
 def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
@@ -257,20 +268,15 @@ class Transversal:
     module: FiniteModule
     sub: Submodule
     reps: tuple[Elem, ...]
-    orbit: tuple[Elem, ...]
+    _rep_map: dict[Elem, Elem] = field(compare=False, repr=False)
 
     def rep_of(self, x: Elem) -> Elem:
         """The representative of x's coset."""
         return self._rep_map[x]
 
     @cached_property
-    def _rep_map(self) -> dict[Elem, Elem]:
-        mod = self.module
-        out = {}
-        for rep in self.reps:
-            for w in self.sub.elements:
-                out[mod.add(rep, w)] = rep
-        return out
+    def orbit(self) -> tuple[Elem, ...]:
+        return s_orbit(self.module, self.reps)
 
 
 def s_orbit(module: FiniteModule, xs: Iterable[Elem]) -> tuple[Elem, ...]:
@@ -300,15 +306,14 @@ def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
     if sub.module is not module and sub.module != module:
         raise ValueError("submodule belongs to a different module")
     reps = []
-    covered = set()
+    rep_map = {}
     for x in module.elements:
-        if x in covered:
+        if x in rep_map:
             continue
         reps.append(x)
         for w in sub.elements:
-            covered.add(module.add(x, w))
-    return Transversal(module, sub, tuple(reps),
-                       s_orbit(module, reps))
+            rep_map[module.add(x, w)] = x
+    return Transversal(module, sub, tuple(reps), rep_map)
 
 
 @dataclass(frozen=True)

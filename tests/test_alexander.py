@@ -136,6 +136,12 @@ class TestMakeSwitch:
         with pytest.raises(SwitchError):
             make_switch_biquandle(4, 1, ((2,),), ((1,),))
 
+    def test_matrix_shape_checked(self):
+        with pytest.raises(SwitchError, match="^A must be a 2x2 integer"):
+            make_switch_biquandle(5, 2, ((1, 0),), SWITCH_B)
+        with pytest.raises(SwitchError, match="^B must be a 2x2 integer"):
+            make_switch_biquandle(5, 2, ((1, 0), (0, 1)), ((1, 0), (0,)))
+
     def test_shift_length_checked(self):
         with pytest.raises(SwitchError, match="^shift needs 2 coordinates$"):
             make_switch_biquandle(5, 2, ((1, 0), (0, 1)), ((2, 0), (0, 2)),

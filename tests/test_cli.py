@@ -108,6 +108,13 @@ class TestSwitch:
         assert out == ""
         assert err == "error: shift needs 2 coordinates\n"
 
+    def test_matrix_shape_mismatch(self, capsys):
+        code, out, err = run(capsys, "switch", "5", "2", "--A", "1 0;0 1",
+                             "--B", "2 0 0;0 2 0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: B must be a 2x2 integer matrix\n"
+
     def test_failing_order_125_table(self, capsys, monkeypatch):
         def exhaustive_report(table):
             raise AssertionError("switch built the exhaustive axiom report")

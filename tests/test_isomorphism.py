@@ -9,8 +9,8 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         assemble_witness_map, brute_force_iso,
                         enumerate_biquandles, enumerate_homomorphisms,
                         extract_witness, fixed_point_profile,
-                        is_homomorphism, make_alexander, make_module,
-                        make_scalar_module, profiles_compatible,
+                        is_homomorphism, kernels, make_alexander,
+                        make_module, make_scalar_module, profiles_compatible,
                         structural_iso, translation_map, trivial_biquandle,
                         verify_biquandle)
 from biquandles.isomorphism import format_witness, witness_to_dict
@@ -486,7 +486,10 @@ class TestEnumeration:
         for columns in itertools.product(perms, repeat=6):
             up, down = tuple(zip(*columns[:3])), tuple(zip(*columns[3:]))
             # the barred blocks are placeholders: the oracle reads up, down
-            if not recheck_yang_baxter(BiquandleTable(3, up, down, up, down)):
+            candidate = BiquandleTable(3, up, down, up, down)
+            ybe = recheck_yang_baxter(candidate)
+            assert kernels.yang_baxter(3, *candidate.flats()[:2]) == ybe
+            if not ybe:
                 continue
             upbar, downbar = {}, {}
             for a, b in itertools.product(rng, rng):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from biquandles import (ModuleError, kernel_one_minus_s, make_module,
                         module_isomorphisms, one_minus_st_submodule, s_orbit,
                         translation_map, transversal)
 from biquandles.errors import SwitchError
-from biquandles.modules import (_addition_table, _mat_inv, _mat_mul,
+from biquandles.modules import (_addition_table, _det, _mat_inv, _mat_mul,
                                 _mat_vec, counting_element_order)
 
 from conftest import scalar_modules
@@ -82,6 +83,34 @@ class TestMatInv:
             _mat_inv(((2, 0), (0, 3)), 6, "A")
         with pytest.raises(SwitchError, match="A is not invertible mod 6"):
             make_switch_biquandle(6, 2, ((2, 0), (0, 3)), ((1, 0), (0, 1)))
+
+    def test_det_matches_cofactor_expansion(self):
+        def cofactor(mat):
+            if not mat:
+                return 1
+            return sum((-1) ** j * e * cofactor(
+                [row[:j] + row[j + 1:] for row in mat[1:]])
+                for j, e in enumerate(mat[0]))
+
+        rng = random.Random(20061108)
+        for _ in range(600):
+            k = rng.randrange(7)
+            # small entries and repeated rows make zero pivots common
+            pool = [tuple(rng.randrange(-4, 5) for _ in range(k))
+                    for _ in range(max(k - 1, 1))]
+            mat = tuple(rng.choice(pool) if rng.random() < 0.2 else
+                        tuple(rng.randrange(-9, 10) for _ in range(k))
+                        for _ in range(k))
+            assert _det(mat) == cofactor([list(r) for r in mat]), mat
+
+    def test_rank_ten_module_builds_quickly(self):
+        # elimination is O(k^3); cofactor expansion took minutes here
+        ident = tuple(tuple(int(i == j) for j in range(10))
+                      for i in range(10))
+        start = time.perf_counter()
+        mod = make_module(2, 10, ident, ident)
+        assert time.perf_counter() - start < 2
+        assert mod.s_inverse == ident
 
     def test_import_leaves_sympy_unloaded(self):
         src = str(Path(biquandles.__file__).resolve().parents[1])
