@@ -27,18 +27,25 @@ class AxiomReport:
         return tuple(sorted({cid for cid, _ in self.violations}))
 
 
+def _generator_points(basis: tuple[int, ...]) -> tuple[list, tuple]:
+    """The pairs (0, 0), (e_i, 0), (0, e_i) and the elements 0, e_i of an
+    ``affine_basis`` (0, e_1, ..., e_k): ``axiom_scan``'s pairs and
+    singles."""
+    zero, units = basis[0], basis[1:]
+    pairs = [(zero, zero)] + [(e, zero) for e in units] + \
+        [(zero, e) for e in units]
+    return pairs, basis
+
+
 def _scan(table: BiquandleTable, first_only: bool = False) -> list:
     """``kernels.axiom_scan`` of ``table``.  A table with an
-    ``affine_basis`` is scanned first with axiom 3 limited to 1 + 2k pairs
-    (see ``verify_biquandle``), and in full only if that scan fails."""
+    ``affine_basis`` is scanned first on its generator points only (see
+    ``verify_biquandle``), and in full only if that scan fails."""
     flats = table.flats()
-    basis = table.affine_basis
-    if basis is not None:
-        zero, units = basis[0], basis[1:]
-        pairs = [(zero, zero)] + [(e, zero) for e in units] + \
-            [(zero, e) for e in units]
+    if table.affine_basis is not None:
+        pairs, singles = _generator_points(table.affine_basis)
         raw = kernels.axiom_scan(table.n, *flats, first_only=first_only,
-                                 axiom3_pairs=pairs)
+                                 pairs=pairs, singles=singles)
         if not raw or first_only:
             return raw
     return kernels.axiom_scan(table.n, *flats, first_only=first_only)
@@ -55,17 +62,33 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     when the members disagree).  Witnesses are 1-based element tuples.
 
     A table built by ``alexander._affine_table`` carries an
-    ``affine_basis`` and has axiom 3 decided on 1 + 2k pairs (a, b) rather
-    than n^2.  That builder succeeds only when S(a, b) = (b_a, a^b) is a
-    bijection; S is an affine map of Z_m^2k, so its inverse is affine too,
-    and so are both barred operations, which are read off that inverse.
-    Each side of each axiom-3 clause is then a composite of affine maps,
-    hence an affine map of (a, b, c), and two affine maps agree everywhere
-    iff they agree at zero and at each unit vector in each argument, since
-    the unit vectors generate Z_m^k as a group.  The pairs (0, 0),
-    (e_i, 0) and (0, e_i), each over every c, contain all those points.  A
-    table that fails there is scanned again in full, so its report is the
-    same as without the marker.
+    ``affine_basis`` and has every axiom decided on its generator points:
+    axioms 1-3 on the 1 + 2k pairs (0, 0), (e_i, 0) and (0, e_i), axiom 3
+    over every c, and axiom 4 on the 1 + k elements 0 and e_i, instead of
+    all n^2 pairs and n elements.  That builder succeeds only when
+    S(a, b) = (b_a, a^b) is a bijection; S is an affine map of Z_m^2k, so
+    its inverse is affine too, and so are both barred operations, which
+    are read off that inverse.
+
+    - Axioms 1 and 3.  Each side of each clause is a composite of affine
+      maps, hence an affine map of (a, b) or (a, b, c), and two affine
+      maps agree everywhere iff they agree at zero and at each unit vector
+      in each argument, since the unit vectors generate Z_m^k as a group.
+    - Axiom 2.  Write the operations as x^y = Cx + Dy + c,
+      x_y = Ay + Bx + c, x^ybar = Qx + Py + c' and x_ybar = Rx + Ty + c''.
+      For a fixed (a, b), the joint solutions of a clause group solve
+      L x = M(a, b) + const, where M is linear and L does not depend on
+      (a, b).  The x-group, for instance, stacks I - DT, Q and BT, from
+      x = a^(b_xbar), a = x^bbar and b = (b_xbar)_a.  So the solutions
+      form a coset of ker L, or none.  One solution at
+      (0, 0) gives ker L = 0 and const in im L.  One at each (e_i, 0) and
+      (0, e_i) then puts M of every generator in im L, and im L is a
+      subgroup, so M(a, b) + const lies in it for every pair: exactly one
+      solution everywhere.
+    - Axiom 4.  The same argument, per element a, on 0 and the e_i.
+
+    A table that fails there is scanned again in full, so its report is
+    the same as without the marker.
     """
     violations = tuple(sorted(
         (CLAUSE_IDS[code], tuple(x + 1 for x in wit))

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernels
-from .alexander import make_alexander, normalize_iso
+from .alexander import normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
 from .kernels import _profiles
-from .modules import (Elem, FiniteModule, ModuleIso, Transversal,
+from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
                       format_elem, module_isomorphisms,
                       one_minus_st_submodule, transversal)
-from .tables import (KINDS, BiquandleTable, from_pair_map, is_homomorphism,
-                     normalize_map)
+from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
 
 _OP_BITS = dict(zip(KINDS, (kernels.OP_UP, kernels.OP_DOWN,
                             kernels.OP_UPBAR, kernels.OP_DOWNBAR)))
@@ -144,8 +143,15 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
                          submodule_map: ModuleIso,
                          rep_map: dict[Elem, Elem]) -> tuple[int, ...]:
     """Build the full index bijection from (h, rep-map) witness data."""
-    sub = one_minus_st_submodule(src)
-    trans = transversal(src, sub)
+    trans = transversal(src, one_minus_st_submodule(src))
+    return _assemble(src, dst, trans, submodule_map, rep_map)
+
+
+def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
+              submodule_map: ModuleIso, rep_map: dict[Elem, Elem]
+              ) -> tuple[int, ...]:
+    """f(rep + w) = rep_map(rep) + h(w) as 1-based table indices, with
+    ``trans`` the transversal of src's (1-st) submodule."""
     perm = []
     for x in src.elements:
         rep = trans.rep_of(x)
@@ -153,6 +159,28 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
         y = dst.add(rep_map[rep], submodule_map(w))
         perm.append(dst.index[y])
     return tuple(perm)
+
+
+def _certifies(src: FiniteModule, dst: FiniteModule,
+               perm: tuple[int, ...]) -> bool:
+    """Whether an assembled map f is a biquandle isomorphism, in O(n).
+
+    f(rep + w) = k(rep) + h(w) with h additive on N = (1-st)M gives
+    f(x + w) = f(x) + h(w) for w in N.  So f, which fixes zero as k does,
+    is an isomorphism iff it is a bijection with f(sx) = s'f(x) and
+    f(tx) = t'f(x) for all x (x_0 = sx and x^0 = tx).  These give
+    f(y) = f(sty + (1-st)y) = s't'f(y) + h((1-st)y), that is
+    h((1-st)y) = (1-s't')f(y); then f(x^y) = f(tx) + h((1-st)y) =
+    f(x)^f(y) and f(x_y) = f(sx) = f(x)_f(y), and the barred operations
+    follow, as f is a bijection preserving S.
+    """
+    if sorted(perm) != list(range(1, dst.size + 1)):
+        return False
+    image = [dst.elements[i - 1] for i in perm]
+    f = dict(zip(src.elements, image))
+    return all(f[src.act_s(x)] == dst.act_s(fx) and
+               f[src.act_t(x)] == dst.act_t(fx)
+               for x, fx in zip(src.elements, image))
 
 
 def _s_cycles(mod: FiniteModule, trans: Transversal
@@ -187,9 +215,12 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     No choice is ever undone: the closing starts of a length-L cycle form a
     coset of the s'-stable group ker(1-st') & ker(s'^L - 1), so if cycles C
     and C' can both take D and C can take D', then C' can take D' too.  The
-    full map is verified outright.  The h are drawn lazily from
-    ``module_isomorphisms``, so the search for them stops at the first h
-    that extends.
+    full map is verified outright, on the module and in O(n), without
+    building either table: f(rep + w) = k(rep) + h(w) is an isomorphism iff
+    it is a bijection with f(sx) = s'f(x) and f(tx) = t'f(x) for all x,
+    which give h((1-st)y) = (1-s't')f(y) for all y (see ``_certifies``).
+    The h are drawn lazily from ``module_isomorphisms``, so the search for
+    them stops at the first h that extends.
     """
     prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
               "closure": 0, "verify": 0}
@@ -204,19 +235,20 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         prunes["size"] += 1
         return done(None)
 
+    fibers_by_val: dict[Elem, list[Elem]] = {}
+    for y in dst.elements:
+        fibers_by_val.setdefault(dst.act(dst.one_minus_st, y), []).append(y)
+
     sub_s = one_minus_st_submodule(src)
-    sub_d = one_minus_st_submodule(dst)
+    sub_d = Submodule(dst, tuple(sorted(fibers_by_val)))
+    trans_s = transversal(src, sub_s)
     trans_d = transversal(dst, sub_d)
-    cycles = _s_cycles(src, transversal(src, sub_s))
+    cycles = _s_cycles(src, trans_s)
     d_cycles = _s_cycles(dst, trans_d)
     if sorted(map(len, cycles)) != sorted(map(len, d_cycles)):
         prunes["cycle_type"] += 1
         return done(None)
     cycle_of = {rep: c for c, cyc in enumerate(d_cycles) for rep, _ in cyc}
-
-    fibers_by_val: dict[Elem, list[Elem]] = {}
-    for y in dst.elements:
-        fibers_by_val.setdefault(dst.act(dst.one_minus_st, y), []).append(y)
 
     h = None
     for h in module_isomorphisms(sub_s, sub_d):
@@ -245,10 +277,8 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
 
         if not all(map(place, cycles)):
             continue
-        perm = assemble_witness_map(src, dst, h, k_map)
-        if sorted(perm) == list(range(1, dst.size + 1)) and \
-                is_homomorphism(make_alexander(src),
-                                make_alexander(dst), perm):
+        perm = _assemble(src, dst, trans_s, h, k_map)
+        if _certifies(src, dst, perm):
             witness = IsoWitness(
                 source=src, target=dst, submodule_map=h,
                 rep_map=tuple(sorted(k_map.items())), perm=perm)

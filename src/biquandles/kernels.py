@@ -33,26 +33,27 @@ OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR = 1, 2, 4, 8
 ALL_OPS = OP_UP | OP_DOWN | OP_UPBAR | OP_DOWNBAR
 
 
-def axiom_scan(n, up, down, upbar, downbar, first_only=False,
-               axiom3_pairs=None):
+def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
+               singles=None):
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
     axiom 3, (a,) for axiom 4.  With ``first_only`` the scan stops at the
     first violation (used by enumeration; reports stay exhaustive otherwise).
-    ``axiom3_pairs`` limits axiom 3 to those (a, b) pairs, each over every
-    c; the default is every pair.  Axioms 1, 2 and 4 are always scanned in
-    full.  ``axioms.verify_biquandle`` passes the pairs that decide axiom 3
-    of an affine table.
+    ``pairs`` limits axioms 1, 2 and 3 to those (a, b) pairs, axiom 3 over
+    every c, and ``singles`` limits axiom 4 to those elements a; the default
+    for each is all of them.  ``axioms.verify_biquandle`` passes the
+    generator points that decide every axiom of an affine table.
 
     Axioms 2 and 3 are scanned on two levels.  First a whole-row pass
     decides each pair (a, b): clause 2.ii pins a = x^bar b and 2.v pins
-    a = y^b, so one O(n^2) pass counts every axiom-2 group's joint
-    solutions, and the six axiom-3 clauses are compared as whole lists over
-    c, gathered from the tables' rows and columns.  Only a pair that fails
-    there is looked at element by element (axiom 2 recomputes each clause's
-    solutions to assign blame; axiom 3 walks c through the same lists), so
-    the violations and their order are those of a plain element-wise scan.
+    a = y^b, so one O(n) pass per b counts every axiom-2 group's joint
+    solutions for every a, and the six axiom-3 clauses are compared as whole
+    lists over c, gathered from the tables' rows and columns.  Only a pair
+    that fails there is looked at element by element (axiom 2 recomputes
+    each clause's solutions to assign blame; axiom 3 walks c through the
+    same lists), so the violations and their order are those of a plain
+    element-wise scan.
     """
     out = []
 
@@ -73,61 +74,65 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False,
                 return True
         return False
 
-    # joint solution counts of the axiom-2 groups: x solves the x-group of
-    # (a, b) only for a = upbar[x][b], y the y-group only for a = up[y][b]
-    joint_x = [0] * (n * n)
-    joint_y = [0] * (n * n)
-    for b in range(n):
+    def scan_pairs():
+        if pairs is None:
+            return itertools.product(range(n), repeat=2)
+        return pairs
+
+    # joint solution counts of the axiom-2 groups, joint_x[b][a]: x solves
+    # the x-group of (a, b) only for a = upbar[x][b], y the y-group only
+    # for a = up[y][b]
+    joint_x, joint_y = [None] * n, [None] * n
+    for b in range(n) if pairs is None else {b for _, b in pairs}:
+        cx, cy = [0] * n, [0] * n
         for x in range(n):
             a = upbar[x * n + b]
             d = downbar[b * n + x]
             if x == up[a * n + d] and b == down[d * n + a]:
-                joint_x[a * n + b] += 1
+                cx[a] += 1
             a = up[x * n + b]
             d = down[b * n + x]
             if x == upbar[a * n + d] and b == downbar[d * n + a]:
-                joint_y[a * n + b] += 1
+                cy[a] += 1
+        joint_x[b], joint_y[b] = cx, cy
 
-    for a in range(n):
-        ra_up = up[a * n:a * n + n]
-        ra_upbar = upbar[a * n:a * n + n]
-        for b in range(n):
-            u = up[a * n + b]
-            d = down[b * n + a]
-            ub = upbar[a * n + b]
-            db = downbar[b * n + a]
-            # axiom 1: the barred pair inverts the unbarred pair and back
-            if upbar[u * n + d] != a and emit(0, (a, b)):
-                return out
-            if downbar[d * n + u] != b and emit(1, (a, b)):
-                return out
-            if up[ub * n + db] != a and emit(2, (a, b)):
-                return out
-            if down[db * n + ub] != b and emit(3, (a, b)):
+    for a, b in scan_pairs():
+        u = up[a * n + b]
+        d = down[b * n + a]
+        ub = upbar[a * n + b]
+        db = downbar[b * n + a]
+        # axiom 1: the barred pair inverts the unbarred pair and back
+        if upbar[u * n + d] != a and emit(0, (a, b)):
+            return out
+        if downbar[d * n + u] != b and emit(1, (a, b)):
+            return out
+        if up[ub * n + db] != a and emit(2, (a, b)):
+            return out
+        if down[db * n + ub] != b and emit(3, (a, b)):
+            return out
+
+        # axiom 2, x-group (codes 4..6) and y-group (codes 7..9)
+        if joint_x[b][a] != 1:
+            s1 = [x for x in range(n)
+                  if x == up[a * n + downbar[b * n + x]]]
+            s2 = [x for x in range(n) if a == upbar[x * n + b]]
+            s3 = [x for x in range(n)
+                  if b == down[downbar[b * n + x] * n + a]]
+            if group(4, (a, b), s1, s2, s3):
                 return out
 
-            # axiom 2, x-group (codes 4..6) and y-group (codes 7..9)
-            if joint_x[a * n + b] != 1:
-                s1 = [x for x in range(n) if x == ra_up[downbar[b * n + x]]]
-                s2 = [x for x in range(n) if a == upbar[x * n + b]]
-                s3 = [x for x in range(n)
-                      if b == down[downbar[b * n + x] * n + a]]
-                if group(4, (a, b), s1, s2, s3):
-                    return out
-
-            if joint_y[a * n + b] != 1:
-                s1 = [y for y in range(n) if y == ra_upbar[down[b * n + y]]]
-                s2 = [y for y in range(n) if a == up[y * n + b]]
-                s3 = [y for y in range(n)
-                      if b == downbar[down[b * n + y] * n + a]]
-                if group(7, (a, b), s1, s2, s3):
-                    return out
+        if joint_y[b][a] != 1:
+            s1 = [y for y in range(n)
+                  if y == upbar[a * n + down[b * n + y]]]
+            s2 = [y for y in range(n) if a == up[y * n + b]]
+            s3 = [y for y in range(n)
+                  if b == downbar[down[b * n + y] * n + a]]
+            if group(7, (a, b), s1, s2, s3):
+                return out
 
     # axiom 3 over all c at once
     rows, rows_bar = _rows(n, up, down), _rows(n, upbar, downbar)
-    if axiom3_pairs is None:
-        axiom3_pairs = itertools.product(range(n), repeat=2)
-    for a, b in axiom3_pairs:
+    for a, b in scan_pairs():
         lhs, rhs = _axiom3(*rows, a, b)
         lhs_bar, rhs_bar = _axiom3(*rows_bar, a, b)
         if lhs == rhs and lhs_bar == rhs_bar:
@@ -139,7 +144,7 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False,
                 if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
                     return out
 
-    for a in range(n):
+    for a in range(n) if singles is None else singles:
         # axiom 4, x-group (codes 16..17), y-group (18..19)
         s1 = [x for x in range(n) if x == down[a * n + x]]
         s2 = [x for x in range(n) if a == up[x * n + a]]

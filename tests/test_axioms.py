@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,8 @@ from biquandles import (AxiomReport, BiquandleTable, enumerate_biquandles,
                         make_scalar_module, make_switch_biquandle,
                         trivial_biquandle, verify_biquandle,
                         yang_baxter_check)
-from biquandles.axioms import CLAUSE_IDS, satisfies_axioms
+from biquandles.axioms import (CLAUSE_IDS, _generator_points,
+                               satisfies_axioms)
 from biquandles.errors import SwitchError
 from biquandles.modules import _det, _mat_mul, counting_element_order
 from biquandles.tables import from_pair_map
@@ -203,9 +205,11 @@ class TestDoubleEntry:
                     assert verify_biquandle(table).passed, (m, s, t)
 
 
-def full_scan_report(table):
-    """(passed, violations) of the unrestricted kernel scan, 1-based."""
-    raw = kernels.axiom_scan(table.n, *table.flats())
+def full_scan_report(table, raw=None):
+    """(passed, violations) of the unrestricted kernel scan, 1-based;
+    ``raw`` is that scan when the caller has it already."""
+    if raw is None:
+        raw = kernels.axiom_scan(table.n, *table.flats())
     violations = tuple(sorted((CLAUSE_IDS[code], tuple(x + 1 for x in wit))
                               for code, wit in raw))
     return not violations, violations
@@ -250,12 +254,64 @@ def affine_sweep_tables():
     return tables
 
 
+def affine_op(m, k, u, v, w):
+    """Flat table of x * y = Ux + Vy + w over Z_m^k in canonical order."""
+    elems = list(itertools.product(range(m), repeat=k))
+    index = {e: i for i, e in enumerate(elems)}
+    ux, vy = ([tuple(sum(r * c for r, c in zip(row, x)) % m for row in mat)
+               for x in elems] for mat in (u, v))
+    return [index[tuple((p + q + z) % m for p, q, z in zip(x, y, w))]
+            for x in ux for y in vy]
+
+
+def random_affine_tables(count, seed):
+    """Marked tables x^y = Cx + Dy + c, x_y = Ay + Bx + c over small
+    Z_m^k, with any C, D, A, B and the barred operations inverting S.  In
+    every third one a barred operation is replaced by a random affine map,
+    so that axiom 1 fails too; axioms 2, 3 and 4 fail in many
+    combinations."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        m, k = rng.choice([(m, 1) for m in range(2, 10)] +
+                          [(2, 2), (3, 2), (2, 3)])
+
+        def mat():
+            return [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+
+        def vec():
+            return [rng.randrange(m) for _ in range(k)]
+
+        c = vec()
+        up, down = (affine_op(m, k, mat(), mat(), c) for _ in range(2))
+        basis = (0,) + tuple(m ** (k - 1 - i) for i in range(k))
+        try:
+            table = from_pair_map(m ** k, up, down, basis)
+        except SwitchError:
+            continue
+        if len(tables) % 3 == 2:
+            flats = list(table.flats())
+            flats[rng.choice((2, 3))] = affine_op(m, k, mat(), mat(), vec())
+            table = BiquandleTable.from_flats(table.n, *flats,
+                                              affine_basis=basis)
+        tables.append(table)
+    return tables
+
+
+def failing_units(raw):
+    """Each failing equation clause, and each failing solution group as the
+    code of its first clause (blame within a group may depend on where)."""
+    groups = {5: 4, 6: 4, 8: 7, 9: 7, 17: 16, 19: 18}
+    return {groups.get(code, code) for code, _ in raw}
+
+
 class TestAffineBasis:
-    """Axiom 3 of a marked affine table is decided on 1 + 2k pairs."""
+    """Every axiom of a marked affine table is decided on its generator
+    points: 1 + 2k pairs (a, b) and 1 + k elements a."""
 
     def test_verdict_agrees_with_full_scan(self):
         tables = affine_sweep_tables()
-        only_axiom_3 = 0
+        only_axiom_3 = fails_axiom_4 = 0
         for table in tables:
             assert table.affine_basis is not None
             expected = full_scan_report(table)
@@ -266,22 +322,51 @@ class TestAffineBasis:
             clauses = {cid for cid, _ in expected[1]}
             only_axiom_3 += bool(clauses) and all(
                 cid.startswith("3.") for cid in clauses)
-        assert only_axiom_3 >= 1
+            fails_axiom_4 += any(cid.startswith("4.") for cid in clauses)
+        assert only_axiom_3 >= 1 and fails_axiom_4 >= 1
+
+    def test_each_clause_fails_on_generator_points_iff_anywhere(self):
+        seen, without_3 = set(), set()
+        for table in random_affine_tables(200, seed=11):
+            pairs, singles = _generator_points(table.affine_basis)
+            full = kernels.axiom_scan(table.n, *table.flats())
+            limited = kernels.axiom_scan(table.n, *table.flats(),
+                                         pairs=pairs, singles=singles)
+            assert failing_units(limited) == failing_units(full)
+            report = verify_biquandle.__wrapped__(table)
+            assert (report.passed, report.violations) == \
+                full_scan_report(table, full)
+            axioms = {CLAUSE_IDS[code][0] for code in failing_units(full)}
+            seen |= failing_units(full)
+            if "3" not in axioms:
+                without_3 |= axioms
+        # every clause and group fails somewhere, and axioms 2 and 4 fail
+        # on tables whose axiom 3 holds, so no other failure masks them
+        assert seen == failing_units(
+            (code, None) for code in range(len(CLAUSE_IDS)))
+        assert without_3 == {"2", "4"}
 
     def test_marked_table_scans_few_axiom_3_pairs(self, monkeypatch):
+        # every axiom of a marked table is scanned on 1 + 2k pairs and
+        # 1 + k single elements; an unmarked copy is scanned in full
         table = make_alexander(make_module(
             3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
             ((1, 1, 0), (0, 1, 1), (0, 0, 1))))
         scan, seen = kernels.axiom_scan, []
 
-        def spy(*args, axiom3_pairs=None, **kwargs):
-            seen.append(None if axiom3_pairs is None else len(axiom3_pairs))
-            return scan(*args, axiom3_pairs=axiom3_pairs, **kwargs)
+        def spy(*args, pairs=None, singles=None, **kwargs):
+            seen.append((None if pairs is None else len(pairs),
+                         None if singles is None else len(singles)))
+            return scan(*args, pairs=pairs, singles=singles, **kwargs)
 
         monkeypatch.setattr(kernels, "axiom_scan", spy)
         assert verify_biquandle.__wrapped__(table).passed
         assert satisfies_axioms(table)
-        assert seen == [1 + 2 * 3] * 2
+        assert seen == [(1 + 2 * 3, 1 + 3)] * 2
+        seen.clear()
+        unmarked = BiquandleTable.from_flats(table.n, *table.flats())
+        assert verify_biquandle.__wrapped__(unmarked).passed
+        assert seen == [(None, None)]
 
     def test_marked_and_unmarked_tables_are_one_key(self):
         marked = make_alexander(make_scalar_module(9, 2, 4))

@@ -10,9 +10,10 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         enumerate_biquandles, enumerate_homomorphisms,
                         extract_witness, fixed_point_profile,
                         is_homomorphism, kernels, make_alexander,
-                        make_module, make_scalar_module, profiles_compatible,
-                        structural_iso, translation_map, trivial_biquandle,
-                        verify_biquandle)
+                        make_module, make_scalar_module, module_isomorphisms,
+                        one_minus_st_submodule, profiles_compatible,
+                        structural_iso, translation_map, transversal,
+                        trivial_biquandle, verify_biquandle)
 from biquandles.isomorphism import format_witness, witness_to_dict
 
 from conftest import scalar_modules
@@ -95,17 +96,19 @@ class TestProfiles:
 
 class TestStructural:
     def test_z8_swapped_parameters_not_isomorphic(self, monkeypatch):
-        # tables are built only to check an assembled witness, so a pair
-        # without one builds none
-        from biquandles import isomorphism
+        # the assembled witness is certified on the module, so neither a
+        # failing nor a succeeding pair builds a table
         built = []
-        monkeypatch.setattr(isomorphism, "make_alexander",
-                            lambda mod: built.append(mod) or
-                            make_alexander(mod))
+        store = BiquandleTable._store
+        monkeypatch.setattr(BiquandleTable, "_store",
+                            lambda table, n, flats: built.append(n) or
+                            store(table, n, flats))
         witness, _ = structural_iso(Z8_35, Z8_53)
         assert witness is None and built == []
         witness, _ = structural_iso(Z8_35, Z8_35)
-        assert witness is not None and built == [Z8_35, Z8_35]
+        assert witness is not None and built == []
+        make_alexander(Z8_35)
+        assert built == [8]
 
     def test_z8_closure_check_fails_for_both_candidates(self):
         # with representatives {0, 1} and the negation map on {0,2,4,6}:
@@ -191,6 +194,7 @@ def check_against_brute_force(a, b):
     witness, stats = structural_iso(a, b)
     assert (brute is None) == (witness is None), \
         (a.s_matrix, a.t_matrix, b.s_matrix, b.t_matrix)
+    assert stats.prunes["verify"] == 0
     if witness is not None:
         assert dict(witness.rep_map)[a.zero] == b.zero
         assert is_homomorphism(ta, tb, witness.perm)
@@ -320,6 +324,54 @@ class TestCycleWalk:
         found = [check_against_brute_force(a, b)[0] is not None
                  for a, b in random_rank_two_pairs(150, seed=8)]
         assert 40 < sum(found) < 150
+
+
+def certificate_cases(a, b, rng):
+    """(h, assembled map) for every submodule isomorphism h of a and b: the
+    structural rep map when h is the one it extends, rep maps drawn from
+    the (1-st) fibres that the structural search draws from, and rep maps
+    drawn from all of b.  All fix zero."""
+    sub_a, sub_b = one_minus_st_submodule(a), one_minus_st_submodule(b)
+    trans = transversal(a, sub_a)
+    witness, _ = structural_iso(a, b)
+    fibers = {}
+    for y in b.elements:
+        fibers.setdefault(b.act(b.one_minus_st, y), []).append(y)
+    for h in module_isomorphisms(sub_a, sub_b):
+        rep_maps = [dict(witness.rep_map)] if witness is not None and \
+            witness.submodule_map == h else []
+        for draw in range(8):
+            rep_maps.append({rep: rng.choice(
+                fibers[h(a.act(a.one_minus_st, rep))] if draw < 6
+                else b.elements) for rep in trans.reps})
+        for rep_map in rep_maps:
+            rep_map[a.zero] = b.zero
+            yield h, assemble_witness_map(a, b, h, rep_map)
+
+
+class TestCertificate:
+    def test_accepts_exactly_the_table_isomorphisms(self):
+        from biquandles.isomorphism import _certifies
+        rng = random.Random(7)
+        pairs = []
+        for m in range(2, 9):
+            mods = scalar_modules(m)
+            pairs += [(a, a) for a in mods[:3]]
+            pairs += [tuple(rng.sample(mods, 2)) for _ in range(4)
+                      if len(mods) > 1]
+        pairs += list(random_rank_two_pairs(8, seed=5))
+        verdicts = []
+        for a, b in pairs:
+            ta, tb = make_alexander(a), make_alexander(b)
+            for h, perm in certificate_cases(a, b, rng):
+                expected = sorted(perm) == list(range(1, b.size + 1)) and \
+                    is_homomorphism(ta, tb, perm)
+                assert _certifies(a, b, perm) == expected, \
+                    (a.s_matrix, a.t_matrix, b.s_matrix, b.t_matrix, perm)
+                bijective = len(set(perm)) == len(perm)
+                verdicts.append((expected, bijective))
+        # accepted maps, rejected bijections and rejected non-bijections
+        assert set(verdicts) == {(True, True), (False, True), (False, False)}
 
 
 class TestOracleEquivalence:
