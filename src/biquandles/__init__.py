@@ -28,8 +28,8 @@ from .modules import (FiniteModule, ModuleIso, Submodule, Transversal,
                       make_scalar_module, module_isomorphisms,
                       one_minus_st_submodule, s_orbit, translation_map,
                       transversal)
-from .tables import (BiquandleTable, from_blocks, is_homomorphism,
-                     parse_matrix, serialize_matrix, trivial_biquandle)
+from .tables import (BiquandleTable, is_homomorphism, parse_matrix,
+                     serialize_matrix, trivial_biquandle)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "all_isomorphisms", "assemble_witness_map", "brute_force_iso",
     "build_diagram", "count_gauss", "count_homs", "counting_element_order",
     "enumerate_biquandles", "enumerate_homomorphisms", "extract_witness",
-    "fixed_point_profile", "from_blocks", "is_homomorphism",
+    "fixed_point_profile", "is_homomorphism",
     "kernel_one_minus_s", "kishino_codes", "make_alexander", "make_module",
     "make_scalar_module", "make_switch_biquandle", "module_isomorphisms",
     "normalize_iso", "one_minus_st_submodule", "parse_gauss_code",

@@ -5,11 +5,12 @@ works for any pair of finite biquandles, and a structural search for module
 biquandles that pairs an intertwining isomorphism of the (1-st) submodules
 with a map of coset representatives chosen once per s-cycle of cosets.  The
 two must agree; the test suite sweeps them against each other.  Both get
-their maps from the one propagate-and-branch search, ``kernels.iter_maps``:
+their maps from the one propagate-and-branch search, ``kernels.iter_maps``,
+which yields maps in increasing lexicographic order of their image tuples:
 the first over the four biquandle tables, the second, through
-``module_isomorphisms``, over the submodules' addition and action tables,
-one submodule isomorphism at a time.  Enumeration runs no map search: it
-groups the tables it finds by a canonical form.
+``module_isomorphisms``, over the submodules' addition table and the table
+of x * y = s.x + t.y, one submodule isomorphism at a time.  Enumeration
+runs no map search: it groups the tables it finds by a canonical form.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ def _stats(raw) -> SearchStats:
 
 def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
                     ) -> tuple[Optional[tuple[int, ...]], SearchStats]:
-    """First isomorphism found by backtracking search, or None.
+    """The lexicographically least isomorphism, or None.
 
-    Both inputs must pass the axiom check.  The search assigns the most
-    constrained element next, filters candidate images by fixed-point
-    profile, and propagates forced images through all four operation
-    tables, so the returned witness is deterministic.
+    Both inputs must pass the axiom check.  The search assigns the first
+    unassigned element next, tries its images in increasing order, filters
+    them by fixed-point profile, and propagates forced images through all
+    four operation tables, so its first map is the least image tuple.
     """
     _require_biquandle(src, "source")
     _require_biquandle(dst, "target")
@@ -93,12 +94,13 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
 
 def all_isomorphisms(src: BiquandleTable, dst: BiquandleTable
                      ) -> list[tuple[int, ...]]:
-    """Every isomorphism, sorted canonically by image tuple."""
+    """Every isomorphism, in increasing lexicographic order of image
+    tuples (the search order)."""
     _require_biquandle(src, "source")
     _require_biquandle(dst, "target")
     maps, _ = kernels.search_maps(
         src.n, src.flats(), dst.n, dst.flats(), find_all=True)
-    return sorted(tuple(v + 1 for v in m) for m in maps)
+    return [tuple(v + 1 for v in m) for m in maps]
 
 
 def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
@@ -106,20 +108,31 @@ def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
                             fix: dict[int, int] | None = None,
                             require_bijection: bool = False
                             ) -> list[tuple[int, ...]]:
-    """All maps preserving the selected operations (1-based images).
+    """All maps preserving the selected operations (1-based images), in
+    increasing lexicographic order.
 
-    ``fix`` pre-assigns images.  With the default arguments this enumerates
-    every biquandle homomorphism; restricting ``ops`` to ("up", "down")
-    yields the maps satisfying only the unbarred equations.
+    ``fix`` pre-assigns images, source element -> target element.  With the
+    default arguments this enumerates every biquandle homomorphism;
+    restricting ``ops`` to ("up", "down") yields the maps satisfying only
+    the unbarred equations.  An unknown kind or a ``fix`` entry that is not
+    an element of its side raises ``ValueError``.
     """
     mask = 0
     for kind in ops:
+        if kind not in _OP_BITS:
+            raise ValueError(f"unknown operation kind {kind!r}")
         mask |= _OP_BITS[kind]
-    fixed = tuple((i - 1, j - 1) for i, j in (fix or {}).items())
+    fix = fix or {}
+    for i, j in fix.items():
+        if type(i) is not int or not 1 <= i <= src.n:
+            raise ValueError(f"fix key {i!r} outside 1..{src.n}")
+        if type(j) is not int or not 1 <= j <= dst.n:
+            raise ValueError(f"fix value {j!r} outside 1..{dst.n}")
     maps, _ = kernels.search_maps(
         src.n, src.flats(), dst.n, dst.flats(), ops_mask=mask,
-        require_bijection=require_bijection, fixed=fixed, find_all=True)
-    return sorted(tuple(v + 1 for v in m) for m in maps)
+        require_bijection=require_bijection,
+        fixed=[(i - 1, j - 1) for i, j in fix.items()], find_all=True)
+    return [tuple(v + 1 for v in m) for m in maps]
 
 
 @dataclass(frozen=True)

@@ -332,20 +332,19 @@ class ModuleIso:
 
 
 def _op_tables(sub: Submodule) -> tuple[tuple[int, ...], ...]:
-    """x + y, x + s.y and x + t.y as flat tables over ``sub.elements``.
+    """x + y and x * y = s.x + t.y as flat tables over ``sub.elements``.
 
-    A zero-fixing bijection preserving all three is additive, and setting
-    x = 0 shows it intertwines s and t; the converse is immediate.  The two
-    action tables permute the columns of the addition table.
+    A zero-fixing bijection h preserving both is additive, and it
+    intertwines the actions: h(s.x) = h(x * 0) = s'.h(x) and
+    h(t.y) = h(0 * y) = t'.h(y).  The converse is immediate.
     """
     mod = sub.module
     index = {e: i for i, e in enumerate(sub.elements)}
     plus = _addition_table(mod.m, index)
-    columns = (range(len(plus)),
-               [index[mod.act_s(y)] for y in sub.elements],
-               [index[mod.act_t(y)] for y in sub.elements])
-    return tuple(tuple(row[c] for row in plus for c in cols)
-                 for cols in columns)
+    s_of = [index[mod.act_s(x)] for x in sub.elements]
+    t_of = [index[mod.act_t(y)] for y in sub.elements]
+    return (tuple(c for row in plus for c in row),
+            tuple(plus[i][j] for i in s_of for j in t_of))
 
 
 def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
@@ -368,10 +367,6 @@ def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
         yield ModuleIso(tuple(sorted((x, ys[j]) for x, j in zip(xs, f))))
 
 
-def translation_map(module: FiniteModule, z: Elem,
-                    element_order: tuple[Elem, ...] | None = None
-                    ) -> tuple[int, ...]:
+def translation_map(module: FiniteModule, z: Elem) -> tuple[int, ...]:
     """The map x -> x + z as a 1-based permutation of table indices."""
-    order = element_order or module.elements
-    index = {e: i for i, e in enumerate(order, start=1)}
-    return tuple(index[module.add(x, z)] for x in order)
+    return tuple(module.index[module.add(x, z)] for x in module.elements)

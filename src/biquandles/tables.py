@@ -111,13 +111,6 @@ class BiquandleTable:
         return self._flats[KINDS.index(kind)][(a - 1) * n + b - 1] + 1
 
 
-def from_blocks(up, down, upbar, downbar) -> BiquandleTable:
-    """Build a table from four 1-based row-iterables, inferring the order."""
-    blocks = [tuple(tuple(row) for row in blk)
-              for blk in (up, down, upbar, downbar)]
-    return BiquandleTable(len(blocks[0]), *blocks)
-
-
 def from_pair_map(n: int, up, down, affine_basis=None) -> BiquandleTable:
     """Table whose barred operations invert S(a, b) = (b_a, a^b).
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,25 @@ class TestBruteForce:
         # frozen by the 3!-scan: identity and x -> 2x
         table = make_alexander(make_scalar_module(3, 2, 1))
         assert all_isomorphisms(table, table) == [(1, 2, 3), (1, 3, 2)]
+
+    def test_search_order_matches_permutation_scan(self):
+        # oracle: itertools.permutations yields candidates in lexicographic
+        # order, so the witness is the first one that passes and the full
+        # list is every one that does, in generation order.  On the Z_8
+        # pair a most-constrained-first search finds another isomorphism
+        # before the least one.
+        pairs = [(ta, tb) for n in (2, 3, 4, 5) for ta, tb in
+                 itertools.product(map(make_alexander, scalar_modules(n)),
+                                   repeat=2)]
+        pairs.append((make_alexander(make_scalar_module(8, 3, 5)),
+                      make_alexander(make_scalar_module(8, 7, 5))))
+        for ta, tb in pairs:
+            n = ta.n
+            isos = [f for f in itertools.permutations(range(1, n + 1))
+                    if is_homomorphism(ta, tb, f)]
+            witness, _ = brute_force_iso(ta, tb)
+            assert witness == (isos[0] if isos else None)
+            assert all_isomorphisms(ta, tb) == isos
 
     def test_witness_and_inverse_are_homomorphisms(self):
         for mod_b in (make_scalar_module(5, 3, 2),
@@ -495,6 +515,43 @@ class TestHomEnumeration:
         homs = enumerate_homomorphisms(table, table)
         assert (1, 2, 3) in homs and (1, 3, 2) in homs
         assert set(all_isomorphisms(table, table)) <= set(homs)
+
+
+    def test_matches_product_scan_in_order(self):
+        def preserves(src, dst, f, kinds):
+            return all(f[src.op(kind, a, b) - 1] ==
+                       dst.op(kind, f[a - 1], f[b - 1])
+                       for kind in kinds
+                       for a in range(1, src.n + 1)
+                       for b in range(1, src.n + 1))
+
+        pairs = [((3, 2, 1), (3, 2, 1)), ((4, 3, 3), (4, 3, 1)),
+                 ((5, 2, 3), (5, 2, 3)), ((5, 2, 3), (5, 3, 2)),
+                 ((5, 4, 4), (5, 4, 2))]
+        for (m, s, t), (m2, s2, t2) in pairs:
+            src = make_alexander(make_scalar_module(m, s, t))
+            dst = make_alexander(make_scalar_module(m2, s2, t2))
+            maps = list(itertools.product(range(1, dst.n + 1),
+                                          repeat=src.n))
+            for ops in (("up", "down", "upbar", "downbar"), ("up", "down")):
+                expected = [f for f in maps if preserves(src, dst, f, ops)]
+                assert enumerate_homomorphisms(src, dst, ops=ops) == expected
+                assert enumerate_homomorphisms(
+                    src, dst, ops=ops, fix={2: 3}) == \
+                    [f for f in expected if f[1] == 3]
+
+    def test_bad_fix_and_ops_refused(self):
+        table = make_alexander(make_scalar_module(5, 2, 3))
+        cases = [({"fix": {0: 1}}, "fix key 0 outside 1..5"),
+                 ({"fix": {6: 1}}, "fix key 6 outside 1..5"),
+                 ({"fix": {"1": 1}}, "fix key '1' outside 1..5"),
+                 ({"fix": {1: 0}}, "fix value 0 outside 1..5"),
+                 ({"fix": {1: 7}}, "fix value 7 outside 1..5"),
+                 ({"fix": {1: 1.0}}, "fix value 1.0 outside 1..5"),
+                 ({"ops": ("up", "over")}, "unknown operation kind 'over'")]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                enumerate_homomorphisms(table, table, **kwargs)
 
 
 class TestEnumeration:
