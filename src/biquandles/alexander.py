@@ -34,25 +34,40 @@ def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
                   amat: Mat, bmat: Mat, shift: Elem) -> BiquandleTable:
     """Table of x^y = Cx + Dy + c, x_y = Ay + Bx + c; index i is order[i].
 
-    Each matrix is applied once per element and every sum is read from one
-    addition table of the group.  The barred operations invert the pair
-    map, so a non-bijective one raises ``SwitchError``.  The table's
-    ``affine_basis`` holds the indices of the zero vector and of the unit
-    vectors, which lets ``verify_biquandle`` decide axiom 3 on 1 + 2k
-    pairs.
+    The matrices are applied to the unit vectors only, and every sum is
+    read from one addition table of the group.  A walk from zero along the
+    unit vectors reaches each other element y once, as y = x + e_g from an
+    element x reached before it, so a linear map f has f(y) = f(x) + f(e_g).
+    The barred operations invert the pair map, so a non-bijective one
+    raises ``SwitchError``.  The table's ``affine_basis`` holds the indices
+    of the zero vector and of the unit vectors, which lets
+    ``verify_biquandle`` decide axiom 3 on 1 + 2k pairs.
     """
     index = {e: i for i, e in enumerate(order)}
     plus = _addition_table(m, index)
     shifted = plus[index[shift]]
+    units = _identity(len(shift))
+    basis = (index[(0,) * len(shift)],) + tuple(index[e] for e in units)
+    zero, gens = basis[0], basis[1:]
+    steps, walked, seen = [], [zero], {zero}
+    for x in walked:
+        for g, e_g in enumerate(gens):
+            y = plus[x][e_g]
+            if y not in seen:
+                seen.add(y)
+                walked.append(y)
+                steps.append((y, x, g))
 
     def images(mat):
-        return [index[_mat_vec(mat, x, m)] for x in order]
+        cols = [index[_mat_vec(mat, e, m)] for e in units]
+        img = [zero] * len(order)
+        for y, x, g in steps:
+            img[y] = plus[img[x]][cols[g]]
+        return img
 
     cx, dy, bx, ay = map(images, (cmat, dmat, bmat, amat))
     up = [row[y] for row in [plus[shifted[x]] for x in cx] for y in dy]
     down = [row[y] for row in [plus[shifted[x]] for x in bx] for y in ay]
-    basis = (index[(0,) * len(shift)],) + tuple(
-        index[e] for e in _identity(len(shift)))
     return from_pair_map(len(order), up, down, basis)
 
 

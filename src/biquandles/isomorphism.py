@@ -23,7 +23,6 @@ from . import kernels
 from .alexander import normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
-from .kernels import _profiles
 from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
                       format_elem, module_isomorphisms,
                       one_minus_st_submodule, transversal)
@@ -59,10 +58,12 @@ def fixed_point_profile(table: BiquandleTable) -> tuple[tuple, ...]:
 
     For each element and each operation: how many right operands fix it,
     how many left operands are fixed by it, and whether it fixes itself.
+    ``kernels._profiles`` reads all three from one mask per operation,
+    t(i, j) == i, counted by row, counted by column, and on the diagonal.
     Isomorphic tables have equal sorted profiles; the map search filters
     candidate images by them.
     """
-    return tuple(_profiles(table.n, table.flats(), kernels.ALL_OPS))
+    return tuple(kernels._profiles(table.n, table.flats(), kernels.ALL_OPS))
 
 
 def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:

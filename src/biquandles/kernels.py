@@ -16,6 +16,7 @@ uniquely but disagree.
 
 import itertools
 from collections import Counter
+from operator import eq
 
 BACKEND = "pure"
 
@@ -198,18 +199,25 @@ def yang_baxter(n, up, down):
 
 
 def _profiles(n, tables, mask):
-    """Per-element fingerprints preserved by bijective op-preserving maps."""
-    profs = []
-    for a in range(n):
-        prof = []
-        for bit, t in zip((OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR), tables):
-            if not mask & bit:
-                continue
-            rowfix = sum(1 for b in range(n) if t[a * n + b] == a)
-            colfix = sum(1 for b in range(n) if t[b * n + a] == b)
-            prof.append((rowfix, colfix, t[a * n + a] == a))
-        profs.append(tuple(prof))
-    return profs
+    """Per-element fingerprints preserved by bijective op-preserving maps.
+
+    Element a gets one (rowfix, colfix, selffix) triple per table selected
+    by ``mask``: how many b have t(a, b) = a, how many b have t(b, a) = b,
+    and whether t(a, a) = a.  All three come from one mask per table,
+    fixed[i*n + j] = (t(i, j) == i): its counts per row, its counts per
+    column, and its diagonal.
+    """
+    row_of = [i for i in range(n) for _ in range(n)]
+    col_of = list(range(n)) * n
+    per_table = []
+    for bit, t in zip((OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR), tables):
+        if mask & bit:
+            fixed = list(map(eq, t, row_of))
+            rows = Counter(itertools.compress(row_of, fixed))
+            cols = Counter(itertools.compress(col_of, fixed))
+            per_table.append([(rows[a], cols[a], d)
+                              for a, d in enumerate(fixed[::n + 1])])
+    return list(zip(*per_table)) or [()] * n
 
 
 def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,

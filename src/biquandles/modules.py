@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -30,7 +31,7 @@ def _as_matrix(m: int, k: int, rows, name: str) -> Mat:
 
 
 def _mat_vec(mat: Mat, vec: Elem, m: int) -> Elem:
-    return tuple(sum(r * v for r, v in zip(row, vec)) % m for row in mat)
+    return tuple([sum(map(mul, row, vec)) % m for row in mat])
 
 
 def _mat_mul(a: Mat, b: Mat, m: int) -> Mat:

@@ -20,6 +20,11 @@ def blocks(table):
     return (table.up, table.down, table.upbar, table.downbar)
 
 
+def zero_and_units(k):
+    return [(0,) * k] + [tuple(int(i == j) for j in range(k))
+                         for i in range(k)]
+
+
 def orders(m, k):
     return (tuple(itertools.product(range(m), repeat=k)),
             counting_element_order(m, k))
@@ -190,6 +195,58 @@ class TestFormulaOracle:
         for order in orders(m, 2):
             assert blocks(make_alexander(mod, order)) == \
                 alexander_blocks(m, s, t, order)
+
+    @pytest.mark.parametrize("m,k,s,t", [
+        (7, 1, ((3,),), ((5,),)),
+        (3, 2, ((1, 1), (0, 1)), ((2, 0), (0, 2))),
+        (5, 2, ((1, 1), (0, 1)), ((4, 0), (0, 4))),
+        (2, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+         ((1, 0, 1), (0, 1, 0), (0, 0, 1))),
+    ])
+    def test_alexander_shuffled_orders(self, m, k, s, t):
+        # zero is not first and the unit vectors sit anywhere in the order
+        mod = make_module(m, k, s, t)
+        rng = random.Random(f"shuffled:{m}^{k}")
+        for _ in range(4):
+            order = rng.sample(mod.elements, len(mod.elements))
+            table = make_alexander(mod, order)
+            assert blocks(table) == alexander_blocks(m, s, t, order)
+            assert [order[i] for i in table.affine_basis] == \
+                zero_and_units(k)
+
+    @pytest.mark.parametrize("m,k,a,b,c", [
+        (2, 2, SWITCH_A, SWITCH_B, (1, 1)),
+        (3, 2, SWITCH_A, SWITCH_B, (1, 2)),
+        (5, 1, ((2,),), ((3,),), (4,)),
+    ])
+    def test_switch_shuffled_orders(self, m, k, a, b, c):
+        rng = random.Random(f"shuffled-switch:{m}^{k}")
+        elements = list(itertools.product(range(m), repeat=k))
+        for _ in range(4):
+            order = rng.sample(elements, len(elements))
+            table = make_switch_biquandle(m, k, a, b, c, order).table
+            assert blocks(table) == switch_blocks(m, a, b, c, order)
+            assert [order[i] for i in table.affine_basis] == \
+                zero_and_units(k)
+
+    def test_matrices_applied_to_unit_vectors_only(self, monkeypatch):
+        # a Z_3^3 table needs the images of the k unit vectors under each of
+        # the four matrices, not the images of all 27 elements
+        calls = []
+        mat_vec = alexander._mat_vec
+
+        def spy(mat, vec, m):
+            calls.append(vec)
+            return mat_vec(mat, vec, m)
+
+        monkeypatch.setattr(alexander, "_mat_vec", spy)
+        k = 3
+        mod = make_module(3, k, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+                          ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+        table = make_alexander(mod)
+        assert 0 < len(calls) <= 4 * k + 4
+        assert blocks(table) == alexander_blocks(
+            3, mod.s_matrix, mod.t_matrix, mod.elements)
 
     def test_random_switches(self):
         rng = random.Random(31)

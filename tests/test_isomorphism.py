@@ -106,6 +106,33 @@ class TestProfiles:
                 witness, _ = brute_force_iso(tables[a], tables[b])
                 assert witness is None, (a.describe(), b.describe())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 27])
+    def test_kernel_profiles_match_elementwise_loop(self, n):
+        def literal(tables, mask):
+            profs = []
+            for a in range(n):
+                prof = []
+                for bit, t in enumerate(tables):
+                    if mask >> bit & 1:
+                        rowfix = sum(1 for b in range(n) if t[a * n + b] == a)
+                        colfix = sum(1 for b in range(n) if t[b * n + a] == b)
+                        prof.append((rowfix, colfix, t[a * n + a] == a))
+                profs.append(tuple(prof))
+            return profs
+
+        rng = random.Random(f"profiles:{n}")
+        for _ in range(3):
+            # rows that are permutations, and entries drawn independently
+            perms = [tuple(v for _ in range(n)
+                           for v in rng.sample(range(n), n))
+                     for _ in range(2)]
+            free = [tuple(rng.randrange(n) for _ in range(n * n))
+                    for _ in range(2)]
+            tables = perms + free
+            for mask in range(16):
+                assert kernels._profiles(n, tables, mask) == \
+                    literal(tables, mask), (n, mask)
+
     def test_profiles_preserved_by_isomorphism(self):
         table = make_alexander(make_scalar_module(5, 2, 3))
         prof = fixed_point_profile(table)

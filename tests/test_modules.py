@@ -54,6 +54,15 @@ class TestMakeModule:
         assert mod.size == 9
 
 
+def test_mat_vec_reduces_unreduced_and_negative_entries():
+    mat = ((7, -3, 12), (-14, 0, 5), (1, -1, -20))
+    vec = (4, -2, 9)
+    m = 6
+    want = tuple((mat[i][0] * vec[0] + mat[i][1] * vec[1] +
+                  mat[i][2] * vec[2]) % m for i in range(3))
+    assert _mat_vec(mat, vec, m) == want == (4, 1, 0)
+
+
 class TestMatInv:
     def test_random_matrices_match_bijectivity(self):
         # invertible mod m iff x -> Ax permutes Z_m^k, checked by brute force
