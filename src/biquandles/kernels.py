@@ -16,7 +16,7 @@ uniquely but disagree.
 
 import itertools
 from collections import Counter
-from operator import eq
+from operator import eq, itemgetter
 
 BACKEND = "pure"
 
@@ -358,9 +358,16 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     0-based arc ids.  A frontier contraction, the state-sum view of Carter,
     Jelsovsky, Kamada, Langford and Saito: a map {labels of open arcs: count}
     absorbs the crossing sharing the most open arcs (then opening the fewest,
-    then first listed), joining its n^2 valid rows on the shared labels.  An
-    arc is summed out once both of its crossing slots are done; with
-    ``keep`` none is, so the final keys are the full labelings.  More than
+    then first listed).  An arc is summed out once both of its crossing
+    slots are done; with ``keep`` none is, so the final keys are the full
+    labelings.
+
+    A crossing's valid rows come from the n^2 quads (x, y, x^y, y_x) of its
+    sign, built once per call.  Its relation keeps the quads that agree on
+    tied slots (an arc met twice, as at a kink) and groups them as
+    {labels of shared arcs: [labels of new arcs]}; it depends only on the
+    crossing's pattern (sign, ties, shared slots, new slots), so it is built
+    once per pattern.  States join it through tuple projections.  More than
     ``MAX_STATES`` states raise ``ValueError``.  Returns (count, sorted
     0-based assignments or None).
     """
@@ -369,14 +376,16 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     opened = free if keep else []
     states = dict.fromkeys(itertools.product(range(n), repeat=len(opened)),
                            1 if keep else n ** len(free))
-    todo = list(crossings)
+    arc_sets = [set(crossing[1:]) for crossing in crossings]
+    quads, relations = {}, {}
+    todo = list(range(len(crossings)))
     while todo:
         pos = {a: i for i, a in enumerate(opened)}
-        crossing = min(todo, key=lambda c: (
-            -sum(a in pos for a in set(c[1:])),
-            sum(a not in pos for a in set(c[1:]))))
-        todo.remove(crossing)
-        sign, *arcs = crossing
+        best = min(todo, key=lambda c: (
+            -len(arc_sets[c].intersection(pos)),
+            len(arc_sets[c].difference(pos))))
+        todo.remove(best)
+        sign, *arcs = crossings[best]
         for arc in arcs:
             left[arc] -= 1
         ids = list(dict.fromkeys(arcs))
@@ -384,20 +393,22 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
         new = [a for a in ids if a not in pos and (keep or left[a])]
         stay = [i for i, a in enumerate(opened) if keep or left[a]]
         opened = [opened[i] for i in stay] + new
-        op_u, op_o = (up, down) if sign > 0 else (upbar, downbar)
-        rows = {}
-        for x in range(n):
-            for y in range(n):
-                lab = {}
-                if all(lab.setdefault(a, v) == v for a, v in zip(
-                        arcs, (x, y, op_u[x * n + y], op_o[y * n + x]))):
-                    rows.setdefault(tuple(lab[a] for a in ids if a in pos),
-                                    []).append(tuple(lab[a] for a in new))
+        pattern = (sign, tuple(map(arcs.index, arcs)),
+                   tuple(arcs.index(a) for a in ids if a in pos),
+                   tuple(map(arcs.index, new)))
+        rel = relations.get(pattern)
+        if rel is None:
+            if sign not in quads:
+                quads[sign] = _quads(n, *((up, down) if sign > 0
+                                          else (upbar, downbar)))
+            rel = relations[pattern] = _relation(quads[sign], *pattern[1:])
+        rest, common, get = _proj(stay), _proj(shared), rel.get
         out = {}
         for key, cnt in states.items():
-            rest = tuple(key[i] for i in stay)
-            for tail in rows.get(tuple(key[i] for i in shared), ()):
-                out[rest + tail] = out.get(rest + tail, 0) + cnt
+            head = rest(key)
+            for tail in get(common(key), ()):
+                k = head + tail
+                out[k] = out.get(k, 0) + cnt
             if len(out) > MAX_STATES:
                 raise ValueError(
                     f"labeling frontier exceeds {MAX_STATES} states")
@@ -405,4 +416,34 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     if not keep:
         return sum(states.values()), None
     perm = sorted(range(n_arcs), key=opened.__getitem__)
-    return len(states), sorted(tuple(k[i] for i in perm) for k in states)
+    return len(states), sorted(map(_proj(perm), states))
+
+
+def _quads(n, op_u, op_o):
+    """(x, y, op_u(x, y), op_o(y, x)) for every pair, x-major."""
+    transposed = itertools.chain.from_iterable(op_o[x::n] for x in range(n))
+    return [(x, y, u, o) for (x, y), u, o in zip(
+        itertools.product(range(n), repeat=2), op_u, transposed)]
+
+
+def _relation(quads, ties, key_slots, tail_slots):
+    """{quad[key_slots]: [quad[tail_slots], ...]} over the quads with
+    quad[ties[i]] == quad[i] for every slot i."""
+    if ties != (0, 1, 2, 3):
+        tied = itemgetter(*ties)
+        quads = [q for q in quads if tied(q) == q]
+    rel = {}
+    for key, tail in zip(map(_proj(key_slots), quads),
+                         map(_proj(tail_slots), quads)):
+        rel.setdefault(key, []).append(tail)
+    return rel
+
+
+def _proj(slots):
+    """Callable taking a tuple to the tuple of its items at ``slots``; a
+    slice stands in for one slot or none, where itemgetter would not give a
+    tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    start = slots[0] if slots else 0
+    return itemgetter(slice(start, start + len(slots)))

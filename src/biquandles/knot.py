@@ -136,8 +136,11 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     frontier contraction (``kernels.diagram_count``): crossings are joined
     one at a time into a map from the labels of still-open semi-arcs to
     counts, so the cost follows the widest frontier rather than the number
-    of crossings.  A frontier past ``kernels.MAX_STATES`` states
-    raises ``ValueError``.
+    of crossings.  Each crossing's relation {labels of shared arcs: labels
+    of new arcs} is built once per crossing pattern from the target's n^2
+    pairs and joined through tuple projections.  A frontier past
+    ``kernels.MAX_STATES`` states raises ``ValueError``.  Kept assignments
+    are 1-based, in the kernel's sorted order.
     """
     report = verify_biquandle(target)
     if not report.passed:
@@ -147,7 +150,7 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
         keep=keep_assignments)
     assignments = None
     if keep_assignments:
-        assignments = tuple(tuple(v + 1 for v in s) for s in sorted(sols))
+        assignments = tuple(tuple(v + 1 for v in s) for s in sols)
     return HomCountReport(count, target.n, assignments)
 
 

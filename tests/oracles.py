@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's kernels: axiom clauses are
 spelled out over `BiquandleTable.op`, the Yang-Baxter check composes explicit
-pair maps, the labeling counter enumerates the full assignment space, the
-affine tables are evaluated pair by pair from their formulas without the
-library's builders or matrix helpers, and submodule isomorphisms are
-filtered from every zero-fixing bijection.
+pair maps, the labeling counters enumerate the full assignment space or
+solve the linear system of an Alexander target mod m, the affine tables
+are evaluated pair by pair from their formulas without the library's
+builders or matrix helpers, and submodule isomorphisms are filtered from
+every zero-fixing bijection.
 """
 
 import itertools
+import math
 
 
 def _op(table, kind):
@@ -120,6 +122,120 @@ def naive_labeling_count(diagram, table):
                 break
         count += ok
     return count
+
+
+def naive_labelings(diagram, table):
+    """Every 1-based assignment in the full n^(semi-arcs) space that is
+    consistent at every crossing, in lexicographic order."""
+    found = []
+    for assign in itertools.product(range(1, table.n + 1),
+                                    repeat=diagram.semi_arcs):
+        for sign, ui, oi, uo, oo in diagram.crossings:
+            up, down = ("up", "down") if sign > 0 else ("upbar", "downbar")
+            if assign[uo] != table.op(up, assign[ui], assign[oi]) or \
+                    assign[oo] != table.op(down, assign[oi], assign[ui]):
+                break
+        else:
+            found.append(assign)
+    return found
+
+
+def smith_labeling_count(code, m, s, t):
+    """Labelings of a signed OU Gauss code by the Alexander biquandle of the
+    commuting k x k matrices s, t over Z_m, counted as solutions of a linear
+    system mod m.
+
+    The code is parsed here: semi-arc i leaves passage i.  A positive
+    crossing asks under_out = t under_in + (1 - st) over_in and
+    over_out = s over_in; a negative one uses the barred operations, the
+    inverse pair map, so the same equations hold with in and out swapped.
+    """
+    tokens = [(tok[0], int(tok[1:-1]), tok[-1])
+              for tok in code.split(",")] if code.strip() else []
+    total = len(tokens) or 1
+    where = {}
+    for pos, (passage, label, sign) in enumerate(tokens):
+        where.setdefault(label, {})[passage] = pos
+        where[label]["sign"] = sign
+    k = len(s)
+    one_minus_st = tuple(tuple((i - j) % m for i, j in zip(ri, rj))
+                         for ri, rj in zip(_ident(k), _mul(s, t, m)))
+    rows = []
+
+    def relation(lhs, *terms):
+        # v[lhs] - sum of mat v[arc] over the terms = 0, per coordinate
+        for r in range(k):
+            row = [0] * (total * k)
+            row[lhs * k + r] += 1
+            for mat, arc in terms:
+                for c in range(k):
+                    row[arc * k + c] -= mat[r][c]
+            rows.append(row)
+
+    for place in where.values():
+        over, under = place["O"], place["U"]
+        ui, oi = (under - 1) % total, (over - 1) % total
+        if place["sign"] == "-":
+            ui, oi, under, over = under, over, ui, oi
+        relation(under, (t, ui), (one_minus_st, oi))
+        relation(over, (s, oi))
+    return _homogeneous_count(rows, total * k, m)
+
+
+def _homogeneous_count(rows, ncols, m):
+    """Number of v in Z_m^ncols with rows . v = 0 (mod m).
+
+    Diagonalizes with unimodular row and column operations; a pivot that
+    does not divide an entry of its row or column is replaced by their gcd,
+    so pivots only shrink and the loop ends.  Diagonal entry d gives
+    gcd(d, m) solutions, and a column without a pivot is free.
+    """
+    a = [[x % m for x in row] for row in rows]
+    count = 1
+    done = 0
+    while True:
+        pivot = next(((i, j) for i in range(done, len(a))
+                      for j in range(done, ncols) if a[i][j]), None)
+        if pivot is None:
+            return count * m ** (ncols - done)
+        i, j = pivot
+        a[done], a[i] = a[i], a[done]
+        for row in a:
+            row[done], row[j] = row[j], row[done]
+        dirty = True
+        while dirty:
+            for i in range(done + 1, len(a)):
+                if a[i][done]:
+                    x, y, p, q = _gcd_step(a[done][done], a[i][done])
+                    rt, ri = a[done], a[i]
+                    a[done] = [(x * u + y * v) % m for u, v in zip(rt, ri)]
+                    a[i] = [(p * u + q * v) % m for u, v in zip(rt, ri)]
+            dirty = False
+            for j in range(done + 1, ncols):
+                if a[done][j]:
+                    x, y, p, q = _gcd_step(a[done][done], a[done][j])
+                    for row in a:
+                        u, v = row[done], row[j]
+                        row[done] = (x * u + y * v) % m
+                        row[j] = (p * u + q * v) % m
+                    dirty = True
+        count *= math.gcd(a[done][done], m)
+        done += 1
+
+
+def _gcd_step(a, b):
+    """Unimodular [[x, y], [p, q]] taking (a, b) to (g, 0): g = a when a
+    divides b, otherwise g = gcd(a, b) < a."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    r0, r1 = a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, -(b // r0), a // r0
 
 
 def braid_closure_code(word):

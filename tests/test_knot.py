@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -5,14 +7,15 @@ from hypothesis import strategies as st
 import biquandles
 from biquandles import (GaussCodeError, build_diagram, cli, count_gauss,
                         count_homs, kernels, kishino_codes, make_alexander,
-                        make_scalar_module, parse_gauss_code,
+                        make_module, make_scalar_module, parse_gauss_code,
                         reidemeister_suite, serialize_matrix,
                         trivial_biquandle)
 from biquandles.knot import (KINK_POSITIVE, MIRROR_BRAID, MIRROR_BRAID_R3,
                              R2_POKE, REIDEMEISTER_PAIRS, TREFOIL,
                              TREFOIL_BRAID, TREFOIL_BRAID_R3)
 
-from oracles import braid_closure_code, naive_labeling_count
+from oracles import (braid_closure_code, naive_labeling_count,
+                     naive_labelings, smith_labeling_count)
 
 
 def gauss_codes_strategy(max_crossings=3):
@@ -67,6 +70,30 @@ def move_related_codes(draw, max_base=3, max_moves=3):
                 lambda j: j != at + 1))
             tokens[at2:at2] = under
     return base, ",".join(tokens)
+
+
+def seeded_braid_closures(seed, count):
+    """(strands, code) of seeded random braid closures that are knots:
+    2-4 strands, 10-40 crossings of both signs.  A w-strand closure's
+    frontier can hold n^w states, so 4-strand words stop at 20 crossings."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        strands = rng.randint(2, 4)
+        word = [(rng.randrange(1, strands), rng.choice((1, -1)))
+                for _ in range(rng.randint(10, 40 if strands < 4 else 20))]
+        code = braid_closure_code(word)
+        if code is not None:
+            found.append((strands, code))
+    return found
+
+
+# (m, s, t) of the Alexander targets checked against the Smith-form oracle
+SMITH_TARGETS = {
+    "z8_3_5": (8, ((3,),), ((5,),)),
+    "z3_2_1": (3, ((2,),), ((1,),)),
+    "z7_rank2": (7, ((1, 1), (0, 1)), ((3, 1), (0, 3))),
+}
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +249,31 @@ class TestCountHoms:
         for crossings, expected in ((11, 8), (21, 8)):
             code = braid_closure_code([(1, 1)] * crossings)
             assert count_gauss(code, target) == expected
+
+    @pytest.mark.parametrize("name", SMITH_TARGETS)
+    def test_braid_closures_against_smith_oracle(self, name):
+        m, s, t = SMITH_TARGETS[name]
+        target = make_alexander(make_module(m, len(s), s, t))
+        for strands, code in seeded_braid_closures(0, 20):
+            # at order 49 a 3-strand closure takes seconds, so the rank-2
+            # module counts the 2-strand ones only
+            if target.n > 8 and strands > 2:
+                continue
+            assert count_gauss(code, target) == \
+                smith_labeling_count(code, m, s, t), code
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(codes=move_related_codes(max_base=2, max_moves=2))
+    def test_kept_assignments_are_the_naive_solutions(self, z2z2_table,
+                                                      codes):
+        assume(codes[1].count(",") < 8)
+        z3 = make_alexander(make_scalar_module(3, 2, 1))
+        for text in codes:
+            diagram = build_diagram(parse_gauss_code(text))
+            for target in (z2z2_table, z3, trivial_biquandle(2)):
+                report = count_homs(diagram, target, keep_assignments=True)
+                assert list(report.assignments) == \
+                    naive_labelings(diagram, target), text
 
     def test_state_bound(self, monkeypatch, tmp_path, capsys):
         target = make_alexander(make_scalar_module(8, 3, 5))
