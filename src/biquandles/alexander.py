@@ -3,72 +3,64 @@
 One builder makes both families of affine switches x^y = Cx + Dy + c,
 x_y = Ay + Bx + c: the Laurent-module biquandle x^y = tx + (1-st)y, x_y = sx
 (C = t, D = 1 - st, A = 0, B = s, c = 0), and the switch construction with
-C, D derived from invertible A, B.  The barred operations are forced by the
-inverse of the pair map S(a, b) = (b_a, a^b).
+C, D derived from invertible A, B.  The barred operations invert the pair
+map S(a, b) = (b_a, a^b), which is affine too, so the builder writes all
+four operations the same way, on the module's canonical indices and through
+its one addition table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import ModuleError, SwitchError, WitnessError
-from .modules import (Elem, FiniteModule, Mat, _addition_table, _as_matrix,
-                      _identity, _mat_inv, _mat_mul, _mat_sub, _mat_vec,
-                      kernel_one_minus_s, translation_map)
-from .tables import BiquandleTable, from_pair_map, is_homomorphism
+from .modules import (Elem, FiniteModule, _as_matrix, _identity, _mat_inv,
+                      _mat_mul, _mat_sub, kernel_one_minus_s,
+                      translation_map)
+from .tables import BiquandleTable, is_homomorphism
 
 
 def _resolve_order(module_elements, element_order, m):
     if element_order is None:
-        return tuple(module_elements)
+        return None
     order = tuple(tuple(int(c) % m for c in e) for e in element_order)
     if sorted(order) != sorted(module_elements):
         raise ValueError("element_order must enumerate every element once")
     return order
 
 
-def _affine_table(m: int, order: tuple[Elem, ...], cmat: Mat, dmat: Mat,
-                  amat: Mat, bmat: Mat, shift: Elem) -> BiquandleTable:
-    """Table of x^y = Cx + Dy + c, x_y = Ay + Bx + c; index i is order[i].
+def _inverse(perm: list[int]) -> list[int]:
+    """The inverse of an index permutation; S has none if perm is not one."""
+    if len(set(perm)) < len(perm):
+        raise SwitchError("switch pair map is not invertible")
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
-    The matrices are applied to the unit vectors only, and every sum is
-    read from one addition table of the group.  A walk from zero along the
-    unit vectors reaches each other element y once, as y = x + e_g from an
-    element x reached before it, so a linear map f has f(y) = f(x) + f(e_g).
-    The barred operations invert the pair map, so a non-bijective one
-    raises ``SwitchError``.  The table's ``affine_basis`` holds the indices
-    of the zero vector and of the unit vectors, which lets
-    ``verify_biquandle`` decide axiom 3 on 1 + 2k pairs.
+
+def _affine_table(group: FiniteModule, ops, order) -> BiquandleTable:
+    """Table of the four operations (up, down, upbar, downbar), each given
+    as (Cx, Dy, c), index images of two linear maps and a shift's index,
+    for x * y = Cx + Dy + c with every sum read from ``group.plus``.  Index
+    i is the group's i-th canonical element, relabelled to ``order[i]``
+    when an order is given.  ``affine_basis`` holds the indices of zero and
+    of the unit vectors, so ``verify_biquandle`` decides every axiom on
+    1 + 2k pairs.
     """
-    index = {e: i for i, e in enumerate(order)}
-    plus = _addition_table(m, index)
-    shifted = plus[index[shift]]
-    units = _identity(len(shift))
-    basis = (index[(0,) * len(shift)],) + tuple(index[e] for e in units)
-    zero, gens = basis[0], basis[1:]
-    steps, walked, seen = [], [zero], {zero}
-    for x in walked:
-        for g, e_g in enumerate(gens):
-            y = plus[x][e_g]
-            if y not in seen:
-                seen.add(y)
-                walked.append(y)
-                steps.append((y, x, g))
-
-    def images(mat):
-        cols = [index[_mat_vec(mat, e, m)] for e in units]
-        img = [zero] * len(order)
-        for y, x, g in steps:
-            img[y] = plus[img[x]][cols[g]]
-        return img
-
-    cx, dy, bx, ay = map(images, (cmat, dmat, bmat, amat))
-    up = [row[y] for row in [plus[shifted[x]] for x in cx] for y in dy]
-    down = [row[y] for row in [plus[shifted[x]] for x in bx] for y in ay]
-    return from_pair_map(len(order), up, down, basis)
+    plus, n = group.plus, group.size
+    flats = []
+    for cx, dy, c in ops:
+        shifted = plus[c]
+        flats.append([row[y] for row in [plus[shifted[x]] for x in cx]
+                      for y in dy])
+    basis = [0] + [group.m ** (group.k - 1 - g) for g in range(group.k)]
+    if order is not None:
+        pos = [group.index[e] - 1 for e in order]  # position -> canonical
+        label = _inverse(pos)
+        flats = [[label[flat[i * n + j]] for i in pos for j in pos]
+                 for flat in flats]
+        basis = map(label.__getitem__, basis)
+    return BiquandleTable.from_flats(n, *flats, tuple(basis))
 
 
 def make_alexander(module: FiniteModule,
@@ -79,13 +71,18 @@ def make_alexander(module: FiniteModule,
     Indices follow the module's canonical element order unless
     ``element_order`` supplies another enumeration (printed matrices in the
     literature commonly put the zero element last).  Inverting the pair map
-    gives x^ybar = t^-1 x + (1 - s^-1 t^-1)y and x_ybar = s^-1 x.
+    gives x^ybar = t^-1 x + (1 - t^-1 s^-1)y and x_ybar = s^-1 x, read off
+    the inverse permutations of the module's s and t; a singular s or t
+    leaves S without an inverse and raises ``SwitchError``.
     """
     order = _resolve_order(module.elements, element_order, module.m)
-    zero = ((0,) * module.k,) * module.k
-    return _affine_table(module.m, order, module.t_matrix,
-                         module.one_minus_st, zero, module.s_matrix,
-                         module.zero)
+    s_inv, t_inv = _inverse(module.s_of), _inverse(module.t_of)
+    plus, neg = module.plus, module.neg_of
+    barred = [plus[y][neg[t_inv[x]]] for y, x in enumerate(s_inv)]
+    zero = [0] * module.size
+    return _affine_table(module, (
+        (module.t_of, module.one_minus_st_of, 0), (module.s_of, zero, 0),
+        (t_inv, barred, 0), (s_inv, zero, 0)), order)
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,15 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     """Affine switch table from invertible A, B and a constant shift.
 
     Uses C = A^-1 B^-1 A (I - A) and D = I - A^-1 B^-1 A B for
-    x^y = Cx + Dy + shift and x_y = Ay + Bx + shift.  The barred operations
-    are read off the inverse of the pair map S(a, b) = (b_a, a^b); a
-    non-bijective S raises ``SwitchError``.  The report carries whether the
-    commutator condition [B, (A-I)(A,B)] = 0 holds and, when asked for, the
-    axiom report, since neither is guaranteed for arbitrary inputs.
+    x^y = Cx + Dy + c and x_y = Ay + Bx + c.  S(a, b) = (b_a, a^b) is
+    M(a, b) + (c, c), M = [[A, B], [C, D]], whose Schur complement
+    D - C A^-1 B = A^-1 (A - I): S is a bijection iff A - I is invertible
+    mod m, else ``SwitchError`` is raised before anything is built.  With
+    M^-1 = [[P, Q], [R, T]], T = (A - I)^-1 A, Q = -A^-1 B T, R = -T C A^-1
+    and P = A^-1 - Q C A^-1, x^ybar = Qx + Py - (P+Q)c and
+    x_ybar = Rx + Ty - (R+T)c.  The report carries whether the commutator
+    condition [B, (A-I)(A,B)] = 0 holds and, when asked for, the axiom
+    report, since neither is guaranteed for arbitrary inputs.
     """
     if shift is not None and len(shift) != k:
         raise SwitchError(f"shift needs {k} coordinates")
@@ -127,13 +128,31 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
         raise SwitchError(str(exc)) from None
 
     ident = _identity(k)
+    try:
+        tmat = _mat_mul(_mat_inv(_mat_sub(amat, ident, m), m, "A - I"),
+                        amat, m)
+    except ModuleError:
+        raise SwitchError("switch pair map is not invertible") from None
     aibi = _mat_mul(ainv, binv, m)
     cmat = _mat_mul(_mat_mul(aibi, amat, m), _mat_sub(ident, amat, m), m)
     dmat = _mat_sub(ident, _mat_mul(_mat_mul(aibi, amat, m), bmat, m), m)
-    c = (0,) * k if shift is None else tuple(int(v) % m for v in shift)
-    order = _resolve_order(itertools.product(range(m), repeat=k),
-                           element_order, m)
-    table = _affine_table(m, order, cmat, dmat, amat, bmat, c)
+    zero = _mat_sub(ident, ident, m)
+    c_ainv = _mat_mul(cmat, ainv, m)
+    qmat = _mat_sub(zero, _mat_mul(_mat_mul(ainv, bmat, m), tmat, m), m)
+    rmat = _mat_sub(zero, _mat_mul(tmat, c_ainv, m), m)
+    pmat = _mat_sub(ainv, _mat_mul(qmat, c_ainv, m), m)
+
+    group = FiniteModule(m, k, ident, ident)  # Z_m^k; the actions unused
+    order = _resolve_order(group.elements, element_order, m)
+    c = 0 if shift is None else group.index[
+        tuple(int(v) % m for v in shift)] - 1
+    cx, dy, bx, ay, qx, py, rx, ty = map(group.images, (
+        cmat, dmat, bmat, amat, qmat, pmat, rmat, tmat))
+    plus, neg = group.plus, group.neg_of
+    table = _affine_table(group, (
+        (cx, dy, c), (bx, ay, c),
+        (qx, py, neg[plus[qx[c]][py[c]]]),
+        (rx, ty, neg[plus[rx[c]][ty[c]]])), order)
 
     group_comm = _mat_mul(aibi, _mat_mul(amat, bmat, m), m)  # (A,B)
     term = _mat_mul(_mat_sub(amat, ident, m), group_comm, m)

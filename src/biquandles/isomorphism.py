@@ -158,21 +158,25 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
                          rep_map: dict[Elem, Elem]) -> tuple[int, ...]:
     """Build the full index bijection from (h, rep-map) witness data."""
     trans = transversal(src, one_minus_st_submodule(src))
-    return _assemble(src, dst, trans, submodule_map, rep_map)
+    return _assemble(src, dst, trans,
+                     _index_map(src, dst, submodule_map.pairs),
+                     _index_map(src, dst, rep_map.items()))
+
+
+def _index_map(src: FiniteModule, dst: FiniteModule, pairs
+               ) -> dict[int, int]:
+    """(x, y) element pairs as {canonical 0-based index of x: that of y}."""
+    return {src.index[x] - 1: dst.index[y] - 1 for x, y in pairs}
 
 
 def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
-              submodule_map: ModuleIso, rep_map: dict[Elem, Elem]
+              h_of: dict[int, int], k_of: dict[int, int]
               ) -> tuple[int, ...]:
-    """f(rep + w) = rep_map(rep) + h(w) as 1-based table indices, with
-    ``trans`` the transversal of src's (1-st) submodule."""
-    perm = []
-    for x in src.elements:
-        rep = trans.rep_of(x)
-        w = src.sub(x, rep)
-        y = dst.add(rep_map[rep], submodule_map(w))
-        perm.append(dst.index[y])
-    return tuple(perm)
+    """f(rep + w) = k(rep) + h(w) as 1-based table indices, with ``trans``
+    the transversal of src's (1-st) submodule and h, k as index maps."""
+    plus, neg, plus_d = src.plus, src.neg_of, dst.plus
+    return tuple(plus_d[k_of[rep]][h_of[plus[x][neg[rep]]]] + 1
+                 for x, rep in enumerate(trans.rep_index))
 
 
 def _certifies(src: FiniteModule, dst: FiniteModule,
@@ -190,24 +194,25 @@ def _certifies(src: FiniteModule, dst: FiniteModule,
     """
     if sorted(perm) != list(range(1, dst.size + 1)):
         return False
-    image = [dst.elements[i - 1] for i in perm]
-    f = dict(zip(src.elements, image))
-    return all(f[src.act_s(x)] == dst.act_s(fx) and
-               f[src.act_t(x)] == dst.act_t(fx)
-               for x, fx in zip(src.elements, image))
+    f = [i - 1 for i in perm]
+    s_src, t_src, s_dst, t_dst = src.s_of, src.t_of, dst.s_of, dst.t_of
+    return all(f[s_src[x]] == s_dst[fx] and f[t_src[x]] == t_dst[fx]
+               for x, fx in enumerate(f))
 
 
 def _s_cycles(mod: FiniteModule, trans: Transversal
-              ) -> list[list[tuple[Elem, Elem]]]:
-    """Cycles of rep -> base, s*rep = base + w, as (rep, w) lists; 0 first."""
+              ) -> list[list[tuple[int, int]]]:
+    """Cycles of rep -> base, s*rep = base + w, as (rep, w) lists of
+    canonical 0-based indices; 0 first."""
     cycles, seen = [], set()
-    for rep in trans.reps:
+    rep_of, plus, neg, s_of = trans.rep_index, mod.plus, mod.neg_of, mod.s_of
+    for rep in sorted(set(rep_of)):
         cycle = []
         while rep not in seen:
             seen.add(rep)
-            srep = mod.act_s(rep)
-            base = trans.rep_of(srep)
-            cycle.append((rep, mod.sub(srep, base)))
+            srep = s_of[rep]
+            base = rep_of[srep]
+            cycle.append((rep, plus[srep][neg[base]]))
             rep = base
         if cycle:
             cycles.append(cycle)
@@ -234,7 +239,9 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     it is a bijection with f(sx) = s'f(x) and f(tx) = t'f(x) for all x,
     which give h((1-st)y) = (1-s't')f(y) for all y (see ``_certifies``).
     The h are drawn lazily from ``module_isomorphisms``, so the search for
-    them stops at the first h that extends.
+    them stops at the first h that extends.  Every step runs on canonical
+    indices, through the arithmetic each module builds once and shares with
+    ``make_alexander`` (``FiniteModule.plus``); the witness holds elements.
     """
     prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
               "closure": 0, "verify": 0}
@@ -249,12 +256,13 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         prunes["size"] += 1
         return done(None)
 
-    fibers_by_val: dict[Elem, list[Elem]] = {}
-    for y in dst.elements:
-        fibers_by_val.setdefault(dst.act(dst.one_minus_st, y), []).append(y)
+    fibers: dict[int, list[int]] = {}
+    for y, v in enumerate(dst.one_minus_st_of):
+        fibers.setdefault(v, []).append(y)
 
     sub_s = one_minus_st_submodule(src)
-    sub_d = Submodule(dst, tuple(sorted(fibers_by_val)))
+    sub_d = Submodule(dst, tuple(map(dst.elements.__getitem__,
+                                     sorted(fibers))))
     trans_s = transversal(src, sub_s)
     trans_d = transversal(dst, sub_d)
     cycles = _s_cycles(src, trans_s)
@@ -263,17 +271,20 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         prunes["cycle_type"] += 1
         return done(None)
     cycle_of = {rep: c for c, cyc in enumerate(d_cycles) for rep, _ in cyc}
+    one_minus_st, d_rep = src.one_minus_st_of, trans_d.rep_index
+    plus, neg, s_of = dst.plus, dst.neg_of, dst.s_of
 
     h = None
     for h in module_isomorphisms(sub_s, sub_d):
-        k_map: dict[Elem, Elem] = {}
+        h_of = _index_map(src, dst, h.pairs)
+        k_of: dict[int, int] = {}
         used: set[int] = set()  # target cycles taken
 
         def place(cycle) -> bool:
             nonlocal candidates, work
-            for y in fibers_by_val[h(src.act(src.one_minus_st, cycle[0][0]))]:
+            for y in fibers[h_of[one_minus_st[cycle[0][0]]]]:
                 candidates += 1
-                c = cycle_of[trans_d.rep_of(y)]
+                c = cycle_of[d_rep[y]]
                 if c in used or len(d_cycles[c]) != len(cycle):
                     prunes["coset"] += 1
                     continue
@@ -281,9 +292,9 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
                 for rep, w in cycle:
                     work += 1
                     ks[rep] = k
-                    k = dst.sub(dst.act_s(k), h(w))  # k(base)
+                    k = plus[s_of[k]][neg[h_of[w]]]  # k(base)
                 if k == y:
-                    k_map.update(ks)
+                    k_of.update(ks)
                     used.add(c)
                     return True
                 prunes["closure"] += 1
@@ -291,11 +302,12 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
 
         if not all(map(place, cycles)):
             continue
-        perm = _assemble(src, dst, trans_s, h, k_map)
+        perm = _assemble(src, dst, trans_s, h_of, k_of)
         if _certifies(src, dst, perm):
-            witness = IsoWitness(
-                source=src, target=dst, submodule_map=h,
-                rep_map=tuple(sorted(k_map.items())), perm=perm)
+            rep_map = tuple(sorted((src.elements[rep], dst.elements[k])
+                                   for rep, k in k_of.items()))
+            witness = IsoWitness(source=src, target=dst, submodule_map=h,
+                                 rep_map=rep_map, perm=perm)
             return done(witness)
         prunes["verify"] += 1
     if h is None:

@@ -132,7 +132,8 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
                 return out
 
     # axiom 3 over all c at once
-    rows, rows_bar = _rows(n, up, down), _rows(n, upbar, downbar)
+    rows = _rows(n, up, down, pairs)
+    rows_bar = _rows(n, upbar, downbar, pairs)
     for a, b in scan_pairs():
         lhs, rhs = _axiom3(*rows, a, b)
         lhs_bar, rhs_bar = _axiom3(*rows_bar, a, b)
@@ -160,12 +161,18 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
     return out
 
 
-def _rows(n, up, down):
-    """Rows of ``up`` and ``down`` and columns of ``down``, as lists over c:
-    rows[i][c] = t[i][c], cols[j][c] = t[c][j]."""
-    return ([list(up[i * n:i * n + n]) for i in range(n)],
-            [list(down[i * n:i * n + n]) for i in range(n)],
-            [down[j::n] for j in range(n)])
+def _rows(n, up, down, pairs=None):
+    """Rows of ``up`` and ``down`` and columns of ``down``, as sequences
+    over c: rows[i][c] = t[i][c], cols[j][c] = t[c][j].  ``_axiom3`` reads
+    columns only at the a, b, a^b and b_a of the pairs scanned; given
+    ``pairs``, the other columns are None."""
+    at = range(n) if pairs is None else {
+        x for a, b in pairs for x in (a, b, up[a * n + b], down[b * n + a])}
+    cols = [None] * n
+    for j in at:
+        cols[j] = down[j::n]
+    return (list(map(list, zip(*[iter(up)] * n))),
+            list(map(list, zip(*[iter(down)] * n))), cols)
 
 
 def _axiom3(ur, dr, dc, a, b):

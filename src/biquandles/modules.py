@@ -56,8 +56,8 @@ def _addition_table(m: int, index: dict[Elem, int]) -> list[list[int]]:
     column j holds the index of the sum of the i-th and j-th keys.
 
     Only a key that the rows so far do not reach gets its row by adding
-    vectors.  Every other row is composed from two known ones, since
-    row(x + g)[v] = row(x)[row(g)[v]].
+    vectors (zero's row is the identity).  Every other row is composed
+    from two known ones, since row(x + g)[v] = row(x)[row(g)[v]].
     """
     keys = list(index)
     rows: list = [None] * len(keys)
@@ -65,8 +65,8 @@ def _addition_table(m: int, index: dict[Elem, int]) -> list[list[int]]:
     for i, x in enumerate(keys):
         if rows[i] is not None:
             continue
-        gen = rows[i] = [index[tuple((p + q) % m for p, q in zip(x, y))]
-                         for y in keys]
+        gen = rows[i] = list(index.values()) if not any(x) else [
+            index[tuple([(p + q) % m for p, q in zip(x, y)])] for y in keys]
         known.append(i)
         # the loop also visits the keys it appends, so ``known`` ends
         # closed under + x: the subgroup generated by the old one and x
@@ -136,7 +136,7 @@ class FiniteModule:
     @cached_property
     def index(self) -> dict[Elem, int]:
         """Element -> 1-based canonical index."""
-        return {e: i for i, e in enumerate(self.elements, start=1)}
+        return dict(zip(self.elements, range(1, self.size + 1)))
 
     @cached_property
     def s_inverse(self) -> Mat:
@@ -151,6 +151,46 @@ class FiniteModule:
         """The matrix of 1 - s*t, computed literally as I - S.T."""
         st = _mat_mul(self.s_matrix, self.t_matrix, self.m)
         return _mat_sub(_identity(self.k), st, self.m)
+
+    @cached_property
+    def plus(self) -> list[list[int]]:
+        """plus[i][j] is the index of elements[i] + elements[j]; this and
+        the ``*_of`` images are arithmetic on 0-based indices, built once."""
+        return _addition_table(self.m, dict(zip(self.elements,
+                                                range(self.size))))
+
+    def images(self, mat: Mat) -> list[int]:
+        """Index of mat.x for each index x; mat is applied to the unit
+        vectors only.  In canonical order the elements zero before
+        coordinate g are the blocks x + j.e_g (j < m) over those zero up to
+        g, so each block is the previous one plus mat.e_g."""
+        img = [0]
+        for e in reversed(_identity(self.k)):
+            add = self.plus[self.index[_mat_vec(mat, e, self.m)] - 1]
+            block = img
+            for _ in range(self.m - 1):
+                block = list(map(add.__getitem__, block))
+                img += block
+        return img
+
+    @cached_property
+    def s_of(self) -> list[int]:
+        return self.images(self.s_matrix)
+
+    @cached_property
+    def t_of(self) -> list[int]:
+        return self.images(self.t_matrix)
+
+    @cached_property
+    def one_minus_st_of(self) -> list[int]:
+        """Index of x - s.t.x for each index x."""
+        neg, s_of, t_of = self.neg_of, self.s_of, self.t_of
+        return [row[neg[s_of[t_of[x]]]] for x, row in enumerate(self.plus)]
+
+    @cached_property
+    def neg_of(self) -> list[int]:
+        return self.images(tuple(tuple(-c for c in row)
+                                 for row in _identity(self.k)))
 
     @property
     def zero(self) -> Elem:
@@ -249,9 +289,8 @@ class Submodule:
 
 def one_minus_st_submodule(module: FiniteModule) -> Submodule:
     """Image of x -> (1 - st)x; a submodule since the actions commute."""
-    mat = module.one_minus_st
-    image = sorted({module.act(mat, x) for x in module.elements})
-    return Submodule(module, tuple(image))
+    image = sorted(set(module.one_minus_st_of))
+    return Submodule(module, tuple(map(module.elements.__getitem__, image)))
 
 
 def kernel_one_minus_s(module: FiniteModule) -> Submodule:
@@ -264,16 +303,19 @@ def kernel_one_minus_s(module: FiniteModule) -> Submodule:
 
 @dataclass(frozen=True)
 class Transversal:
-    """Canonical coset representatives (zero first) plus their s-orbit."""
+    """Canonical coset representatives (zero first) plus their s-orbit;
+    ``rep_index[i]`` is the index of the representative of the coset of
+    the element with canonical 0-based index i."""
 
     module: FiniteModule
     sub: Submodule
     reps: tuple[Elem, ...]
-    _rep_map: dict[Elem, Elem] = field(compare=False, repr=False)
+    rep_index: list[int] = field(compare=False, repr=False)
 
     def rep_of(self, x: Elem) -> Elem:
         """The representative of x's coset."""
-        return self._rep_map[x]
+        mod = self.module
+        return mod.elements[self.rep_index[mod.index[x] - 1]]
 
     @cached_property
     def orbit(self) -> tuple[Elem, ...]:
@@ -306,15 +348,14 @@ def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
     """
     if sub.module is not module and sub.module != module:
         raise ValueError("submodule belongs to a different module")
-    reps = []
-    rep_map = {}
-    for x in module.elements:
-        if x in rep_map:
-            continue
-        reps.append(x)
-        for w in sub.elements:
-            rep_map[module.add(x, w)] = x
-    return Transversal(module, sub, tuple(reps), rep_map)
+    reps, members = [], [module.index[w] - 1 for w in sub.elements]
+    rep_index = [-1] * module.size
+    for x, row in enumerate(module.plus):
+        if rep_index[x] < 0:
+            reps.append(module.elements[x])
+            for y in map(row.__getitem__, members):
+                rep_index[y] = x
+    return Transversal(module, sub, tuple(reps), rep_index)
 
 
 @dataclass(frozen=True)
@@ -333,19 +374,24 @@ class ModuleIso:
 
 
 def _op_tables(sub: Submodule) -> tuple[tuple[int, ...], ...]:
-    """x + y and x * y = s.x + t.y as flat tables over ``sub.elements``.
+    """x + y and x * y = s.x + t.y as flat tables over ``sub.elements``,
+    read from the module's index arithmetic: ``plus`` restricted to the
+    submodule, and x * y = plus[s_of[x]][t_of[y]].
 
     A zero-fixing bijection h preserving both is additive, and it
     intertwines the actions: h(s.x) = h(x * 0) = s'.h(x) and
     h(t.y) = h(0 * y) = t'.h(y).  The converse is immediate.
     """
-    mod = sub.module
-    index = {e: i for i, e in enumerate(sub.elements)}
-    plus = _addition_table(mod.m, index)
-    s_of = [index[mod.act_s(x)] for x in sub.elements]
-    t_of = [index[mod.act_t(y)] for y in sub.elements]
-    return (tuple(c for row in plus for c in row),
-            tuple(plus[i][j] for i in s_of for j in t_of))
+    mod, plus = sub.module, sub.module.plus
+    idx = [mod.index[e] - 1 for e in sub.elements]
+    pos = [None] * mod.size  # module index -> position in sub.elements
+    for i, x in enumerate(idx):
+        pos[x] = i
+    t_idx = [mod.t_of[y] for y in idx]
+    return (tuple([pos[row[y]] for row in [plus[x] for x in idx]
+                   for y in idx]),
+            tuple([pos[row[y]] for row in [plus[mod.s_of[x]] for x in idx]
+                   for y in t_idx]))
 
 
 def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from biquandles import alexander
-from biquandles import (SwitchError, WitnessError, is_homomorphism,
-                        kernel_one_minus_s, make_alexander, make_module,
-                        make_scalar_module, make_switch_biquandle,
-                        normalize_iso, serialize_matrix, translation_map,
-                        trivial_biquandle, verify_biquandle)
+from biquandles import alexander, modules
+from biquandles import (FiniteModule, SwitchError, WitnessError,
+                        is_homomorphism, kernel_one_minus_s, make_alexander,
+                        make_module, make_scalar_module,
+                        make_switch_biquandle, normalize_iso,
+                        serialize_matrix, translation_map, trivial_biquandle,
+                        verify_biquandle)
 from biquandles.modules import counting_element_order
 
 from conftest import SWITCH_A, SWITCH_B, Z2Z2_MATRIX, scalar_modules, units
@@ -61,6 +62,21 @@ class TestMakeAlexander:
     def test_s_t_one_gives_trivial(self, n):
         assert make_alexander(make_scalar_module(n, 1, 1)) == \
             trivial_biquandle(n)
+
+    @pytest.mark.parametrize("m,s,t", [
+        (6, ((2,),), ((1,),)),
+        (6, ((5,),), ((3,),)),
+        (3, ((1, 1), (1, 1)), ((1, 0), (0, 1))),
+        (4, ((1, 0), (0, 1)), ((2, 1), (0, 2))),
+    ])
+    def test_singular_action_refused(self, m, s, t):
+        # built directly, the module skips make_module's checks; a singular
+        # s or t leaves S(a, b) = (sb, ta + (1-st)b) without an inverse
+        mod = FiniteModule(m, len(s), s, t)
+        for order in orders(m, len(s)):
+            with pytest.raises(SwitchError,
+                               match="^switch pair map is not invertible$"):
+                make_alexander(mod, order)
 
     def test_custom_order_must_be_complete(self):
         with pytest.raises(ValueError):
@@ -231,15 +247,15 @@ class TestFormulaOracle:
 
     def test_matrices_applied_to_unit_vectors_only(self, monkeypatch):
         # a Z_3^3 table needs the images of the k unit vectors under each of
-        # the four matrices, not the images of all 27 elements
+        # the module's matrices, not the images of all 27 elements
         calls = []
-        mat_vec = alexander._mat_vec
+        mat_vec = modules._mat_vec
 
         def spy(mat, vec, m):
             calls.append(vec)
             return mat_vec(mat, vec, m)
 
-        monkeypatch.setattr(alexander, "_mat_vec", spy)
+        monkeypatch.setattr(modules, "_mat_vec", spy)
         k = 3
         mod = make_module(3, k, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
                           ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
@@ -261,8 +277,14 @@ class TestFormulaOracle:
                                             for _ in range(k))
                                       for _ in range(k)) for _ in "ab")
                     c = tuple(rng.randrange(m) for _ in range(k))
+                    a_minus_i = tuple(
+                        tuple((x - (i == j)) % m for j, x in enumerate(row))
+                        for i, row in enumerate(a))
                     for order in orders(m, k):
                         want = switch_blocks(m, a, b, c, order)
+                        # S is a bijection iff A - I is invertible mod m
+                        assert (want is None) == \
+                            (matrix_inverse(a_minus_i, m) is None)
                         if want is None:
                             singular += 1
                             with pytest.raises(

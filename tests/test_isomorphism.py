@@ -337,6 +337,11 @@ class TestCycleWalk:
         from biquandles import (module_isomorphisms, one_minus_st_submodule,
                                 transversal)
         from biquandles.isomorphism import _s_cycles
+
+        def s_cycles(mod, trans):  # (rep, w) index pairs as elements
+            return [[(mod.elements[rep], mod.elements[w]) for rep, w in cyc]
+                    for cyc in _s_cycles(mod, trans)]
+
         pairs = list(random_rank_two_pairs(60, seed=3))
         pairs += [(make_module(4, 3, ((3, 0, 1), (0, 3, 3), (3, 3, 3)),
                                ((3, 0, 3), (0, 3, 1), (1, 1, 3))),
@@ -345,12 +350,12 @@ class TestCycleWalk:
         for a, b in pairs:
             sub_a, sub_b = one_minus_st_submodule(a), one_minus_st_submodule(b)
             trans_b = transversal(b, sub_b)
-            d_cycles = _s_cycles(b, trans_b)
+            d_cycles = s_cycles(b, trans_b)
             cycle_of = {rep: c for c, cyc in enumerate(d_cycles)
                         for rep, _ in cyc}
             for h in module_isomorphisms(sub_a, sub_b):
                 takes = []
-                for cycle in _s_cycles(a, transversal(a, sub_a)):
+                for cycle in s_cycles(a, transversal(a, sub_a)):
                     value = h(a.act(a.one_minus_st, cycle[0][0]))
                     found = set()
                     for y in b.elements:
@@ -419,6 +424,114 @@ class TestCertificate:
                 verdicts.append((expected, bijective))
         # accepted maps, rejected bijections and rejected non-bijections
         assert set(verdicts) == {(True, True), (False, True), (False, False)}
+
+
+# (m, k, s, t) of each side: scalar, rank 2 and rank 3 pairs, Z_4 against
+# Z_2^2, st = 1 pairs with one coset per element, a proper rank-3 (1-st)
+# submodule, a cycle-type reject and the Z_4^3 closure pair
+FROZEN_PAIRS = {
+    "z8_self": ((8, 1, ((3,),), ((5,),)), (8, 1, ((3,),), ((5,),))),
+    "z8_swapped": ((8, 1, ((3,),), ((5,),)), (8, 1, ((5,),), ((3,),))),
+    "z8_33_77": ((8, 1, ((3,),), ((3,),)), (8, 1, ((7,),), ((7,),))),
+    "z9_25_52": ((9, 1, ((2,),), ((5,),)), (9, 1, ((5,),), ((2,),))),
+    "z4_vs_z2sq_swap": ((4, 1, ((3,),), ((3,),)),
+                        (2, 2, ((0, 1), (1, 0)), ((0, 1), (1, 0)))),
+    "z4_vs_z2sq_shear": ((4, 1, ((3,),), ((1,),)),
+                         (2, 2, ((1, 1), (0, 1)), ((1, 0), (0, 1)))),
+    "z3sq_conj": ((3, 2, ((1, 1), (0, 1)), ((2, 0), (0, 2))),
+                  (3, 2, ((1, 0), (1, 1)), ((2, 0), (0, 2)))),
+    "z4sq_st_one": ((4, 2, ((1, 1), (0, 1)), ((1, 3), (0, 1))),
+                    (4, 2, ((1, 0), (1, 1)), ((1, 0), (3, 1)))),
+    "z5sq_st_one": ((5, 2, ((1, 1), (0, 1)), ((1, 4), (0, 1))),
+                    (5, 2, ((1, 0), (1, 1)), ((1, 0), (4, 1)))),
+    "z3cube_st_one": (
+        (3, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+         ((1, 2, 1), (0, 1, 2), (0, 0, 1))),
+        (3, 3, ((1, 0, 0), (1, 1, 0), (0, 1, 1)),
+         ((1, 0, 0), (2, 1, 0), (1, 2, 1)))),
+    "z3cube_proper": (
+        (3, 3, ((0, 2, 1), (2, 0, 1), (0, 0, 2)),
+         ((0, 2, 0), (2, 0, 0), (0, 0, 2))),
+        (3, 3, ((2, 0, 2), (2, 1, 2), (0, 0, 2)),
+         ((2, 0, 0), (2, 1, 1), (0, 0, 2)))),
+    "z5_diagonal_cycle_type": ((5, 2, diag(1, 2), diag(1, 3)),
+                               (5, 2, diag(2, 2), diag(3, 3))),
+    "z4cube_closure": ((4, 3, diag(1, 1, 1), diag(3, 1, 1)),
+                       (4, 3, diag(3, 1, 1), diag(1, 1, 1))),
+}
+
+# name: (candidates, nonzero prunes, work, None or (perm, sha256 prefix of
+# repr((rep_map, submodule_map.pairs)))): the decider's arithmetic may
+# change, its witnesses and search effort may not
+FROZEN_STRUCTURAL = {
+    "z8_self": (2, {}, 2, ((1, 2, 3, 4, 5, 6, 7, 8), "863c4180882cc715")),
+    "z8_swapped": (0, {"submodule": 1}, 0, None),
+    "z8_33_77": (15, {"coset": 10}, 8,
+                 ((1, 2, 3, 8, 5, 4, 7, 6), "87bebae7e781bccd")),
+    "z9_25_52": (7, {"coset": 4}, 9,
+                 ((1, 2, 6, 4, 8, 3, 7, 5, 9), "68914e0124c2f3a2")),
+    "z4_vs_z2sq_swap": (7, {"coset": 4}, 4,
+                        ((1, 2, 4, 3), "0508032449d49589")),
+    "z4_vs_z2sq_shear": (2, {}, 2, ((1, 2, 3, 4), "710236f58dc97f32")),
+    "z3sq_conj": (1, {}, 1,
+                  ((1, 4, 7, 2, 5, 8, 3, 6, 9), "c9a631fd2030b380")),
+    "z4sq_st_one": (47, {"coset": 39}, 16, (
+        (1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, 4, 8, 12, 16),
+        "8ca73ad7bd14849c")),
+    "z5sq_st_one": (69, {"coset": 60}, 25, (
+        (1, 6, 11, 16, 21, 2, 7, 12, 17, 22, 3, 8, 13, 18, 23, 4, 9, 14, 19,
+         24, 5, 10, 15, 20, 25),
+        "ec111bd3bd4106c6")),
+    "z3cube_st_one": (110, {"coset": 99}, 27, (
+        (1, 4, 7, 10, 5, 11, 12, 19, 9, 2, 20, 14, 13, 26, 21, 16, 6, 18, 3,
+         25, 27, 17, 24, 8, 15, 22, 23),
+        "46f59f3f5a0f747f")),
+    "z3cube_proper": (18, {"coset": 7, "closure": 5}, 14, (
+        (1, 3, 8, 19, 6, 17, 10, 9, 26, 25, 15, 5, 16, 18, 14, 7, 12, 23, 13,
+         27, 2, 4, 21, 11, 22, 24, 20),
+        "f97d8e60cb9375cf")),
+    "z5_diagonal_cycle_type": (0, {"cycle_type": 1}, 0, None),
+    "z4cube_closure": (168, {"coset": 120, "closure": 32}, 48, None),
+}
+
+
+class TestFrozenStructural:
+    @pytest.mark.parametrize("name", sorted(FROZEN_PAIRS))
+    def test_witness_and_counters_unchanged(self, name):
+        a, b = (make_module(*spec) for spec in FROZEN_PAIRS[name])
+        witness, stats = structural_iso(a, b)
+        candidates, prunes, work, frozen = FROZEN_STRUCTURAL[name]
+        assert stats.candidates == candidates and stats.work == work
+        assert {k: v for k, v in stats.prunes.items() if v} == prunes
+        if frozen is None:
+            assert witness is None
+            return
+        perm, digest = frozen
+        fields = repr((witness.rep_map, witness.submodule_map.pairs))
+        assert witness.perm == perm
+        assert hashlib.sha256(fields.encode()).hexdigest()[:16] == digest
+
+
+class TestSharedArithmetic:
+    @pytest.mark.parametrize("name", ["z3cube_proper", "z4_vs_z2sq_shear",
+                                      "z9_25_52", "z4cube_closure"])
+    def test_one_addition_table_per_module(self, name, monkeypatch):
+        # make_alexander, verify_biquandle and structural_iso all read a
+        # module's one cached addition table, proper submodules included
+        from biquandles import modules
+        built = []
+        fill = modules._addition_table
+
+        def spy(m, index):
+            built.append(len(index))
+            return fill(m, index)
+
+        monkeypatch.setattr(modules, "_addition_table", spy)
+        a, b = (make_module(*spec) for spec in FROZEN_PAIRS[name])
+        for table in (make_alexander(a), make_alexander(b)):
+            assert verify_biquandle(table).passed
+        structural_iso(a, b)
+        assert built == [a.size, b.size]
 
 
 class TestOracleEquivalence:
