@@ -17,8 +17,7 @@ from functools import cached_property
 from .axioms import AxiomReport, verify_biquandle
 from .errors import ModuleError, SwitchError, WitnessError
 from .modules import (Elem, FiniteModule, _as_matrix, _identity, _mat_inv,
-                      _mat_mul, _mat_sub, kernel_one_minus_s,
-                      translation_map)
+                      _mat_mul, _mat_sub)
 from .tables import BiquandleTable, is_homomorphism
 
 
@@ -55,7 +54,7 @@ def _affine_table(group: FiniteModule, ops, order) -> BiquandleTable:
                       for y in dy])
     basis = [0] + [group.m ** (group.k - 1 - g) for g in range(group.k)]
     if order is not None:
-        pos = [group.index[e] - 1 for e in order]  # position -> canonical
+        pos = list(map(group.index.__getitem__, order))  # -> canonical
         label = _inverse(pos)
         flats = [[label[flat[i * n + j]] for i in pos for j in pos]
                  for flat in flats]
@@ -144,8 +143,7 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
 
     group = FiniteModule(m, k, ident, ident)  # Z_m^k; the actions unused
     order = _resolve_order(group.elements, element_order, m)
-    c = 0 if shift is None else group.index[
-        tuple(int(v) % m for v in shift)] - 1
+    c = 0 if shift is None else group.index_of(shift)
     cx, dy, bx, ay, qx, py, rx, ty = map(group.images, (
         cmat, dmat, bmat, amat, qmat, pmat, rmat, tmat))
     plus, neg = group.plus, group.neg_of
@@ -164,19 +162,20 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
 def normalize_iso(src: FiniteModule, dst: FiniteModule, f) -> tuple[int, ...]:
     """Compose a biquandle isomorphism with a translation so it fixes zero.
 
-    ``f`` maps canonical table indices of ``src`` to those of ``dst`` and
-    must be an isomorphism of the two module biquandles; the translation by
-    -f(0) is itself an automorphism because f(0) lies in Ker(1 - s).
+    ``f`` maps 1-based canonical table indices of ``src`` to those of
+    ``dst`` and must be an isomorphism of the two module biquandles, which
+    is checked on both tables; the translation by -f(0) is itself an
+    automorphism because f(0) lies in Ker(1 - s), that is s fixes it.
     """
     ta, tb = make_alexander(src), make_alexander(dst)
     images = tuple(f)
     if sorted(images) != list(range(1, tb.n + 1)) or \
             not is_homomorphism(ta, tb, images):
         raise WitnessError("map is not a biquandle isomorphism")
-    f_zero = dst.elements[images[src.index[src.zero] - 1] - 1]
-    if f_zero == dst.zero:
+    f_zero = images[0] - 1  # zero is canonical index 0 on both sides
+    if f_zero == 0:
         return images
-    if f_zero not in kernel_one_minus_s(dst):
+    if dst.s_of[f_zero] != f_zero:
         raise WitnessError("isomorphism image of zero escapes Ker(1-s)")
-    shift = translation_map(dst, dst.neg(f_zero))
-    return tuple(shift[i - 1] for i in images)
+    shift = dst.plus[dst.neg_of[f_zero]]
+    return tuple([shift[i - 1] + 1 for i in images])

@@ -24,7 +24,7 @@ from .alexander import normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
 from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
-                      format_elem, module_isomorphisms,
+                      _s_closure, format_elem, module_isomorphisms,
                       one_minus_st_submodule, transversal)
 from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
 
@@ -166,7 +166,7 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
 def _index_map(src: FiniteModule, dst: FiniteModule, pairs
                ) -> dict[int, int]:
     """(x, y) element pairs as {canonical 0-based index of x: that of y}."""
-    return {src.index[x] - 1: dst.index[y] - 1 for x, y in pairs}
+    return {src.index[x]: dst.index[y] for x, y in pairs}
 
 
 def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
@@ -318,60 +318,64 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
 def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
     """Recover the structural certificate from a full isomorphism.
 
-    Normalizes f to fix zero, restricts it to the (1-st) submodule and to
-    the canonical representatives, and asserts every structural condition;
-    a failure raises ``WitnessError`` and indicates a bug, since the
-    conditions hold for any genuine isomorphism.
+    Normalizes f to fix zero (``normalize_iso``), restricts it to the
+    (1-st) submodule and to the canonical representatives, and asserts
+    every structural condition: the restriction h is onto, intertwining
+    and additive, f fixes zero, the representatives' images lie in
+    distinct cosets, (1-s't')f(rep) = h((1-st)rep), and
+    f(s.rep + w) = s'f(rep) + h(w) wherever s.rep + w lies in the s-orbit
+    of the representatives.  A failure raises ``WitnessError`` and
+    indicates a bug, since the conditions hold for any genuine
+    isomorphism.  Every check reads the modules' index arithmetic.
     """
     perm = normalize_iso(src, dst, normalize_map(
         f, src.size, dst.size))
-
-    def image(x: Elem) -> Elem:
-        return dst.elements[perm[src.index[x] - 1] - 1]
-
+    img = [i - 1 for i in perm]  # f on 0-based canonical indices
     sub_s = one_minus_st_submodule(src)
     sub_d = one_minus_st_submodule(dst)
-    h_pairs = tuple((w, image(w)) for w in sub_s.elements)
-    h_map = dict(h_pairs)
-    if sorted(h_map.values()) != list(sub_d.elements):
+    ws = list(map(src.index.__getitem__, sub_s.elements))
+    if sorted(img[w] for w in ws) != \
+            list(map(dst.index.__getitem__, sub_d.elements)):
         raise WitnessError("restriction to (1-st) submodule is not onto")
-    for x in sub_s.elements:
-        if h_map[src.act_s(x)] != dst.act_s(h_map[x]) or \
-                h_map[src.act_t(x)] != dst.act_t(h_map[x]):
+    plus_s, s_src, t_src = src.plus, src.s_of, src.t_of
+    plus_d, s_dst, t_dst = dst.plus, dst.s_of, dst.t_of
+    h_ws = [img[w] for w in ws]
+    for x in ws:
+        hx = img[x]
+        if img[s_src[x]] != s_dst[hx] or img[t_src[x]] != t_dst[hx]:
             raise WitnessError("submodule restriction fails intertwining")
-        for y in sub_s.elements:
-            if h_map[src.add(x, y)] != dst.add(h_map[x], h_map[y]):
-                raise WitnessError("submodule restriction is not additive")
+        row, row_d = plus_s[x], plus_d[hx]
+        if [img[row[y]] for y in ws] != [row_d[hy] for hy in h_ws]:
+            raise WitnessError("submodule restriction is not additive")
 
     trans_s = transversal(src, sub_s)
-    trans_d = transversal(dst, sub_d)
-    reps = trans_s.reps
-    k_pairs = tuple((rep, image(rep)) for rep in reps)
-    k_map = dict(k_pairs)
-    if k_map[src.zero] != dst.zero:
+    d_rep = transversal(dst, sub_d).rep_index
+    reps = sorted(set(trans_s.rep_index))  # trans_s.reps as indices
+    if img[0] != 0:
         raise WitnessError("normalized isomorphism does not fix zero")
-    if len({trans_d.rep_of(v) for v in k_map.values()}) != len(reps):
+    if len({d_rep[img[rep]] for rep in reps}) != len(reps):
         raise WitnessError("representative images are not a transversal")
 
-    one_minus_st_s = src.one_minus_st
-    one_minus_st_d = dst.one_minus_st
+    one_minus_st_s, one_minus_st_d = src.one_minus_st_of, dst.one_minus_st_of
     for rep in reps:
-        if dst.act(one_minus_st_d, k_map[rep]) != \
-                h_map[src.act(one_minus_st_s, rep)]:
+        if one_minus_st_d[img[rep]] != img[one_minus_st_s[rep]]:
             raise WitnessError("(1-st)-compatibility fails on a rep")
 
-    orbit = set(trans_s.orbit)
+    orbit = _s_closure(src, reps)
     for rep in reps:
-        for w in sub_s.elements:
-            x = src.add(src.act_s(rep), w)
-            if x not in orbit:
-                continue
-            if image(x) != dst.add(dst.act_s(image(rep)), h_map[w]):
+        row, row_d = plus_s[s_src[rep]], plus_d[s_dst[img[rep]]]
+        for w, hw in zip(ws, h_ws):
+            x = row[w]
+            if x in orbit and img[x] != row_d[hw]:
                 raise WitnessError("orbit compatibility fails")
 
+    els, eld = src.elements, dst.elements
     return IsoWitness(source=src, target=dst,
-                      submodule_map=ModuleIso(h_pairs),
-                      rep_map=k_pairs, perm=perm)
+                      submodule_map=ModuleIso(tuple(
+                          (els[w], eld[hw]) for w, hw in zip(ws, h_ws))),
+                      rep_map=tuple((els[rep], eld[img[rep]])
+                                    for rep in reps),
+                      perm=perm)
 
 
 def witness_to_dict(witness: IsoWitness) -> dict:

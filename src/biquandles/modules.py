@@ -2,9 +2,11 @@
 coset, and orbit machinery.
 
 The carrier is Z_m^k with two commuting invertible k x k matrices giving the
-actions of the ring generators s and t.  Elements are coordinate tuples; the
-canonical enumeration is plain lexicographic on coordinates, so the zero
-vector always has index 1.
+actions of the ring generators s and t.  Elements are coordinate tuples at
+the public boundary only; the canonical enumeration is plain lexicographic
+on coordinates, so the zero vector always has index 0, and every algorithm
+here runs on those 0-based indices, through the arithmetic each module
+builds once (``FiniteModule.plus`` and the ``*_of`` images).
 """
 
 from __future__ import annotations
@@ -101,13 +103,18 @@ def _det(mat: Mat) -> int:
     return sign * a[-1][-1] if a else 1
 
 
-def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
-    """Inverse mod m: the integer adjugate times the inverse determinant."""
+def _unit_det(mat: Mat, m: int, name: str) -> int:
+    """The determinant mod m, which must be a unit."""
     det = _det(mat) % m
     if math.gcd(det, m) != 1:
         raise ModuleError(f"{name} is not invertible mod {m}: "
                           f"determinant {det} is not a unit")
-    unit = pow(det, -1, m)
+    return det
+
+
+def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
+    """Inverse mod m: the integer adjugate times the inverse determinant."""
+    unit = pow(_unit_det(mat, m, name), -1, m)
     k = len(mat)
     return tuple(
         tuple((-1) ** (i + j) * _det(_minor(mat, j, i)) * unit % m
@@ -135,29 +142,21 @@ class FiniteModule:
 
     @cached_property
     def index(self) -> dict[Elem, int]:
-        """Element -> 1-based canonical index."""
-        return dict(zip(self.elements, range(1, self.size + 1)))
+        """Element -> 0-based canonical index (zero is 0)."""
+        return dict(zip(self.elements, range(self.size)))
 
-    @cached_property
-    def s_inverse(self) -> Mat:
-        return _mat_inv(self.s_matrix, self.m, "s action")
-
-    @cached_property
-    def t_inverse(self) -> Mat:
-        return _mat_inv(self.t_matrix, self.m, "t action")
-
-    @cached_property
-    def one_minus_st(self) -> Mat:
-        """The matrix of 1 - s*t, computed literally as I - S.T."""
-        st = _mat_mul(self.s_matrix, self.t_matrix, self.m)
-        return _mat_sub(_identity(self.k), st, self.m)
+    def index_of(self, x) -> int:
+        """Canonical index of an element given by the caller: coordinates
+        are reduced mod m, and a wrong length raises ``ValueError``."""
+        if len(x) != self.k:
+            raise ValueError(f"element needs {self.k} coordinates")
+        return self.index[tuple([int(c) % self.m for c in x])]
 
     @cached_property
     def plus(self) -> list[list[int]]:
         """plus[i][j] is the index of elements[i] + elements[j]; this and
         the ``*_of`` images are arithmetic on 0-based indices, built once."""
-        return _addition_table(self.m, dict(zip(self.elements,
-                                                range(self.size))))
+        return _addition_table(self.m, self.index)
 
     def images(self, mat: Mat) -> list[int]:
         """Index of mat.x for each index x; mat is applied to the unit
@@ -166,7 +165,7 @@ class FiniteModule:
         g, so each block is the previous one plus mat.e_g."""
         img = [0]
         for e in reversed(_identity(self.k)):
-            add = self.plus[self.index[_mat_vec(mat, e, self.m)] - 1]
+            add = self.plus[self.index[_mat_vec(mat, e, self.m)]]
             block = img
             for _ in range(self.m - 1):
                 block = list(map(add.__getitem__, block))
@@ -196,24 +195,6 @@ class FiniteModule:
     def zero(self) -> Elem:
         return (0,) * self.k
 
-    def add(self, x: Elem, y: Elem) -> Elem:
-        return tuple((a + b) % self.m for a, b in zip(x, y))
-
-    def neg(self, x: Elem) -> Elem:
-        return tuple((-a) % self.m for a in x)
-
-    def sub(self, x: Elem, y: Elem) -> Elem:
-        return tuple((a - b) % self.m for a, b in zip(x, y))
-
-    def act(self, mat: Mat, x: Elem) -> Elem:
-        return _mat_vec(mat, x, self.m)
-
-    def act_s(self, x: Elem) -> Elem:
-        return _mat_vec(self.s_matrix, x, self.m)
-
-    def act_t(self, x: Elem) -> Elem:
-        return _mat_vec(self.t_matrix, x, self.m)
-
     def scalar_params(self) -> tuple[int, int]:
         if self.k != 1:
             raise ValueError("not a scalar (k=1) module")
@@ -234,12 +215,11 @@ def make_module(m: int, k: int, s_matrix, t_matrix) -> FiniteModule:
         raise ModuleError("rank must be >= 1")
     smat = _as_matrix(m, k, s_matrix, "s action")
     tmat = _as_matrix(m, k, t_matrix, "t action")
-    mod = FiniteModule(m, k, smat, tmat)
-    mod.s_inverse  # raises ModuleError if the determinant is not a unit
-    mod.t_inverse
+    _unit_det(smat, m, "s action")
+    _unit_det(tmat, m, "t action")
     if _mat_mul(smat, tmat, m) != _mat_mul(tmat, smat, m):
         raise ModuleError("s and t actions do not commute mod m")
-    return mod
+    return FiniteModule(m, k, smat, tmat)
 
 
 def make_scalar_module(m: int, s: int, t: int) -> FiniteModule:
@@ -278,13 +258,14 @@ class Submodule:
 
     def is_closed(self) -> bool:
         mod = self.module
-        mem = self.members
-        if mod.zero not in mem:
+        mem = set(map(mod.index_of, self.elements))
+        if 0 not in mem:
             return False
+        plus, neg, s_of, t_of = mod.plus, mod.neg_of, mod.s_of, mod.t_of
         return all(
-            mod.add(x, y) in mem and mod.neg(x) in mem
-            and mod.act_s(x) in mem and mod.act_t(x) in mem
-            for x in mem for y in mem)
+            neg[x] in mem and s_of[x] in mem and t_of[x] in mem
+            and mem.issuperset(map(plus[x].__getitem__, mem))
+            for x in mem)
 
 
 def one_minus_st_submodule(module: FiniteModule) -> Submodule:
@@ -294,11 +275,10 @@ def one_minus_st_submodule(module: FiniteModule) -> Submodule:
 
 
 def kernel_one_minus_s(module: FiniteModule) -> Submodule:
-    """Kernel of x -> (1 - s)x."""
-    mat = _mat_sub(_identity(module.k), module.s_matrix, module.m)
-    zero = module.zero
-    ker = [x for x in module.elements if module.act(mat, x) == zero]
-    return Submodule(module, tuple(ker))
+    """Kernel of x -> (1 - s)x: the fixed points of s."""
+    s_of = module.s_of
+    return Submodule(module, tuple(
+        x for i, x in enumerate(module.elements) if s_of[i] == i))
 
 
 @dataclass(frozen=True)
@@ -315,7 +295,7 @@ class Transversal:
     def rep_of(self, x: Elem) -> Elem:
         """The representative of x's coset."""
         mod = self.module
-        return mod.elements[self.rep_index[mod.index[x] - 1]]
+        return mod.elements[self.rep_index[mod.index_of(x)]]
 
     @cached_property
     def orbit(self) -> tuple[Elem, ...]:
@@ -323,20 +303,25 @@ class Transversal:
 
 
 def s_orbit(module: FiniteModule, xs: Iterable[Elem]) -> tuple[Elem, ...]:
-    """Closure of a nonempty set under multiplication by s and s^{-1}."""
-    todo = list(xs)
-    if not todo:
+    """Closure of a nonempty set under multiplication by s and s^{-1}, in
+    canonical order.  s permutes the finite module, so closing under s
+    alone walks each s-cycle round to its start."""
+    idx = list(map(module.index_of, xs))
+    if not idx:
         raise ValueError("orbit of an empty set")
-    seen = set()
-    sinv = module.s_inverse
-    while todo:
-        x = todo.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        todo.append(module.act_s(x))
-        todo.append(module.act(sinv, x))
-    return tuple(sorted(seen))
+    return tuple(map(module.elements.__getitem__,
+                     sorted(_s_closure(module, idx))))
+
+
+def _s_closure(module: FiniteModule, idx: Iterable[int]) -> set[int]:
+    """The union of the s-cycles through the given indices."""
+    seen: set[int] = set()
+    s_of = module.s_of
+    for x in idx:
+        while x not in seen:
+            seen.add(x)
+            x = s_of[x]
+    return seen
 
 
 def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
@@ -348,7 +333,7 @@ def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
     """
     if sub.module is not module and sub.module != module:
         raise ValueError("submodule belongs to a different module")
-    reps, members = [], [module.index[w] - 1 for w in sub.elements]
+    reps, members = [], list(map(module.index.__getitem__, sub.elements))
     rep_index = [-1] * module.size
     for x, row in enumerate(module.plus):
         if rep_index[x] < 0:
@@ -383,7 +368,7 @@ def _op_tables(sub: Submodule) -> tuple[tuple[int, ...], ...]:
     h(t.y) = h(0 * y) = t'.h(y).  The converse is immediate.
     """
     mod, plus = sub.module, sub.module.plus
-    idx = [mod.index[e] - 1 for e in sub.elements]
+    idx = list(map(mod.index.__getitem__, sub.elements))
     pos = [None] * mod.size  # module index -> position in sub.elements
     for i, x in enumerate(idx):
         pos[x] = i
@@ -416,4 +401,4 @@ def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
 
 def translation_map(module: FiniteModule, z: Elem) -> tuple[int, ...]:
     """The map x -> x + z as a 1-based permutation of table indices."""
-    return tuple(module.index[module.add(x, z)] for x in module.elements)
+    return tuple([x + 1 for x in module.plus[module.index_of(z)]])

@@ -355,10 +355,11 @@ def scan_module_isomorphisms(src, dst):
         return []
 
     def tables(mod, elems):
-        index = {e: i for i, e in enumerate(elems)}
-        return (index[mod.zero], [index[mod.act_s(x)] for x in elems],
-                [index[mod.act_t(x)] for x in elems],
-                [[index[mod.add(x, y)] for y in elems] for x in elems])
+        m, index = mod.m, {e: i for i, e in enumerate(elems)}
+        return (index[mod.zero],
+                [index[_vec(mod.s_matrix, x, m)] for x in elems],
+                [index[_vec(mod.t_matrix, x, m)] for x in elems],
+                [[index[_sum(m, x, y)] for y in elems] for x in elems])
 
     zs, s_src, t_src, add_src = tables(ms, xs)
     zd, s_dst, t_dst, add_dst = tables(md, ys)

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from biquandles import alexander, modules
+from biquandles import alexander, cli, modules
 from biquandles import (FiniteModule, SwitchError, WitnessError,
-                        is_homomorphism, kernel_one_minus_s, make_alexander,
-                        make_module, make_scalar_module,
+                        extract_witness, is_homomorphism, kernel_one_minus_s,
+                        make_alexander, make_module, make_scalar_module,
                         make_switch_biquandle, normalize_iso,
-                        serialize_matrix, translation_map, trivial_biquandle,
-                        verify_biquandle)
+                        serialize_matrix, structural_iso, translation_map,
+                        trivial_biquandle, verify_biquandle)
 from biquandles.modules import counting_element_order
 
 from conftest import SWITCH_A, SWITCH_B, Z2Z2_MATRIX, scalar_modules, units
@@ -24,6 +24,20 @@ def blocks(table):
 def zero_and_units(k):
     return [(0,) * k] + [tuple(int(i == j) for j in range(k))
                          for i in range(k)]
+
+
+@pytest.fixture
+def mat_vec_calls(monkeypatch):
+    """The vectors passed to every matrix application, in call order."""
+    calls = []
+    mat_vec = modules._mat_vec
+
+    def spy(mat, vec, m):
+        calls.append(vec)
+        return mat_vec(mat, vec, m)
+
+    monkeypatch.setattr(modules, "_mat_vec", spy)
+    return calls
 
 
 def orders(m, k):
@@ -117,8 +131,7 @@ class TestMakeAlexander:
         scalar = ((unit, 0), (0, unit))
         samples = [(shear, shear), (rot, rot), (shear, scalar),
                    (scalar, rot)]
-        mod0 = make_module(m, 2, shear, shear)
-        samples.append((shear, mod0.s_inverse))
+        samples.append((shear, matrix_inverse(shear, m)))
         for s, t in samples:
             table = make_alexander(make_module(m, 2, s, t))
             assert verify_biquandle(table).passed, (m, s, t)
@@ -245,24 +258,37 @@ class TestFormulaOracle:
             assert [order[i] for i in table.affine_basis] == \
                 zero_and_units(k)
 
-    def test_matrices_applied_to_unit_vectors_only(self, monkeypatch):
+    def test_matrices_applied_to_unit_vectors_only(self, mat_vec_calls):
         # a Z_3^3 table needs the images of the k unit vectors under each of
         # the module's matrices, not the images of all 27 elements
-        calls = []
-        mat_vec = modules._mat_vec
-
-        def spy(mat, vec, m):
-            calls.append(vec)
-            return mat_vec(mat, vec, m)
-
-        monkeypatch.setattr(modules, "_mat_vec", spy)
         k = 3
         mod = make_module(3, k, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
                           ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
         table = make_alexander(mod)
-        assert 0 < len(calls) <= 4 * k + 4
+        assert 0 < len(mat_vec_calls) <= 4 * k + 4
         assert blocks(table) == alexander_blocks(
             3, mod.s_matrix, mod.t_matrix, mod.elements)
+
+    def test_decider_and_orbits_apply_no_matrix(self, mat_vec_calls,
+                                                tmp_path, capsys):
+        # structural_iso and extract_witness read the images make_alexander
+        # cached, and the orbits listing builds one module's images only
+        k = 3
+        a = make_module(3, k, ((0, 2, 1), (2, 0, 1), (0, 0, 2)),
+                        ((0, 2, 0), (2, 0, 0), (0, 0, 2)))
+        b = make_module(3, k, ((2, 0, 2), (2, 1, 2), (0, 0, 2)),
+                        ((2, 0, 0), (2, 1, 1), (0, 0, 2)))
+        make_alexander(a), make_alexander(b)
+        built = len(mat_vec_calls)
+        assert 0 < built <= 2 * (4 * k + 4)
+        witness, _ = structural_iso(a, b)
+        assert extract_witness(a, b, witness.perm) == witness
+        assert len(mat_vec_calls) == built
+        path = tmp_path / "a.mod"
+        path.write_text("3 3\n0 2 1\n2 0 1\n0 0 2\n0 2 0\n2 0 0\n0 0 2\n")
+        assert cli.main(["orbits", "--mod", str(path), "--json"]) == 0
+        assert "s_orbit_of_transversal" in capsys.readouterr().out
+        assert built < len(mat_vec_calls) <= built + 4 * k + 4
 
     def test_random_switches(self):
         rng = random.Random(31)

@@ -265,6 +265,21 @@ class TestOrbits:
         assert "Ker(1-s): {0, 2, 4, 6}" in out
         assert "s-orbit of transversal: {0, 1, 5}" in out
 
+    # frozen output for a rank-2 module file: (1-st)M has 2 elements, 8
+    # cosets, and Ker(1-s) and the orbit are proper subsets
+    @pytest.mark.parametrize("flags,digest", [
+        ((),
+         "3e3ea91225618feb5b6f5732b7a86c00ab9402c8ea032a8356f791b3dbe4fdfc"),
+        (("--json",),
+         "e61c1d9241ad57654843fa88606706635cb603bef7e6ffcd5631e76c879ce567"),
+    ])
+    def test_rank_two_file_frozen(self, capsys, tmp_path, flags, digest):
+        path = tmp_path / "z4sq.mod"
+        path.write_text("4 2\n0 1\n1 2\n0 3\n3 2\n")
+        code, out, _ = run(capsys, "orbits", "--mod", str(path), *flags)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestEnumerate:
     def test_order_one(self, capsys):

@@ -10,18 +10,27 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         assemble_witness_map, brute_force_iso,
                         enumerate_biquandles, enumerate_homomorphisms,
                         extract_witness, fixed_point_profile,
-                        is_homomorphism, kernels, make_alexander,
-                        make_module, make_scalar_module, module_isomorphisms,
+                        is_homomorphism, kernel_one_minus_s, kernels,
+                        make_alexander, make_module, make_scalar_module,
+                        module_isomorphisms, normalize_iso,
                         one_minus_st_submodule, profiles_compatible,
                         structural_iso, translation_map, transversal,
                         trivial_biquandle, verify_biquandle)
 from biquandles.isomorphism import format_witness, witness_to_dict
 
 from conftest import scalar_modules
-from oracles import recheck_axioms, recheck_yang_baxter
+from oracles import (_neg, _sum, _vec, matrix_inverse, recheck_axioms,
+                     recheck_yang_baxter)
 
 Z8_35 = make_scalar_module(8, 3, 5)
 Z8_53 = make_scalar_module(8, 5, 3)
+
+
+def one_minus_st(mod, x):
+    """(1 - st)x in the oracles' coordinate arithmetic."""
+    m = mod.m
+    return _sum(m, x, _neg(_vec(mod.s_matrix, _vec(mod.t_matrix, x, m), m),
+                           m))
 
 
 def inverse_perm(perm):
@@ -163,7 +172,7 @@ class TestStructural:
         # s'k(a) = k(b) + h(w) for s*1 = 3 = 1 + 2
         from biquandles import one_minus_st_submodule
         sub = one_minus_st_submodule(Z8_35)
-        h = {x: Z8_35.neg(x) for x in sub.elements}
+        h = {x: _neg(x, 8) for x in sub.elements}
         target = h[(2,)]
         candidates = [y[0] for y in Z8_53.elements
                       if (2 * y[0]) % 8 == target[0]]
@@ -291,7 +300,7 @@ def random_rank_two_pairs(count, seed):
     def draw(m, st_one):
         s = rng.choice(GL2[m])
         if st_one:
-            return s, make_module(m, 2, s, s).s_inverse
+            return s, matrix_inverse(s, m)
         return s, rng.choice([t for t in GL2[m]
                               if mul(s, t, m) == mul(t, s, m)])
 
@@ -300,7 +309,7 @@ def random_rank_two_pairs(count, seed):
         s, t = draw(m, i % 2 == 0)
         if i % 4 < 2:
             p = rng.choice(GL2[m])
-            p_inv = make_module(m, 2, p, p).s_inverse
+            p_inv = matrix_inverse(p, m)
             s2, t2 = (mul(mul(p, x, m), p_inv, m) for x in (s, t))
         else:
             s2, t2 = draw(m, i % 2 == 0)
@@ -356,16 +365,17 @@ class TestCycleWalk:
             for h in module_isomorphisms(sub_a, sub_b):
                 takes = []
                 for cycle in s_cycles(a, transversal(a, sub_a)):
-                    value = h(a.act(a.one_minus_st, cycle[0][0]))
+                    value = h(one_minus_st(a, cycle[0][0]))
                     found = set()
                     for y in b.elements:
                         c = cycle_of[trans_b.rep_of(y)]
-                        if b.act(b.one_minus_st, y) != value or \
+                        if one_minus_st(b, y) != value or \
                                 len(d_cycles[c]) != len(cycle):
                             continue
                         k = y
                         for _, w in cycle:
-                            k = b.sub(b.act_s(k), h(w))
+                            k = _sum(b.m, _vec(b.s_matrix, k, b.m),
+                                     _neg(h(w), b.m))
                         if k == y:
                             found.add(c)
                     takes.append(found)
@@ -388,13 +398,13 @@ def certificate_cases(a, b, rng):
     witness, _ = structural_iso(a, b)
     fibers = {}
     for y in b.elements:
-        fibers.setdefault(b.act(b.one_minus_st, y), []).append(y)
+        fibers.setdefault(one_minus_st(b, y), []).append(y)
     for h in module_isomorphisms(sub_a, sub_b):
         rep_maps = [dict(witness.rep_map)] if witness is not None and \
             witness.submodule_map == h else []
         for draw in range(8):
             rep_maps.append({rep: rng.choice(
-                fibers[h(a.act(a.one_minus_st, rep))] if draw < 6
+                fibers[h(one_minus_st(a, rep))] if draw < 6
                 else b.elements) for rep in trans.reps})
         for rep_map in rep_maps:
             rep_map[a.zero] = b.zero
@@ -637,6 +647,60 @@ class TestWitnessRoundTrip:
         assert [pair[0] for pair in payload["rep_map"]] == [[0], [1]]
         text = format_witness(witness)
         assert "permutation: 1 2 3 4 5 6 7 8" in text
+
+
+# (m, k, s, t) of each side: scalar pairs, rank 2 with a proper (1-st)
+# submodule and 3 or 8 cosets, rank 3 with 2 cosets, and Z_4 against Z_2^2
+EXTRACTION_PAIRS = {
+    "z8_self": FROZEN_PAIRS["z8_self"],
+    "z9_25_52": FROZEN_PAIRS["z9_25_52"],
+    "z3sq_three_cosets": ((3, 2, ((0, 2), (1, 2)), ((0, 2), (1, 2))),
+                          (3, 2, ((2, 2), (1, 0)), ((2, 2), (1, 0)))),
+    "z4sq_eight_cosets": ((4, 2, ((0, 1), (1, 2)), ((0, 3), (3, 2))),
+                          (4, 2, ((1, 2), (3, 1)), ((3, 2), (1, 3)))),
+    "z2cube_cycles": (
+        (2, 3, ((0, 0, 1), (1, 0, 0), (0, 1, 0)), diag(1, 1, 1)),
+        (2, 3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), diag(1, 1, 1))),
+    "z4_vs_z2sq_swap": FROZEN_PAIRS["z4_vs_z2sq_swap"],
+}
+
+# name: (isomorphisms, records, sha256 prefix of the records), taken from
+# the coordinate-tuple implementation of extract_witness and normalize_iso
+FROZEN_EXTRACTION = {
+    "z2cube_cycles": (6, 18, "e64241f87a9254d5"),
+    "z3sq_three_cosets": (54, 216, "dbd7eba477c3de07"),
+    "z4_vs_z2sq_swap": (4, 12, "c16b75b515d7d469"),
+    "z4sq_eight_cosets": (128, 384, "609f69b6790c030e"),
+    "z8_self": (8, 24, "bb3071c95b462679"),
+    "z9_25_52": (12, 24, "f1aba62182273ac1"),
+}
+
+
+def extraction_records(a, b):
+    """For every isomorphism f, in search order: f and the fields of its
+    extracted witness, then for every z in Ker(1-s') the translate
+    x -> f(x) + z and what ``normalize_iso`` makes of it."""
+    ta, tb = make_alexander(a), make_alexander(b)
+    kernel = kernel_one_minus_s(b).elements
+    isos = all_isomorphisms(ta, tb)
+    records = []
+    for f in isos:
+        w = extract_witness(a, b, f)
+        records.append(repr((f, w.perm, w.rep_map, w.submodule_map.pairs)))
+        for z in kernel:
+            shift = translation_map(b, z)
+            moved = tuple(shift[i - 1] for i in f)
+            records.append(repr((z, moved, normalize_iso(a, b, moved))))
+    return len(isos), records
+
+
+class TestFrozenExtraction:
+    @pytest.mark.parametrize("name", sorted(EXTRACTION_PAIRS))
+    def test_witnesses_and_normal_forms_unchanged(self, name):
+        a, b = (make_module(*spec) for spec in EXTRACTION_PAIRS[name])
+        count, records = extraction_records(a, b)
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert (count, len(records), digest[:16]) == FROZEN_EXTRACTION[name]
 
 
 class TestHomEnumeration:

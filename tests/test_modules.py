@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -9,16 +10,17 @@ from pathlib import Path
 import pytest
 
 import biquandles
-from biquandles import (ModuleError, kernel_one_minus_s, make_module,
-                        make_scalar_module, make_switch_biquandle,
-                        module_isomorphisms, one_minus_st_submodule, s_orbit,
-                        translation_map, transversal)
+from biquandles import (ModuleError, Submodule, kernel_one_minus_s,
+                        make_module, make_scalar_module,
+                        make_switch_biquandle, module_isomorphisms,
+                        one_minus_st_submodule, s_orbit, translation_map,
+                        transversal)
 from biquandles.errors import SwitchError
 from biquandles.modules import (_addition_table, _det, _mat_inv, _mat_mul,
                                 _mat_vec, counting_element_order)
 
 from conftest import scalar_modules
-from oracles import scan_module_isomorphisms
+from oracles import _neg, _sum, _vec, scan_module_isomorphisms
 
 Z8_35 = make_scalar_module(8, 3, 5)
 Z8_53 = make_scalar_module(8, 5, 3)
@@ -118,8 +120,9 @@ class TestMatInv:
                       for i in range(10))
         start = time.perf_counter()
         mod = make_module(2, 10, ident, ident)
+        inv = _mat_inv(mod.s_matrix, 2, "s action")
         assert time.perf_counter() - start < 2
-        assert mod.s_inverse == ident
+        assert inv == ident
 
     def test_import_leaves_sympy_unloaded(self):
         src = str(Path(biquandles.__file__).resolve().parents[1])
@@ -184,6 +187,24 @@ class TestOneMinusSt:
             assert one_minus_st_submodule(mod).is_closed()
             assert kernel_one_minus_s(mod).is_closed()
 
+    @pytest.mark.parametrize("broken,spec,subset", [
+        # the empty set is closed under everything but holds no zero
+        ("zero", (8, 1, ((3,),), ((5,),)), ()),
+        # {0, 1, 3, 5, 7} in Z_8 (3, 5): -x, 3x and 5x stay, 1 + 1 leaves
+        ("+", (8, 1, ((3,),), ((5,),)), elems((0, 1, 3, 5, 7))),
+        # a finite subset closed under + is a subgroup, so a subset that
+        # loses -x loses a sum too: {0, 1, 2} in Z_4, with s = t = 1
+        ("negation", (4, 1, ((1,),), ((1,),)), elems((0, 1, 2))),
+        # the subgroup generated by (0, 1) in Z_3^2 is t-stable but not
+        # s-stable under the shear, and the other way round
+        ("s", (3, 2, ((1, 1), (0, 1)), ((2, 0), (0, 2))),
+         ((0, 0), (0, 1), (0, 2))),
+        ("t", (3, 2, ((2, 0), (0, 2)), ((1, 1), (0, 1))),
+         ((0, 0), (0, 1), (0, 2))),
+    ])
+    def test_open_subsets(self, broken, spec, subset):
+        assert not Submodule(make_module(*spec), subset).is_closed()
+
 
 class TestKernel:
     def test_z8_by_scan(self):
@@ -216,7 +237,32 @@ class TestTransversal:
         for x in Z8_35.elements:
             rep = trans.rep_of(x)
             assert rep in trans.reps
-            assert Z8_35.sub(x, rep) in one_minus_st_submodule(Z8_35)
+            assert _sum(8, x, _neg(rep, 8)) in one_minus_st_submodule(Z8_35)
+
+
+class TestElementArguments:
+    # coordinates are reduced mod m; a wrong length is a ValueError
+    def test_s_orbit(self):
+        assert s_orbit(Z8_35, [(9,)]) == s_orbit(Z8_35, [(1,)]) == \
+            elems((1, 3))
+        assert s_orbit(Z8_35, [(-6,), (10,)]) == elems((2, 6))
+        for bad in ((1, 2), ()):
+            with pytest.raises(ValueError, match="1 coordinates"):
+                s_orbit(Z8_35, [bad])
+
+    def test_translation_map(self):
+        assert translation_map(Z8_35, (9,)) == translation_map(Z8_35, (1,))
+        for bad in ((1, 2), ()):
+            with pytest.raises(ValueError, match="1 coordinates"):
+                translation_map(Z8_35, bad)
+
+    def test_rep_of(self):
+        trans = transversal(Z8_35, one_minus_st_submodule(Z8_35))
+        assert trans.rep_of((9,)) == trans.rep_of((1,)) == (1,)
+        assert trans.rep_of((-2,)) == (0,)
+        for bad in ((1, 2), ()):
+            with pytest.raises(ValueError, match="1 coordinates"):
+                trans.rep_of(bad)
 
 
 class TestOrbit:
@@ -242,9 +288,9 @@ class TestModuleIsomorphisms:
         assert scan_module_isomorphisms(n, np_) == []
 
     def test_negation_fails_intertwining_pointwise(self):
-        neg = {x: Z8_35.neg(x) for x in one_minus_st_submodule(Z8_35).elements}
-        failures = [x for x in neg
-                    if neg[Z8_35.act_s(x)] != Z8_53.act_s(neg[x])]
+        neg = {x: _neg(x, 8) for x in one_minus_st_submodule(Z8_35).elements}
+        failures = [x for x in neg if neg[_vec(Z8_35.s_matrix, x, 8)] !=
+                    _vec(Z8_53.s_matrix, neg[x], 8)]
         assert failures == [(2,), (6,)]
 
     def test_zero_submodule_has_exactly_the_empty_map(self):
@@ -317,15 +363,64 @@ class TestModuleIsomorphisms:
         for iso in module_isomorphisms(sub, sub):
             phi = iso.mapping
             for x in sub.elements:
-                assert phi[Z8_35.act_s(x)] == Z8_35.act_s(phi[x])
-                assert phi[Z8_35.act_t(x)] == Z8_35.act_t(phi[x])
+                for mat in (Z8_35.s_matrix, Z8_35.t_matrix):
+                    assert phi[_vec(mat, x, 8)] == _vec(mat, phi[x], 8)
                 for y in sub.elements:
-                    assert phi[Z8_35.add(x, y)] == Z8_35.add(phi[x], phi[y])
+                    assert phi[_sum(8, x, y)] == _sum(8, phi[x], phi[y])
 
     def test_size_mismatch_is_empty(self):
         small = one_minus_st_submodule(make_scalar_module(4, 3, 3))
         big = one_minus_st_submodule(Z8_35)
         assert list(module_isomorphisms(small, big)) == []
+
+
+# (m, k, s, t): rank 1 to 3, with (1-st) submodules proper and whole
+ARITHMETIC_MODULES = {
+    "z8_35": (8, 1, ((3,),), ((5,),)),
+    "z9_25": (9, 1, ((2,),), ((5,),)),
+    "z3sq_shear": (3, 2, ((1, 1), (0, 1)), ((2, 0), (0, 2))),
+    "z4sq_eight_cosets": (4, 2, ((0, 1), (1, 2)), ((0, 3), (3, 2))),
+    "z3cube_proper": (3, 3, ((0, 2, 1), (2, 0, 1), (0, 0, 2)),
+                      ((0, 2, 0), (2, 0, 0), (0, 0, 2))),
+    "z2cube_cycle": (2, 3, ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                     ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+}
+
+# name: (kernel size, orbit size, sha256 prefix of the records), taken
+# from the coordinate-tuple implementation of these helpers
+FROZEN_ARITHMETIC = {
+    "z2cube_cycle": (2, 4, "152db65cc1c60ebe"),
+    "z3cube_proper": (3, 23, "cf38fde5e9a602b8"),
+    "z3sq_shear": (3, 1, "73c577ae27f0d4c3"),
+    "z4sq_eight_cosets": (2, 15, "8746e1d01282fa01"),
+    "z8_35": (2, 3, "6314462aaed4a0fb"),
+    "z9_25": (1, 9, "b7febe9b099c236a"),
+}
+
+
+def arithmetic_records(mod):
+    """Ker(1-s), the transversal of (1-st)M and its s-orbit, the s-orbit of
+    every element and of a few seeded triples, and every element's
+    translation map and coset representative."""
+    trans = transversal(mod, one_minus_st_submodule(mod))
+    rng = random.Random(f"orbits:{mod.m}^{mod.k}")
+    seeds = [[x] for x in mod.elements]
+    seeds += [rng.sample(mod.elements, 3) for _ in range(5)]
+    ker = kernel_one_minus_s(mod).elements
+    return len(ker), len(trans.orbit), (
+        [repr(ker), repr(trans.reps), repr(trans.orbit)]
+        + [repr(s_orbit(mod, xs)) for xs in seeds]
+        + [repr((translation_map(mod, x), trans.rep_of(x)))
+           for x in mod.elements])
+
+
+class TestFrozenArithmetic:
+    @pytest.mark.parametrize("name", sorted(ARITHMETIC_MODULES))
+    def test_kernel_orbits_translations_unchanged(self, name):
+        ker, orbit, records = arithmetic_records(
+            make_module(*ARITHMETIC_MODULES[name]))
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert (ker, orbit, digest[:16]) == FROZEN_ARITHMETIC[name]
 
 
 class TestTranslationAndOrders:
