@@ -5,8 +5,8 @@ x_y = Ay + Bx + c: the Laurent-module biquandle x^y = tx + (1-st)y, x_y = sx
 (C = t, D = 1 - st, A = 0, B = s, c = 0), and the switch construction with
 C, D derived from invertible A, B.  The barred operations invert the pair
 map S(a, b) = (b_a, a^b), which is affine too, so the builder writes all
-four operations the same way, on the module's canonical indices and through
-its one addition table.
+four operations the same way, on the canonical indices of Z_m^k and through
+the addition table of its one shared ``Carrier``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import ModuleError, SwitchError, WitnessError
-from .modules import (Elem, FiniteModule, _as_matrix, _identity, _mat_inv,
-                      _mat_mul, _mat_sub)
+from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _identity,
+                      _mat_inv, _mat_mul, _mat_sub, carrier)
 from .tables import BiquandleTable, is_homomorphism
 
 
@@ -37,29 +37,30 @@ def _inverse(perm: list[int]) -> list[int]:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
-def _affine_table(group: FiniteModule, ops, order) -> BiquandleTable:
+def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
     """Table of the four operations (up, down, upbar, downbar), each given
     as (Cx, Dy, c), index images of two linear maps and a shift's index,
     for x * y = Cx + Dy + c with every sum read from ``group.plus``.  Index
     i is the group's i-th canonical element, relabelled to ``order[i]``
     when an order is given.  ``affine_basis`` holds the indices of zero and
     of the unit vectors, so ``verify_biquandle`` decides every axiom on
-    1 + 2k pairs.
+    1 + 2k pairs.  Every entry is read from ``plus``, so it is in range by
+    construction and the table is stored without re-validation.
     """
     plus, n = group.plus, group.size
     flats = []
     for cx, dy, c in ops:
         shifted = plus[c]
-        flats.append([row[y] for row in [plus[shifted[x]] for x in cx]
-                      for y in dy])
+        flats.append(tuple([row[y] for row in [plus[shifted[x]] for x in cx]
+                            for y in dy]))
     basis = [0] + [group.m ** (group.k - 1 - g) for g in range(group.k)]
     if order is not None:
         pos = list(map(group.index.__getitem__, order))  # -> canonical
         label = _inverse(pos)
-        flats = [[label[flat[i * n + j]] for i in pos for j in pos]
+        flats = [tuple([label[flat[i * n + j]] for i in pos for j in pos])
                  for flat in flats]
         basis = map(label.__getitem__, basis)
-    return BiquandleTable.from_flats(n, *flats, tuple(basis))
+    return BiquandleTable._built(n, tuple(flats), tuple(basis))
 
 
 def make_alexander(module: FiniteModule,
@@ -79,7 +80,7 @@ def make_alexander(module: FiniteModule,
     plus, neg = module.plus, module.neg_of
     barred = [plus[y][neg[t_inv[x]]] for y, x in enumerate(s_inv)]
     zero = [0] * module.size
-    return _affine_table(module, (
+    return _affine_table(module.carrier, (
         (module.t_of, module.one_minus_st_of, 0), (module.s_of, zero, 0),
         (t_inv, barred, 0), (s_inv, zero, 0)), order)
 
@@ -141,7 +142,7 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     rmat = _mat_sub(zero, _mat_mul(tmat, c_ainv, m), m)
     pmat = _mat_sub(ainv, _mat_mul(qmat, c_ainv, m), m)
 
-    group = FiniteModule(m, k, ident, ident)  # Z_m^k; the actions unused
+    group = carrier(m, k)
     order = _resolve_order(group.elements, element_order, m)
     c = 0 if shift is None else group.index_of(shift)
     cx, dy, bx, ay, qx, py, rx, ty = map(group.images, (

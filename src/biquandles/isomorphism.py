@@ -166,7 +166,8 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
 def _index_map(src: FiniteModule, dst: FiniteModule, pairs
                ) -> dict[int, int]:
     """(x, y) element pairs as {canonical 0-based index of x: that of y}."""
-    return {src.index[x]: dst.index[y] for x, y in pairs}
+    index_s, index_d = src.index, dst.index
+    return {index_s[x]: index_d[y] for x, y in pairs}
 
 
 def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
@@ -240,8 +241,9 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     which give h((1-st)y) = (1-s't')f(y) for all y (see ``_certifies``).
     The h are drawn lazily from ``module_isomorphisms``, so the search for
     them stops at the first h that extends.  Every step runs on canonical
-    indices, through the arithmetic each module builds once and shares with
-    ``make_alexander`` (``FiniteModule.plus``); the witness holds elements.
+    indices, through the arithmetic ``make_alexander`` reads too (the
+    group's shared ``plus`` and each module's action images); the witness
+    holds elements.
     """
     prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
               "closure": 0, "verify": 0}
@@ -304,7 +306,8 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
             continue
         perm = _assemble(src, dst, trans_s, h_of, k_of)
         if _certifies(src, dst, perm):
-            rep_map = tuple(sorted((src.elements[rep], dst.elements[k])
+            els, eld = src.elements, dst.elements
+            rep_map = tuple(sorted((els[rep], eld[k])
                                    for rep, k in k_of.items()))
             witness = IsoWitness(source=src, target=dst, submodule_map=h,
                                  rep_map=rep_map, perm=perm)

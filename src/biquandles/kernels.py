@@ -209,21 +209,16 @@ def _profiles(n, tables, mask):
     """Per-element fingerprints preserved by bijective op-preserving maps.
 
     Element a gets one (rowfix, colfix, selffix) triple per table selected
-    by ``mask``: how many b have t(a, b) = a, how many b have t(b, a) = b,
-    and whether t(a, a) = a.  All three come from one mask per table,
-    fixed[i*n + j] = (t(i, j) == i): its counts per row, its counts per
-    column, and its diagonal.
+    by ``mask``: how many b have t(a, b) = a (counted in row a), how many b
+    have t(b, a) = b (column a against 0..n-1), and whether t(a, a) = a.
     """
-    row_of = [i for i in range(n) for _ in range(n)]
-    col_of = list(range(n)) * n
     per_table = []
+    cols = range(n)
     for bit, t in zip((OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR), tables):
         if mask & bit:
-            fixed = list(map(eq, t, row_of))
-            rows = Counter(itertools.compress(row_of, fixed))
-            cols = Counter(itertools.compress(col_of, fixed))
-            per_table.append([(rows[a], cols[a], d)
-                              for a, d in enumerate(fixed[::n + 1])])
+            per_table.append([(t[a * n:a * n + n].count(a),
+                               sum(map(eq, t[a::n], cols)),
+                               t[a * n + a] == a) for a in cols])
     return list(zip(*per_table)) or [()] * n
 
 

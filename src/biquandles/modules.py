@@ -1,12 +1,15 @@
 """Finite modules over the two-variable Laurent ring, and their submodule,
 coset, and orbit machinery.
 
-The carrier is Z_m^k with two commuting invertible k x k matrices giving the
-actions of the ring generators s and t.  Elements are coordinate tuples at
-the public boundary only; the canonical enumeration is plain lexicographic
-on coordinates, so the zero vector always has index 0, and every algorithm
-here runs on those 0-based indices, through the arithmetic each module
-builds once (``FiniteModule.plus`` and the ``*_of`` images).
+A module is an abelian group Z_m^k, its *carrier*, with two commuting
+invertible k x k matrices giving the actions of the ring generators s and t.
+Elements are coordinate tuples at the public boundary only; the canonical
+enumeration is plain lexicographic on coordinates, so the zero vector always
+has index 0, and every algorithm here runs on those 0-based indices.  The
+group arithmetic (``Carrier.plus``, ``neg_of`` and the images of matrices)
+depends on (m, k) alone, so one ``Carrier`` per group is built once and
+shared by every module and switch on it; a module adds only the images of
+its own actions (``s_of``, ``t_of``, ``one_minus_st_of``).
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from operator import attrgetter, mul
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from . import kernels
 from .errors import ModuleError
@@ -53,7 +57,7 @@ def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
                  for ra, rb in zip(a, b))
 
 
-def _addition_table(m: int, index: dict[Elem, int]) -> list[list[int]]:
+def _addition_table(m: int, index: Mapping[Elem, int]) -> list[list[int]]:
     """Addition on the keys of ``index`` (closed under + mod m): row i,
     column j holds the index of the sum of the i-th and j-th keys.
 
@@ -122,28 +126,36 @@ def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
         for i in range(k))
 
 
-@dataclass(frozen=True)
-class FiniteModule:
-    """Z_m^k with commuting invertible actions of s and t."""
+class Carrier:
+    """The group Z_m^k: its elements in canonical order and the arithmetic
+    on their 0-based indices, each built on first use.
 
-    m: int
-    k: int
-    s_matrix: Mat
-    t_matrix: Mat
+    ``carrier(m, k)`` hands out one per group, shared by every module and
+    switch on it, so its tables are tuples and ``index`` is a read-only
+    mapping: no caller can change another module's arithmetic.
+    """
 
-    @cached_property
-    def size(self) -> int:
-        return self.m ** self.k
+    def __init__(self, m: int, k: int):
+        self.m, self.k, self.size = m, k, m ** k
 
     @cached_property
     def elements(self) -> tuple[Elem, ...]:
-        """All coordinate vectors in canonical (lexicographic) order."""
+        """All coordinate vectors in canonical (lexicographic) order.
+
+        A group past 1024 elements raises ``ModuleError`` here, before
+        anything is built: its addition table would hold more than
+        ``kernels.MAX_STATES`` entries.
+        """
+        if self.size ** 2 > kernels.MAX_STATES:
+            raise ModuleError(
+                f"Z_{self.m}^{self.k} has {self.size} elements; its addition"
+                f" table would exceed {kernels.MAX_STATES} entries")
         return tuple(itertools.product(range(self.m), repeat=self.k))
 
     @cached_property
-    def index(self) -> dict[Elem, int]:
+    def index(self) -> Mapping[Elem, int]:
         """Element -> 0-based canonical index (zero is 0)."""
-        return dict(zip(self.elements, range(self.size)))
+        return MappingProxyType(dict(zip(self.elements, range(self.size))))
 
     def index_of(self, x) -> int:
         """Canonical index of an element given by the caller: coordinates
@@ -153,10 +165,14 @@ class FiniteModule:
         return self.index[tuple([int(c) % self.m for c in x])]
 
     @cached_property
-    def plus(self) -> list[list[int]]:
-        """plus[i][j] is the index of elements[i] + elements[j]; this and
-        the ``*_of`` images are arithmetic on 0-based indices, built once."""
-        return _addition_table(self.m, self.index)
+    def plus(self) -> tuple[tuple[int, ...], ...]:
+        """plus[i][j] is the index of elements[i] + elements[j]."""
+        return tuple(map(tuple, _addition_table(self.m, self.index)))
+
+    @cached_property
+    def neg_of(self) -> tuple[int, ...]:
+        return tuple(self.images(tuple(tuple(-c for c in row)
+                                       for row in _identity(self.k))))
 
     def images(self, mat: Mat) -> list[int]:
         """Index of mat.x for each index x; mat is applied to the unit
@@ -172,6 +188,45 @@ class FiniteModule:
                 img += block
         return img
 
+
+@lru_cache(maxsize=16)
+def carrier(m: int, k: int) -> Carrier:
+    """The one ``Carrier`` of Z_m^k, from a cache of the 16 groups used
+    last; a module keeps its own reference, so an eviction never rebuilds
+    a live module's arithmetic."""
+    return Carrier(m, k)
+
+
+def _carried(name: str) -> property:
+    """The module's view of a member of its carrier."""
+    return property(attrgetter("carrier." + name),
+                    doc=f"The carrier's ``{name}``, shared by every module "
+                        "on the same group.")
+
+
+@dataclass(frozen=True)
+class FiniteModule:
+    """Z_m^k with commuting invertible actions of s and t.
+
+    The group arithmetic is its carrier's (``size``, ``elements``,
+    ``index``, ``index_of``, ``plus``, ``neg_of``, ``images``); the module
+    builds only the images of its actions.  Equality, hashing and repr
+    ignore the carrier.
+    """
+
+    m: int
+    k: int
+    s_matrix: Mat
+    t_matrix: Mat
+    carrier: Carrier = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "carrier", carrier(self.m, self.k))
+
+    size, elements, index, index_of, plus, neg_of, images = map(
+        _carried, ("size", "elements", "index", "index_of", "plus",
+                   "neg_of", "images"))
+
     @cached_property
     def s_of(self) -> list[int]:
         return self.images(self.s_matrix)
@@ -185,11 +240,6 @@ class FiniteModule:
         """Index of x - s.t.x for each index x."""
         neg, s_of, t_of = self.neg_of, self.s_of, self.t_of
         return [row[neg[s_of[t_of[x]]]] for x, row in enumerate(self.plus)]
-
-    @cached_property
-    def neg_of(self) -> list[int]:
-        return self.images(tuple(tuple(-c for c in row)
-                                 for row in _identity(self.k)))
 
     @property
     def zero(self) -> Elem:
@@ -334,10 +384,10 @@ def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
     if sub.module is not module and sub.module != module:
         raise ValueError("submodule belongs to a different module")
     reps, members = [], list(map(module.index.__getitem__, sub.elements))
-    rep_index = [-1] * module.size
+    rep_index, elements = [-1] * module.size, module.elements
     for x, row in enumerate(module.plus):
         if rep_index[x] < 0:
-            reps.append(module.elements[x])
+            reps.append(elements[x])
             for y in map(row.__getitem__, members):
                 rep_index[y] = x
     return Transversal(module, sub, tuple(reps), rep_index)

@@ -46,6 +46,16 @@ def _check_flat(n, kind, flat):
         raise ValueError(f"{kind} entry {shown!r} outside 1..{n}")
 
 
+def _checked(n, flats) -> tuple[Flat, Flat, Flat, Flat]:
+    """The four flats as tuples, each checked to be an n x n table."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    flats = tuple(map(tuple, flats))
+    for kind, flat in zip(KINDS, flats):
+        _check_flat(n, kind, flat)
+    return flats
+
+
 def _view(i: int) -> property:
     """The 1-based block of the i-th stored operation, as rows of tuples."""
     def block(table) -> Block:
@@ -73,24 +83,26 @@ class BiquandleTable:
 
     def __init__(self, n: int, up, down, upbar, downbar):
         """Table from four 1-based blocks, ``up[i-1][j-1] = i ^ j``."""
-        self._store(n, (_flatten(n, kind, rows) for kind, rows in
-                        zip(KINDS, (up, down, upbar, downbar))))
+        self._store(n, _checked(n, (_flatten(n, kind, rows) for kind, rows in
+                                    zip(KINDS, (up, down, upbar, downbar)))))
 
     @classmethod
     def from_flats(cls, n: int, up, down, upbar, downbar,
                    affine_basis=None) -> BiquandleTable:
         """Table from four 0-based flat tables, ``up[i*n + j] = i ^ j``."""
+        return cls._built(n, _checked(n, (up, down, upbar, downbar)),
+                          affine_basis)
+
+    @classmethod
+    def _built(cls, n, flats, affine_basis) -> BiquandleTable:
+        """Table from four flat tuples already known to be n x n tables
+        on 0..n-1, such as a builder's own arithmetic; not re-validated."""
         table = cls.__new__(cls)
-        table._store(n, (up, down, upbar, downbar))
+        table._store(n, flats)
         object.__setattr__(table, "affine_basis", affine_basis)
         return table
 
     def _store(self, n, flats):
-        if n < 1:
-            raise ValueError("order must be >= 1")
-        flats = tuple(map(tuple, flats))
-        for kind, flat in zip(KINDS, flats):
-            _check_flat(n, kind, flat)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_flats", flats)
 

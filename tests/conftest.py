@@ -5,7 +5,7 @@ import pytest
 from biquandles import (make_alexander, make_scalar_module,
                         make_switch_biquandle, parse_matrix,
                         trivial_biquandle)
-from biquandles.modules import counting_element_order
+from biquandles.modules import carrier, counting_element_order
 
 # The published 8x8 matrix of the order-4 switch biquandle on Z_2 x Z_2
 # (element order (1,0), (0,1), (1,1), (0,0)); reused across the suite as an
@@ -31,6 +31,13 @@ def units(n):
 
 def scalar_modules(n):
     return [make_scalar_module(n, s, t) for s in units(n) for t in units(n)]
+
+
+@pytest.fixture
+def fresh_carriers():
+    """An empty cache of group carriers, so that a test counting addition
+    tables or matrix applications counts the same in any test order."""
+    carrier.cache_clear()
 
 
 @pytest.fixture(scope="session")

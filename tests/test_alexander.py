@@ -27,7 +27,7 @@ def zero_and_units(k):
 
 
 @pytest.fixture
-def mat_vec_calls(monkeypatch):
+def mat_vec_calls(monkeypatch, fresh_carriers):
     """The vectors passed to every matrix application, in call order."""
     calls = []
     mat_vec = modules._mat_vec

@@ -81,6 +81,12 @@ class TestAlexander:
         code, _, err = run(capsys, "alexander", "--zn", "4", "2", "1")
         assert code == EXIT_INPUT and "error" in err
 
+    def test_oversized_group_refused(self, capsys):
+        # its 10^10-entry addition table is refused, not built
+        code, out, err = run(capsys, "alexander", "--zn", "100000", "1", "1")
+        assert code == EXIT_INPUT and out == ""
+        assert "Z_100000^1 has 100000 elements" in err
+
     def test_missing_module(self, capsys):
         code, _, err = run(capsys, "alexander")
         assert code == EXIT_INPUT

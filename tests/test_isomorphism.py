@@ -525,9 +525,10 @@ class TestFrozenStructural:
 class TestSharedArithmetic:
     @pytest.mark.parametrize("name", ["z3cube_proper", "z4_vs_z2sq_shear",
                                       "z9_25_52", "z4cube_closure"])
-    def test_one_addition_table_per_module(self, name, monkeypatch):
-        # make_alexander, verify_biquandle and structural_iso all read a
-        # module's one cached addition table, proper submodules included
+    def test_one_addition_table_per_module(self, name, monkeypatch,
+                                           fresh_carriers):
+        # make_alexander, verify_biquandle and structural_iso all read the
+        # one addition table of each group Z_m^k, proper submodules included
         from biquandles import modules
         built = []
         fill = modules._addition_table
@@ -541,7 +542,10 @@ class TestSharedArithmetic:
         for table in (make_alexander(a), make_alexander(b)):
             assert verify_biquandle(table).passed
         structural_iso(a, b)
-        assert built == [a.size, b.size]
+        # one table per distinct (m, k): [27] for z3cube_proper, [4, 4]
+        # for Z_4 against Z_2^2
+        groups = {(a.m, a.k): a.size, (b.m, b.k): b.size}
+        assert built == list(groups.values())
 
 
 class TestOracleEquivalence:

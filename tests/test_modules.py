@@ -10,14 +10,17 @@ from pathlib import Path
 import pytest
 
 import biquandles
-from biquandles import (ModuleError, Submodule, kernel_one_minus_s,
-                        make_module, make_scalar_module,
-                        make_switch_biquandle, module_isomorphisms,
-                        one_minus_st_submodule, s_orbit, translation_map,
-                        transversal)
+from biquandles import (FiniteModule, ModuleError, Submodule,
+                        kernel_one_minus_s, make_alexander, make_module,
+                        make_scalar_module, make_switch_biquandle,
+                        module_isomorphisms,
+                        one_minus_st_submodule, s_orbit, structural_iso,
+                        translation_map, transversal)
+from biquandles import modules
 from biquandles.errors import SwitchError
+from biquandles.kernels import MAX_STATES
 from biquandles.modules import (_addition_table, _det, _mat_inv, _mat_mul,
-                                _mat_vec, counting_element_order)
+                                _mat_vec, carrier, counting_element_order)
 
 from conftest import scalar_modules
 from oracles import _neg, _sum, _vec, scan_module_isomorphisms
@@ -132,6 +135,79 @@ class TestMatInv:
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+@pytest.fixture
+def tables_built(monkeypatch, fresh_carriers):
+    """The size of every addition table built, in build order."""
+    built = []
+    fill = modules._addition_table
+
+    def spy(m, index):
+        built.append(len(index))
+        return fill(m, index)
+
+    monkeypatch.setattr(modules, "_addition_table", spy)
+    return built
+
+
+class TestCarrier:
+    S1, T1 = ((1, 1), (0, 1)), ((2, 0), (0, 2))
+    S2, T2 = ((2, 0), (0, 2)), ((1, 0), (1, 1))
+
+    def test_modules_on_one_group_share_its_arithmetic(self, tables_built):
+        a = make_module(3, 2, self.S1, self.T1)
+        b = make_module(3, 2, self.S2, self.T2)
+        assert a != b and a.carrier is b.carrier is carrier(3, 2)
+        for name in ("elements", "index", "plus", "neg_of"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert a.s_of != b.s_of
+        assert tables_built == [9]
+
+    def test_switch_builds_on_the_shared_carrier(self, tables_built,
+                                                 monkeypatch):
+        made = []
+        monkeypatch.setattr(FiniteModule, "__post_init__",
+                            lambda mod: made.append(mod))
+        plus = carrier(3, 2).plus
+        report = make_switch_biquandle(3, 2, ((2, 1), (1, 1)),
+                                       ((1, 0), (0, 1)), (1, 2))
+        assert report.table.n == 9 and carrier(3, 2).plus is plus
+        assert tables_built == [9] and made == []
+
+    def test_shared_arithmetic_is_read_only(self):
+        mod = make_scalar_module(5, 2, 3)
+        assert type(mod.plus) is tuple and type(mod.neg_of) is tuple
+        assert all(type(row) is tuple for row in mod.plus)
+        with pytest.raises(TypeError):
+            mod.plus[1][1] = 0
+        with pytest.raises(TypeError):
+            mod.index[(1,)] = 0
+
+    def test_eviction_keeps_a_live_module_arithmetic(self, tables_built):
+        mod = make_module(3, 2, self.S1, self.T1)
+        table = make_alexander(mod)
+        carrier.cache_clear()
+        assert make_alexander(mod) == table
+        assert structural_iso(mod, mod)[0] is not None
+        assert tables_built == [9]
+        fresh = make_module(3, 2, self.S1, self.T1)
+        assert fresh == mod and fresh.carrier is not mod.carrier
+
+    def test_cache_is_bounded(self):
+        assert carrier.cache_info().maxsize == 16
+
+    def test_oversized_group_refused_before_building(self, tables_built):
+        # n = 1024 is the largest group whose n x n table fits MAX_STATES
+        assert len(carrier(2, 10).elements) == 1024 == MAX_STATES ** 0.5
+        for m, k in ((1025, 1), (2, 11), (100000, 1)):
+            ident = modules._identity(k)
+            mod = make_module(m, k, ident, ident)
+            with pytest.raises(ModuleError, match=rf"^Z_{m}\^{k} has"):
+                make_alexander(mod)
+            with pytest.raises(ModuleError):
+                mod.plus
+        assert tables_built == []
 
 
 class TestAdditionTable:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from biquandles import (BiquandleTable, MatrixParseError, is_homomorphism,
                         make_alexander, make_scalar_module, parse_matrix,
                         serialize_matrix, trivial_biquandle, verify_biquandle)
+from biquandles.tables import KINDS
 
 from conftest import Z2Z2_MATRIX
 
@@ -80,6 +81,18 @@ class TestTableValidation:
             flats[kind] = [e - 1 if isinstance(e, int) else e
                            for row in block for e in row]
             with pytest.raises(ValueError, match=re.escape(message)):
+                BiquandleTable.from_flats(2, *flats)
+
+    @pytest.mark.parametrize("entry,shown", [
+        (2, "3"), (-1, "0"), (True, "True"), (1.0, "1.0")])
+    def test_from_flats_validates_every_entry(self, entry, shown):
+        # builders skip the check on their own flats; a caller's flats
+        # still get it, bools and other non-ints included
+        for i, kind in enumerate(KINDS):
+            flats = [[0, 0, 1, 1] for _ in KINDS]
+            flats[i][3] = entry
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{kind} entry {shown} outside 1..2")):
                 BiquandleTable.from_flats(2, *flats)
 
     def test_ragged_block(self):
