@@ -421,88 +421,80 @@ def _enumeration_guard(n: int, allow_order_4: bool):
             "(pass allow_order_4=True for order 4)")
 
 
+def _preserves(p, rs) -> bool:
+    """Whether p(x <| y) = p(x) <| p(y), where x <| y = rs[y][x]."""
+    return all(p[r[x]] == rs[p[y]][p[x]]
+               for y, r in enumerate(rs) for x in range(len(rs)))
+
+
 def enumerate_biquandles(n: int, allow_order_4: bool = False
                          ) -> EnumerationResult:
     """All biquandle tables of order n, plus isomorphism classes.
 
-    Builds the unbarred blocks column by column (each column must be a
-    permutation), pruning on injectivity of the pair map S(a,b)=(b_a, a^b)
-    and on every unbarred triple clause with both sides known.  Index n
-    stands for "not placed yet" and every read through it gives n again.
-    The barred blocks of a completed candidate are forced by inverting S;
-    survivors of the full axiom scan are collected in lexicographic order.
-    Up and down fix S, hence S^-1 and the barred flats, so a class is keyed
-    by the least of a table's up and down flats under all n! relabellings.
+    Found through the derived quandle Q, x <| y = (x^z)_y where z_x = y
+    (Soloviev; Lebed-Vendramin): each sigma_x = (._x) is in Aut(Q),
+    and x^z = sigma_w^-1(x <| w) where w = z_x.  For each quandle on
+    0..n-1 the search places sigma_0, sigma_1, ... from Aut(Q) as down
+    columns, and x^z once sigma_x and sigma_w are placed.  It prunes on a
+    repeated value in a column of up, and on ``kernels._axiom3`` at (a, b)
+    once sigma_a, sigma_b, sigma_(b_a) and sigma_(a^b) are placed; index n
+    is "not placed", reads through it give n, and entries reading it are
+    skipped.  S(a, b) = (b_a, a^b) is then a bijection, so
+    ``from_pair_map`` gives the barred blocks; every leaf gets the full
+    axiom scan.  A table has one Q and one sigma, so it is found once.  A
+    class is keyed by the least of a table's up and down flats under all
+    n! relabellings (they fix the barred flats).
     """
     _enumeration_guard(n, allow_order_4)
-    perms = [p + (n,) for p in itertools.permutations(range(n))]
-    unknown = (n,) * (n + 1)    # an unplaced column; placed ones end in n
-    up = [unknown] * (n + 1)    # up[j][a]   = a^j
-    down = [unknown] * (n + 1)  # down[j][a] = a_j
-    seen = set()                # occupied S outputs
+    perms = list(itertools.permutations(range(n)))
+    # up[x][z] = x^z, down[z][x] = cols[x][z] = z_x; n+1 by n+1
+    up, down, cols = ([[n] * (n + 1) for _ in range(n + 1)] for _ in range(3))
+    sigma_inv = [None] * n
     found = []
 
-    def triples_ok() -> bool:
-        # unbarred triple clauses; a side reading an unknown is n
-        for a in range(n):
-            for b in range(n):
-                ab, ba = up[b][a], down[a][b]
-                for c in range(n):
-                    cb, bc = down[b][c], up[c][b]
-                    l, r = up[c][ab], up[bc][up[cb][a]]
-                    if l != r and l < n and r < n:
-                        return False
-                    l, r = down[a][cb], down[ba][down[ab][c]]
-                    if l != r and l < n and r < n:
-                        return False
-                    l, r = up[down[ab][c]][ba], down[up[cb][a]][bc]
-                    if l != r and l < n and r < n:
-                        return False
-        return True
+    def consistent(a, b):
+        lhs, rhs = kernels._axiom3(up, down, cols, a, b)
+        return lhs == rhs or all(l == r or n in (l, r) for sides in
+                                 zip(lhs, rhs) for l, r in zip(*sides))
 
-    def place_pairs(pairs) -> list:
-        added = []
-        for a, b in pairs:
-            key = (down[a][b], up[b][a])
-            if key in seen:
-                for k in added:
-                    seen.remove(k)
-                return None
-            seen.add(key)
-            added.append(key)
-        return added
-
-    def finish():
-        up_flat = tuple(up[j][i] for i in range(n) for j in range(n))
-        down_flat = tuple(down[j][i] for i in range(n) for j in range(n))
-        table = from_pair_map(n, up_flat, down_flat)
-        if satisfies_axioms(table):
-            found.append(table)
-
-    def extend(slot: int):
-        # slots alternate up column j, down column j
-        if slot == 2 * n:
-            finish()
+    def place(x):
+        if x == n:
+            table = from_pair_map(n, *([v for row in t[:n] for v in row[:n]]
+                                       for t in (up, down)))
+            if satisfies_axioms(table):
+                found.append(table)
             return
-        j, is_down = divmod(slot, 2)
-        cols = down if is_down else up
-        if is_down:
-            # S(a,b) needs down col a and up col b; placing down col j
-            # completes pairs (j, b) for placed up columns b <= j
-            new_pairs = [(j, b) for b in range(j + 1)]
-        else:
-            new_pairs = [(a, j) for a in range(j)]
-        for perm in perms:
-            cols[j] = perm
-            added = place_pairs(new_pairs)
-            if added is not None:
-                if triples_ok():
-                    extend(slot + 1)
-                for key in added:
-                    seen.remove(key)
-            cols[j] = unknown
+        for sigma, inv in auts:
+            sigma_inv[x] = inv
+            cols[x][:n] = sigma
+            for z, w in enumerate(sigma):
+                down[z][x] = w
+            new = [(x, z, sigma_inv[w][rs[w][x]])
+                   for z, w in enumerate(sigma) if w <= x]
+            new += [(a, sigma_inv[a][x], inv[rs[x][a]]) for a in range(x)]
+            done = 0
+            for a, z, v in new:  # tau_z = (.^z) stays injective
+                if any(row[z] == v for row in up):
+                    break
+                up[a][z] = v
+                done += 1
+            else:
+                if all(consistent(a, b) for a in range(x + 1)
+                       for b in range(x + 1)
+                       if max(a, b, cols[a][b], up[a][b]) == x):
+                    place(x + 1)
+            for a, z, _ in new[:done]:
+                up[a][z] = n
+        cols[x][:n] = [n] * n
+        for row in down[:n]:
+            row[x] = n
 
-    extend(0)
+    fixing = [[p for p in perms if p[y] == y] for y in range(n)]
+    for rs in itertools.product(*fixing):
+        if all(_preserves(r, rs) for r in rs):
+            auts = [(p, tuple(map(p.index, range(n)))) for p in perms
+                    if _preserves(p, rs)]
+            place(0)
     found.sort(key=BiquandleTable.flats)
 
     # relabel by p: entry (x, y) becomes p[t[q[x]*n + q[y]]], q = p^-1

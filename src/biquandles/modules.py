@@ -126,6 +126,18 @@ def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
         for i in range(k))
 
 
+def _check_size(m: int, k: int) -> None:
+    """Refuse Z_m^k past 1024 elements with ``ModuleError``: its addition
+    table would hold more than ``kernels.MAX_STATES`` entries.  The size
+    m^k is formed only up to k = 64 and printed only below 2^64."""
+    size = m ** min(k, 64)  # every m >= 2 is past the bound at k = 11
+    if size ** 2 > kernels.MAX_STATES:
+        shown = size if size < 1 << 64 else f"{m}^{k}"
+        raise ModuleError(
+            f"Z_{m}^{k} has {shown} elements; its addition"
+            f" table would exceed {kernels.MAX_STATES} entries")
+
+
 class Carrier:
     """The group Z_m^k: its elements in canonical order and the arithmetic
     on their 0-based indices, each built on first use.
@@ -143,13 +155,9 @@ class Carrier:
         """All coordinate vectors in canonical (lexicographic) order.
 
         A group past 1024 elements raises ``ModuleError`` here, before
-        anything is built: its addition table would hold more than
-        ``kernels.MAX_STATES`` entries.
+        anything is built (``_check_size``).
         """
-        if self.size ** 2 > kernels.MAX_STATES:
-            raise ModuleError(
-                f"Z_{self.m}^{self.k} has {self.size} elements; its addition"
-                f" table would exceed {kernels.MAX_STATES} entries")
+        _check_size(self.m, self.k)
         return tuple(itertools.product(range(self.m), repeat=self.k))
 
     @cached_property
@@ -278,7 +286,9 @@ def make_scalar_module(m: int, s: int, t: int) -> FiniteModule:
 
 def counting_element_order(m: int, k: int) -> tuple[Elem, ...]:
     """Element order used by printed matrices: x_i encodes i in little-endian
-    base-m digits, so the zero vector comes last (x_{m^k} = 0)."""
+    base-m digits, so the zero vector comes last (x_{m^k} = 0).  A group
+    past 1024 elements raises ``ModuleError`` before any is built."""
+    _check_size(m, k)
     return tuple(
         tuple((i // m ** j) % m for j in range(k))
         for i in range(1, m ** k + 1))

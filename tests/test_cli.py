@@ -87,6 +87,15 @@ class TestAlexander:
         assert code == EXIT_INPUT and out == ""
         assert "Z_100000^1 has 100000 elements" in err
 
+    def test_oversized_printed_order_refused(self, capsys, monkeypatch):
+        # refused while the printed element order is formed, before the
+        # builder is called
+        monkeypatch.setattr(cli, "make_alexander", None)
+        code, out, err = run(capsys, "alexander", "--zn", "1000000", "1", "1")
+        assert code == EXIT_INPUT and out == ""
+        assert err == ("error: Z_1000000^1 has 1000000 elements; its "
+                       "addition table would exceed 1048576 entries\n")
+
     def test_missing_module(self, capsys):
         code, _, err = run(capsys, "alexander")
         assert code == EXIT_INPUT
@@ -120,6 +129,15 @@ class TestSwitch:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == "error: B must be a 2x2 integer matrix\n"
+
+    def test_oversized_group_refused(self, capsys, monkeypatch):
+        # refused while the printed element order is formed, before the
+        # builder is called
+        monkeypatch.setattr(cli, "make_switch_biquandle", None)
+        code, out, err = run(capsys, "switch", "2", "20",
+                             "--A", "1 0;0 1", "--B", "1 0;0 1")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: Z_2^20 has 1048576 elements;")
 
     def test_failing_order_125_table(self, capsys, monkeypatch):
         def exhaustive_report(table):

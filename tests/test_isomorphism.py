@@ -845,10 +845,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_biquandles(0)
 
-    @pytest.mark.slow
     def test_order_four_behind_flag(self):
-        # ~6-9 s: frozen by the pruned column search (whose completeness is
-        # cross-checked against the unpruned scan at order 3)
+        # about 0.4 s; frozen from the former column-by-column search, whose
+        # completeness the unpruned scan checked at order 3
         result = enumerate_biquandles(4, allow_order_4=True)
         assert len(result.tables) == 744
         assert len(result.classes) == 98
@@ -857,3 +856,123 @@ class TestEnumeration:
             "abdf0c9d4691914c6597a3da0dd8137c4ffd97f310ce4cfb85323ac2eee06cf9")
         for table in result.tables[::97]:
             assert verify_biquandle(table).passed
+
+
+# ---------------------------------------------------------------------------
+# The derived quandle, read off each enumerated table from its operations
+# alone: x <| y = (x^z)_y, where z is the element with z_x = y.
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    return {3: enumerate_biquandles(3),
+            4: enumerate_biquandles(4, allow_order_4=True)}
+
+
+def derived_quandle(table):
+    """x <| y as a dict on 1-based (x, y) pairs."""
+    rng = range(1, table.n + 1)
+    op = table.op
+    return {(x, y): op("down", op("up", x, next(
+        z for z in rng if op("down", z, x) == y)), y)
+        for x in rng for y in rng}
+
+
+def is_quandle(n, q):
+    rng = range(1, n + 1)
+    return (all(q[x, x] == x for x in rng)
+            and all(sorted(q[x, y] for x in rng) == list(rng) for y in rng)
+            and all(q[q[x, y], z] == q[q[x, z], q[y, z]]
+                    for x in rng for y in rng for z in rng))
+
+
+def relabelled(q, p):
+    """q carried along the 1-based bijection p."""
+    return tuple(sorted(((p[x - 1], p[y - 1]), p[v - 1])
+                        for (x, y), v in q.items()))
+
+
+def quandle_class(n, q):
+    return min(relabelled(q, p)
+               for p in itertools.permutations(range(1, n + 1)))
+
+
+class TestDerivedQuandle:
+    """The facts the enumeration rests on, at orders 3 and 4."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reduction_facts(self, enumerated, n):
+        rng = range(1, n + 1)
+        for table in enumerated[n].tables:
+            q = derived_quandle(table)
+            assert is_quandle(n, q)
+            # every sigma_x = (._x) and tau_y = (.^y) is in Aut(<|)
+            for kind in ("down", "up"):
+                for g in rng:
+                    f = {x: table.op(kind, x, g) for x in rng}
+                    assert all(f[q[x, y]] == q[f[x], f[y]]
+                               for x in rng for y in rng)
+            # tau_z(x) = sigma_w^-1(x <| w), with w = sigma_x(z)
+            for x in rng:
+                for z in rng:
+                    w = table.op("down", z, x)
+                    assert table.op("down", table.op("up", x, z), w) \
+                        == q[x, w]
+
+    @pytest.mark.parametrize("n, labelled, classes", [(3, 5, 3), (4, 36, 7)])
+    def test_quandle_counts(self, enumerated, n, labelled, classes):
+        derived = {tuple(sorted(derived_quandle(t).items()))
+                   for t in enumerated[n].tables}
+        assert len(derived) == labelled
+        assert len({quandle_class(n, dict(q)) for q in derived}) == classes
+        # every quandle on 1..n is derived (from sigma = id, x^y = x <| y):
+        # the candidates are the right translations fixing their y
+        rng = range(1, n + 1)
+        fixing = [[p for p in itertools.permutations(rng) if p[y - 1] == y]
+                  for y in rng]
+        quandles = set()
+        for rows in itertools.product(*fixing):
+            q = {(x, y): rows[y - 1][x - 1] for x in rng for y in rng}
+            if is_quandle(n, q):
+                quandles.add(tuple(sorted(q.items())))
+        assert quandles == derived
+
+    def test_order_three_quandles_by_full_scan(self):
+        rng = range(1, 4)
+        keys = list(itertools.product(rng, rng))
+        count = sum(is_quandle(3, dict(zip(keys, values)))
+                    for values in itertools.product(rng, repeat=9))
+        assert count == 5
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sigma_and_quandle_determine_the_table(self, enumerated, n):
+        keys = {(table.down, tuple(sorted(derived_quandle(table).items())))
+                for table in enumerated[n].tables}
+        assert len(keys) == len(enumerated[n].tables)
+
+
+class TestEnumeratedClasses:
+    @pytest.mark.parametrize("n, total", [(3, 36), (4, 744)])
+    def test_orbit_counting(self, enumerated, n, total):
+        # each class holds n!/|Aut(T)| labelled tables
+        result = enumerated[n]
+        orbits = [math.factorial(n) // len(all_isomorphisms(t, t))
+                  for t in (result.tables[c[0]] for c in result.classes)]
+        assert sum(orbits) == total == len(result.tables)
+        assert orbits == list(map(len, result.classes))
+
+    @pytest.mark.parametrize("n, count", [(3, 5), (4, 23)])
+    def test_involutive_classes(self, enumerated, n, count):
+        # Etingof, Schedler and Soloviev count 5 and 23 involutive
+        # solutions up to isomorphism: S(S(a, b)) = (a, b), S(a, b) =
+        # (b_a, a^b)
+        def pair_map(t):
+            return lambda a, b: (t.op("down", b, a), t.op("up", a, b))
+
+        rng = range(1, n + 1)
+        result = enumerated[n]
+        involutive = 0
+        for cls in result.classes:
+            s = pair_map(result.tables[cls[0]])
+            involutive += all(s(*s(a, b)) == (a, b) for a in rng for b in rng)
+        assert involutive == count

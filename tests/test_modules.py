@@ -513,3 +513,14 @@ class TestTranslationAndOrders:
     def test_counting_order_rank_two(self):
         assert counting_element_order(2, 2) == \
             ((1, 0), (0, 1), (1, 1), (0, 0))
+
+    def test_counting_order_refuses_oversized_group(self):
+        # the printed order of the largest allowed group is still built;
+        # past it the carrier's error comes before a single tuple
+        assert len(counting_element_order(2, 10)) == 1024
+        for m, k, size in ((1025, 1, "1025"), (2, 11, "2048"),
+                           (10 ** 6, 1, "1000000"),
+                           (10, 10 ** 9, "10\\^1000000000")):
+            with pytest.raises(ModuleError,
+                               match=rf"^Z_{m}\^{k} has {size} elements"):
+                counting_element_order(m, k)
