@@ -8,8 +8,7 @@ Hot loops run on the pure-Python kernels in ``biquandles.kernels``;
 ``BACKEND`` names them.
 """
 
-from .alexander import (SwitchReport, make_alexander, make_switch_biquandle,
-                        normalize_iso)
+from .alexander import SwitchReport, make_alexander, make_switch_biquandle
 from .axioms import AxiomReport, verify_biquandle, yang_baxter_check
 from .errors import (BiquandleError, GaussCodeError, MatrixParseError,
                      ModuleError, SwitchError, WitnessError)
@@ -17,8 +16,8 @@ from .isomorphism import (EnumerationResult, IsoWitness, SearchStats,
                           all_isomorphisms, assemble_witness_map,
                           brute_force_iso, enumerate_biquandles,
                           enumerate_homomorphisms, extract_witness,
-                          fixed_point_profile, profiles_compatible,
-                          structural_iso)
+                          fixed_point_profile, normalize_iso,
+                          profiles_compatible, structural_iso)
 from .kernels import BACKEND
 from .knot import (Diagram, GaussCode, HomCountReport, ReidemeisterReport,
                    build_diagram, count_gauss, count_homs, kishino_codes,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
-from .errors import ModuleError, SwitchError, WitnessError
+from .errors import ModuleError, SwitchError
 from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _identity,
                       _mat_inv, _mat_mul, _mat_sub, carrier)
-from .tables import BiquandleTable, is_homomorphism
+from .tables import BiquandleTable
 
 
 def _resolve_order(module_elements, element_order, m):
@@ -43,9 +43,10 @@ def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
     for x * y = Cx + Dy + c with every sum read from ``group.plus``.  Index
     i is the group's i-th canonical element, relabelled to ``order[i]``
     when an order is given.  ``affine_basis`` holds the indices of zero and
-    of the unit vectors, so ``verify_biquandle`` decides every axiom on
-    1 + 2k pairs.  Every entry is read from ``plus``, so it is in range by
-    construction and the table is stored without re-validation.
+    of the unit vectors (``group.units``), so ``verify_biquandle`` decides
+    every axiom on 1 + 2k pairs.  Every entry is read from ``plus``, so it
+    is in range by construction and the table is stored without
+    re-validation.
     """
     plus, n = group.plus, group.size
     flats = []
@@ -53,7 +54,7 @@ def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
         shifted = plus[c]
         flats.append(tuple([row[y] for row in [plus[shifted[x]] for x in cx]
                             for y in dy]))
-    basis = [0] + [group.m ** (group.k - 1 - g) for g in range(group.k)]
+    basis = (0,) + group.units
     if order is not None:
         pos = list(map(group.index.__getitem__, order))  # -> canonical
         label = _inverse(pos)
@@ -159,24 +160,3 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
 
     return SwitchReport(table, holds)
 
-
-def normalize_iso(src: FiniteModule, dst: FiniteModule, f) -> tuple[int, ...]:
-    """Compose a biquandle isomorphism with a translation so it fixes zero.
-
-    ``f`` maps 1-based canonical table indices of ``src`` to those of
-    ``dst`` and must be an isomorphism of the two module biquandles, which
-    is checked on both tables; the translation by -f(0) is itself an
-    automorphism because f(0) lies in Ker(1 - s), that is s fixes it.
-    """
-    ta, tb = make_alexander(src), make_alexander(dst)
-    images = tuple(f)
-    if sorted(images) != list(range(1, tb.n + 1)) or \
-            not is_homomorphism(ta, tb, images):
-        raise WitnessError("map is not a biquandle isomorphism")
-    f_zero = images[0] - 1  # zero is canonical index 0 on both sides
-    if f_zero == 0:
-        return images
-    if dst.s_of[f_zero] != f_zero:
-        raise WitnessError("isomorphism image of zero escapes Ker(1-s)")
-    shift = dst.plus[dst.neg_of[f_zero]]
-    return tuple([shift[i - 1] + 1 for i in images])

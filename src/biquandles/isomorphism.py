@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from . import kernels
-from .alexander import normalize_iso
 from .axioms import satisfies_axioms, verify_biquandle
 from .errors import WitnessError
 from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
@@ -156,18 +156,24 @@ class IsoWitness:
 def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
                          submodule_map: ModuleIso,
                          rep_map: dict[Elem, Elem]) -> tuple[int, ...]:
-    """Build the full index bijection from (h, rep-map) witness data."""
-    trans = transversal(src, one_minus_st_submodule(src))
-    return _assemble(src, dst, trans,
-                     _index_map(src, dst, submodule_map.pairs),
-                     _index_map(src, dst, rep_map.items()))
+    """Build the full index bijection from (h, rep-map) witness data.
 
-
-def _index_map(src: FiniteModule, dst: FiniteModule, pairs
-               ) -> dict[int, int]:
-    """(x, y) element pairs as {canonical 0-based index of x: that of y}."""
-    index_s, index_d = src.index, dst.index
-    return {index_s[x]: index_d[y] for x, y in pairs}
+    Elements are read through ``index_of``, so coordinates are reduced mod
+    m; an element of the (1-st) submodule that h does not map, or a
+    canonical representative that the rep map misses, raises
+    ``WitnessError`` naming it.
+    """
+    sub = one_minus_st_submodule(src)
+    trans = transversal(src, sub)
+    h_of, k_of = ({src.index_of(x): dst.index_of(y) for x, y in pairs}
+                  for pairs in (submodule_map.pairs, rep_map.items()))
+    for name, given, needed in (("submodule map", h_of, sub.elements),
+                                ("rep map", k_of, trans.reps)):
+        for x in needed:
+            if src.index[x] not in given:
+                raise WitnessError(
+                    f"{name} has no image for {format_elem(x)}")
+    return _assemble(src, dst, trans, h_of, k_of)
 
 
 def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
@@ -182,23 +188,56 @@ def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
 
 def _certifies(src: FiniteModule, dst: FiniteModule,
                perm: tuple[int, ...]) -> bool:
-    """Whether an assembled map f is a biquandle isomorphism, in O(n).
+    """Whether a map f, given as 1-based images, is a zero-fixing
+    isomorphism of the two module biquandles, in O(n(k + 2)) and without
+    building either table.
 
-    f(rep + w) = k(rep) + h(w) with h additive on N = (1-st)M gives
-    f(x + w) = f(x) + h(w) for w in N.  So f, which fixes zero as k does,
-    is an isomorphism iff it is a bijection with f(sx) = s'f(x) and
-    f(tx) = t'f(x) for all x (x_0 = sx and x^0 = tx).  These give
-    f(y) = f(sty + (1-st)y) = s't'f(y) + h((1-st)y), that is
-    h((1-st)y) = (1-s't')f(y); then f(x^y) = f(tx) + h((1-st)y) =
-    f(x)^f(y) and f(x_y) = f(sx) = f(x)_f(y), and the barred operations
-    follow, as f is a bijection preserving S.
+    f must be a bijection with f o A = B o f for each pair (A, B):
+    (s, s'), (t, t'), and (x -> x + g, y -> y + f(g)) for each generator
+    g = (1-st)e_i of N = (1-st)M.  A zero-fixing isomorphism meets them:
+    f(tz) = f(z^0) = t'f(z), and x^y = tx + (1-st)y at x = t^-1 z gives
+    f(z + (1-st)y) = f(z) + (1-s't')f(y).  They suffice:
+
+    1. The translation pair at x = 0 gives f(0) = 0, and as the g span N
+       as a group, additivity along them gives f(x + w) = f(x) + f(w) for
+       every w in N.
+    2. Then f(y) = f(sty) + f((1-st)y) = s't'f(y) + f((1-st)y), so
+       f(x^y) = t'f(x) + f((1-st)y) = f(x)^f(y), and f(x_y) = f(sx) =
+       f(x)_f(y).  The barred operations follow, as f is a bijection
+       preserving S.
+
+    Each side of each pair is one ``itemgetter`` gather of n indices.
     """
     if sorted(perm) != list(range(1, dst.size + 1)):
         return False
     f = [i - 1 for i in perm]
-    s_src, t_src, s_dst, t_dst = src.s_of, src.t_of, dst.s_of, dst.t_of
-    return all(f[s_src[x]] == s_dst[fx] and f[t_src[x]] == t_dst[fx]
-               for x, fx in enumerate(f))
+    after_f = itemgetter(*f)  # B -> B o f
+    gens = map(src.one_minus_st_of.__getitem__, src.units)
+    pairs = [(src.s_of, dst.s_of), (src.t_of, dst.t_of)] + \
+        [(src.plus[g], dst.plus[f[g]]) for g in gens]
+    return all(itemgetter(*a)(f) == after_f(b) for a, b in pairs)
+
+
+def normalize_iso(src: FiniteModule, dst: FiniteModule, f
+                  ) -> tuple[int, ...]:
+    """Compose a biquandle isomorphism with a translation so it fixes zero.
+
+    ``f`` maps 1-based canonical indices of ``src`` to those of ``dst``,
+    as a sequence of images or a mapping (``normalize_map``: a malformed
+    map raises ``ValueError``).  An isomorphism sends zero into
+    Ker(1 - s'), as 0_0 = 0, and translation by an element of Ker(1 - s')
+    is an automorphism of dst, so f is an isomorphism iff s' fixes f(0)
+    and x -> f(x) - f(0) passes ``_certifies``.  No table is built; a map
+    that is not an isomorphism raises ``WitnessError``.
+    """
+    images = normalize_map(f, src.size, dst.size)
+    f_zero = images[0] - 1  # zero is canonical index 0 on both sides
+    if dst.s_of[f_zero] == f_zero:
+        shift = dst.plus[dst.neg_of[f_zero]]
+        perm = tuple([shift[i - 1] + 1 for i in images])
+        if _certifies(src, dst, perm):
+            return perm
+    raise WitnessError("map is not a biquandle isomorphism")
 
 
 def _s_cycles(mod: FiniteModule, trans: Transversal
@@ -235,15 +274,13 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     No choice is ever undone: the closing starts of a length-L cycle form a
     coset of the s'-stable group ker(1-st') & ker(s'^L - 1), so if cycles C
     and C' can both take D and C can take D', then C' can take D' too.  The
-    full map is verified outright, on the module and in O(n), without
-    building either table: f(rep + w) = k(rep) + h(w) is an isomorphism iff
-    it is a bijection with f(sx) = s'f(x) and f(tx) = t'f(x) for all x,
-    which give h((1-st)y) = (1-s't')f(y) for all y (see ``_certifies``).
-    The h are drawn lazily from ``module_isomorphisms``, so the search for
-    them stops at the first h that extends.  Every step runs on canonical
-    indices, through the arithmetic ``make_alexander`` reads too (the
-    group's shared ``plus`` and each module's action images); the witness
-    holds elements.
+    full map f(rep + w) = k(rep) + h(w) is verified outright by
+    ``_certifies``, the check ``normalize_iso`` runs too: on the module,
+    in O(nk), without building either table.  The h are drawn lazily from
+    ``module_isomorphisms``, so the search for them stops at the first h
+    that extends.  Every step runs on canonical indices, through the
+    arithmetic ``make_alexander`` reads too (the group's shared ``plus``
+    and each module's action images); the witness holds elements.
     """
     prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
               "closure": 0, "verify": 0}
@@ -275,10 +312,11 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     cycle_of = {rep: c for c, cyc in enumerate(d_cycles) for rep, _ in cyc}
     one_minus_st, d_rep = src.one_minus_st_of, trans_d.rep_index
     plus, neg, s_of = dst.plus, dst.neg_of, dst.s_of
+    index_s, index_d = src.index, dst.index
 
     h = None
     for h in module_isomorphisms(sub_s, sub_d):
-        h_of = _index_map(src, dst, h.pairs)
+        h_of = {index_s[x]: index_d[y] for x, y in h.pairs}
         k_of: dict[int, int] = {}
         used: set[int] = set()  # target cycles taken
 
@@ -321,41 +359,27 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
 def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
     """Recover the structural certificate from a full isomorphism.
 
-    Normalizes f to fix zero (``normalize_iso``), restricts it to the
-    (1-st) submodule and to the canonical representatives, and asserts
-    every structural condition: the restriction h is onto, intertwining
-    and additive, f fixes zero, the representatives' images lie in
-    distinct cosets, (1-s't')f(rep) = h((1-st)rep), and
-    f(s.rep + w) = s'f(rep) + h(w) wherever s.rep + w lies in the s-orbit
-    of the representatives.  A failure raises ``WitnessError`` and
-    indicates a bug, since the conditions hold for any genuine
-    isomorphism.  Every check reads the modules' index arithmetic.
+    ``normalize_iso`` translates f to fix zero and certifies it, so its
+    restriction h to the (1-st) submodule is an additive bijection onto
+    the target's that intertwines the actions (see ``_certifies``).  The
+    rep map is f on the canonical representatives, and the paper's
+    conditions on it are asserted: the images lie in distinct cosets,
+    (1-s't')f(rep) = h((1-st)rep), and f(s.rep + w) = s'f(rep) + h(w)
+    wherever s.rep + w lies in the s-orbit of the representatives.  A map
+    that is not an isomorphism raises ``WitnessError``; past the
+    certificate a failure would indicate a bug, since the conditions hold
+    for any genuine isomorphism.  Every check reads the modules' index
+    arithmetic.
     """
-    perm = normalize_iso(src, dst, normalize_map(
-        f, src.size, dst.size))
+    perm = normalize_iso(src, dst, f)
     img = [i - 1 for i in perm]  # f on 0-based canonical indices
     sub_s = one_minus_st_submodule(src)
-    sub_d = one_minus_st_submodule(dst)
     ws = list(map(src.index.__getitem__, sub_s.elements))
-    if sorted(img[w] for w in ws) != \
-            list(map(dst.index.__getitem__, sub_d.elements)):
-        raise WitnessError("restriction to (1-st) submodule is not onto")
-    plus_s, s_src, t_src = src.plus, src.s_of, src.t_of
-    plus_d, s_dst, t_dst = dst.plus, dst.s_of, dst.t_of
     h_ws = [img[w] for w in ws]
-    for x in ws:
-        hx = img[x]
-        if img[s_src[x]] != s_dst[hx] or img[t_src[x]] != t_dst[hx]:
-            raise WitnessError("submodule restriction fails intertwining")
-        row, row_d = plus_s[x], plus_d[hx]
-        if [img[row[y]] for y in ws] != [row_d[hy] for hy in h_ws]:
-            raise WitnessError("submodule restriction is not additive")
 
     trans_s = transversal(src, sub_s)
-    d_rep = transversal(dst, sub_d).rep_index
+    d_rep = transversal(dst, one_minus_st_submodule(dst)).rep_index
     reps = sorted(set(trans_s.rep_index))  # trans_s.reps as indices
-    if img[0] != 0:
-        raise WitnessError("normalized isomorphism does not fix zero")
     if len({d_rep[img[rep]] for rep in reps}) != len(reps):
         raise WitnessError("representative images are not a transversal")
 
@@ -365,6 +389,7 @@ def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
             raise WitnessError("(1-st)-compatibility fails on a rep")
 
     orbit = _s_closure(src, reps)
+    plus_s, plus_d, s_src, s_dst = src.plus, dst.plus, src.s_of, dst.s_of
     for rep in reps:
         row, row_d = plus_s[s_src[rep]], plus_d[s_dst[img[rep]]]
         for w, hw in zip(ws, h_ws):

@@ -165,6 +165,12 @@ class Carrier:
         """Element -> 0-based canonical index (zero is 0)."""
         return MappingProxyType(dict(zip(self.elements, range(self.size))))
 
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        """Canonical indices of the unit vectors e_1, ..., e_k:
+        lexicographic order puts m^(k-i) elements before e_i."""
+        return tuple([self.m ** (self.k - 1 - g) for g in range(self.k)])
+
     def index_of(self, x) -> int:
         """Canonical index of an element given by the caller: coordinates
         are reduced mod m, and a wrong length raises ``ValueError``."""
@@ -217,9 +223,9 @@ class FiniteModule:
     """Z_m^k with commuting invertible actions of s and t.
 
     The group arithmetic is its carrier's (``size``, ``elements``,
-    ``index``, ``index_of``, ``plus``, ``neg_of``, ``images``); the module
-    builds only the images of its actions.  Equality, hashing and repr
-    ignore the carrier.
+    ``index``, ``index_of``, ``units``, ``plus``, ``neg_of``, ``images``);
+    the module builds only the images of its actions.  Equality, hashing
+    and repr ignore the carrier.
     """
 
     m: int
@@ -231,8 +237,8 @@ class FiniteModule:
     def __post_init__(self):
         object.__setattr__(self, "carrier", carrier(self.m, self.k))
 
-    size, elements, index, index_of, plus, neg_of, images = map(
-        _carried, ("size", "elements", "index", "index_of", "plus",
+    size, elements, index, index_of, units, plus, neg_of, images = map(
+        _carried, ("size", "elements", "index", "index_of", "units", "plus",
                    "neg_of", "images"))
 
     @cached_property

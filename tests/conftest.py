@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from biquandles import (make_alexander, make_scalar_module,
+from biquandles import (make_alexander, make_module, make_scalar_module,
                         make_switch_biquandle, parse_matrix,
                         trivial_biquandle)
 from biquandles.modules import carrier, counting_element_order
@@ -31,6 +32,27 @@ def units(n):
 
 def scalar_modules(n):
     return [make_scalar_module(n, s, t) for s in units(n) for t in units(n)]
+
+
+def zero_fixing_perms(n):
+    """Every permutation of 1..n that fixes 1, as a 1-based image tuple."""
+    return ((1,) + p for p in itertools.permutations(range(2, n + 1)))
+
+
+# Z_3^2 with s the coordinate swap and t = -s, so st = -1: (1-st) is onto
+# and the transversal is zero alone.  Sixteen zero-fixing bijections
+# commute with s and t, and only the four additive ones, aI + bs with
+# a != +-b, are biquandle isomorphisms.
+SWAP_MODULE = make_module(3, 2, ((0, 1), (1, 0)), ((0, 2), (2, 0)))
+
+
+def intertwiners(mod):
+    """The zero-fixing bijections of ``mod`` that commute with s and t, by
+    a scan of every permutation fixing zero."""
+    s_of, t_of = mod.s_of, mod.t_of
+    return [f for f in zero_fixing_perms(mod.size)
+            if all(f[s_of[x]] - 1 == s_of[f[x] - 1] and
+                   f[t_of[x]] - 1 == t_of[f[x] - 1] for x in range(mod.size))]
 
 
 @pytest.fixture

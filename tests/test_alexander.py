@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from biquandles import alexander, cli, modules
+from biquandles import alexander, cli, modules, tables
 from biquandles import (FiniteModule, SwitchError, WitnessError,
                         extract_witness, is_homomorphism, kernel_one_minus_s,
                         make_alexander, make_module, make_scalar_module,
@@ -13,7 +14,8 @@ from biquandles import (FiniteModule, SwitchError, WitnessError,
                         trivial_biquandle, verify_biquandle)
 from biquandles.modules import counting_element_order
 
-from conftest import SWITCH_A, SWITCH_B, Z2Z2_MATRIX, scalar_modules, units
+from conftest import (SWAP_MODULE, SWITCH_A, SWITCH_B, Z2Z2_MATRIX,
+                      intertwiners, scalar_modules, units)
 from oracles import alexander_blocks, matrix_inverse, switch_blocks
 
 
@@ -290,6 +292,46 @@ class TestFormulaOracle:
         assert "s_orbit_of_transversal" in capsys.readouterr().out
         assert built < len(mat_vec_calls) <= built + 4 * k + 4
 
+    def test_witness_path_builds_no_table(self, monkeypatch):
+        # normalize_iso and extract_witness certify a map on the module:
+        # neither builds a table nor checks one, yet extract_witness still
+        # rejects the twelve intertwiners of the swap module that are not
+        # isomorphisms and a translation by an element outside Ker(1-s)
+        calls = []
+
+        def spy(name, func):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return counted
+
+        for name, func in (("make_alexander", alexander.make_alexander),
+                           ("is_homomorphism", tables.is_homomorphism)):
+            for mod in [m for key, m in sys.modules.items()
+                        if key.split(".")[0] == "biquandles"]:
+                if getattr(mod, name, None) is func:
+                    monkeypatch.setattr(mod, name, spy(name, func))
+        mod, plus = SWAP_MODULE, SWAP_MODULE.plus
+        maps = intertwiners(mod)
+        additive = [f for f in maps
+                    if all(f[plus[x][y]] - 1 == plus[f[x] - 1][f[y] - 1]
+                           for x in range(9) for y in range(9))]
+        assert len(maps) == 16 and len(additive) == 4
+        for f in maps:
+            if f in additive:
+                assert normalize_iso(mod, mod, f) == f
+                assert extract_witness(mod, mod, f).perm == f
+            else:
+                with pytest.raises(WitnessError):
+                    extract_witness(mod, mod, f)
+        z8 = make_scalar_module(8, 3, 5)
+        shift = translation_map(z8, (1,))  # 1 is outside Ker(1-s)
+        with pytest.raises(WitnessError):
+            extract_witness(z8, z8, shift)
+        witness = extract_witness(z8, z8, translation_map(z8, (4,)))
+        assert witness.perm == tuple(range(1, 9))
+        assert calls == []
+
     def test_random_switches(self):
         rng = random.Random(31)
         singular = 0
@@ -368,3 +410,17 @@ class TestNormalizeIso:
         mod = make_scalar_module(3, 2, 1)
         with pytest.raises(WitnessError):
             normalize_iso(mod, mod, (2, 1, 3))
+
+    def test_mapping_read_as_images(self):
+        # {1: 2, 2: 1, 3: 3} is the map (2, 1, 3), not the identity
+        mod = make_scalar_module(3, 2, 1)
+        with pytest.raises(WitnessError):
+            normalize_iso(mod, mod, {1: 2, 2: 1, 3: 3})
+        assert normalize_iso(mod, mod, {1: 1, 2: 3, 3: 2}) == (1, 3, 2)
+
+    @pytest.mark.parametrize("f", [("a", 2, 3), (1, 2), (1, 2, 4),
+                                   {1: 1, 2: 2}])
+    def test_malformed_map_is_a_value_error(self, f):
+        mod = make_scalar_module(3, 2, 1)
+        with pytest.raises(ValueError):
+            normalize_iso(mod, mod, f)

@@ -12,13 +12,14 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         extract_witness, fixed_point_profile,
                         is_homomorphism, kernel_one_minus_s, kernels,
                         make_alexander, make_module, make_scalar_module,
-                        module_isomorphisms, normalize_iso,
+                        ModuleIso, module_isomorphisms, normalize_iso,
                         one_minus_st_submodule, profiles_compatible,
                         structural_iso, translation_map, transversal,
                         trivial_biquandle, verify_biquandle)
 from biquandles.isomorphism import format_witness, witness_to_dict
 
-from conftest import scalar_modules
+from conftest import (SWAP_MODULE, intertwiners, scalar_modules,
+                      zero_fixing_perms)
 from oracles import (_neg, _sum, _vec, matrix_inverse, recheck_axioms,
                      recheck_yang_baxter)
 
@@ -435,6 +436,56 @@ class TestCertificate:
         # accepted maps, rejected bijections and rejected non-bijections
         assert set(verdicts) == {(True, True), (False, True), (False, False)}
 
+    def test_every_zero_fixing_bijection_of_the_swap_module(self):
+        # commuting with s and t is not enough for a map that is not
+        # assembled from an additive h: 16 bijections commute, 4 are
+        # isomorphisms, and the certificate must tell them apart
+        from biquandles.isomorphism import _certifies
+        mod, table = SWAP_MODULE, make_alexander(SWAP_MODULE)
+        accepted = [f for f in zero_fixing_perms(mod.size)
+                    if _certifies(mod, mod, f)]
+        assert accepted == [f for f in zero_fixing_perms(mod.size)
+                            if is_homomorphism(table, table, f)]
+        assert len(accepted) == 4 and len(intertwiners(mod)) == 16
+
+    def test_arbitrary_maps_and_normalize_iso(self):
+        # every isomorphism translated by every target element, random
+        # bijections, and isomorphisms with two images swapped: the
+        # certificate accepts exactly the zero-fixing isomorphisms, and
+        # normalize_iso exactly the isomorphisms, which it makes fix zero
+        from biquandles.isomorphism import _certifies
+        rng = random.Random(11)
+        pairs = [(a, a) for m in (3, 5, 8, 9) for a in scalar_modules(m)[1:3]]
+        pairs += [tuple(make_module(*spec) for spec in EXTRACTION_PAIRS[name])
+                  for name in ("z3sq_three_cosets", "z4sq_eight_cosets",
+                               "z2cube_cycles", "z4_vs_z2sq_swap")]
+        pairs.append((SWAP_MODULE, SWAP_MODULE))
+        verdicts = set()
+        for a, b in pairs:
+            ta, tb = make_alexander(a), make_alexander(b)
+            maps = [tuple(rng.sample(range(1, b.size + 1), b.size))
+                    for _ in range(20)]
+            for f in all_isomorphisms(ta, tb):
+                for z in b.elements:
+                    shift = translation_map(b, z)
+                    maps.append(tuple(shift[i - 1] for i in f))
+                i, j = rng.sample(range(a.size), 2)
+                swapped = list(f)
+                swapped[i], swapped[j] = f[j], f[i]
+                maps.append(tuple(swapped))
+            for f in maps:
+                expected = is_homomorphism(ta, tb, f)
+                assert _certifies(a, b, f) == (expected and f[0] == 1), f
+                if expected:
+                    norm = normalize_iso(a, b, f)
+                    assert norm[0] == 1 and is_homomorphism(ta, tb, norm)
+                else:
+                    with pytest.raises(WitnessError):
+                        normalize_iso(a, b, f)
+                verdicts.add((expected, f[0] == 1))
+        assert verdicts == {(True, True), (True, False), (False, True),
+                            (False, False)}
+
 
 # (m, k, s, t) of each side: scalar, rank 2 and rank 3 pairs, Z_4 against
 # Z_2^2, st = 1 pairs with one coset per element, a proper rank-3 (1-st)
@@ -643,6 +694,31 @@ class TestWitnessRoundTrip:
         mod = make_scalar_module(3, 2, 1)
         with pytest.raises(WitnessError):
             extract_witness(mod, mod, (2, 1, 3))
+
+    def test_assemble_names_the_missing_representative(self):
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        with pytest.raises(WitnessError, match="rep map .* for 0$"):
+            assemble_witness_map(Z8_35, Z8_35, witness.submodule_map, {})
+        with pytest.raises(WitnessError, match="rep map .* for 1$"):
+            assemble_witness_map(Z8_35, Z8_35, witness.submodule_map,
+                                 {(0,): (0,)})
+
+    def test_assemble_names_the_missing_submodule_element(self):
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        rep_map = dict(witness.rep_map)
+        with pytest.raises(WitnessError, match="submodule map .* for 0$"):
+            assemble_witness_map(Z8_35, Z8_35, ModuleIso(()), rep_map)
+        partial = ModuleIso(witness.submodule_map.pairs[:3])
+        with pytest.raises(WitnessError, match="submodule map .* for 6$"):
+            assemble_witness_map(Z8_35, Z8_35, partial, rep_map)
+
+    def test_assemble_reduces_coordinates(self):
+        # elements enter through index_of: (9,) is (1,) in Z_8
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        h = ModuleIso(tuple((x, (y[0] + 8,))
+                            for x, y in witness.submodule_map.pairs))
+        assert assemble_witness_map(Z8_35, Z8_35, h,
+                                    {(0,): (0,), (1,): (9,)}) == witness.perm
 
     def test_witness_serialization(self):
         witness, _ = structural_iso(Z8_35, Z8_35)
