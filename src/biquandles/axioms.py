@@ -102,7 +102,6 @@ def satisfies_axioms(table: BiquandleTable) -> bool:
     return not _scan(table, first_only=True)
 
 
-@lru_cache(maxsize=512)
 def yang_baxter_check(table: BiquandleTable) -> bool:
     """True iff S(a,b) = (b_a, a^b) is a bijective Yang-Baxter solution.
 

@@ -276,7 +276,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    result = enumerate_biquandles(args.n, allow_order_4=args.allow_order_4)
+    result = enumerate_biquandles(args.n)
     if args.json:
         _emit_json({
             "order": args.n,
@@ -356,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("enumerate", help="all biquandles of a small order")
     s.add_argument("n", type=int)
-    s.add_argument("--allow-order-4", action="store_true",
-                   help="permit the much larger order-4 search")
     common(s)
     s.set_defaults(func=cmd_enumerate)
 

@@ -161,7 +161,8 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
     Elements are read through ``index_of``, so coordinates are reduced mod
     m; an element of the (1-st) submodule that h does not map, or a
     canonical representative that the rep map misses, raises
-    ``WitnessError`` naming it.
+    ``WitnessError`` naming it, and so does data that assembles to a map
+    that is not a bijection.
     """
     sub = one_minus_st_submodule(src)
     trans = transversal(src, sub)
@@ -173,7 +174,10 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
             if src.index[x] not in given:
                 raise WitnessError(
                     f"{name} has no image for {format_elem(x)}")
-    return _assemble(src, dst, trans, h_of, k_of)
+    perm = _assemble(src, dst, trans, h_of, k_of)
+    if sorted(perm) != list(range(1, dst.size + 1)):
+        raise WitnessError("assembled map is not a bijection")
+    return perm
 
 
 def _assemble(src: FiniteModule, dst: FiniteModule, trans: Transversal,
@@ -437,63 +441,55 @@ class EnumerationResult:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _enumeration_guard(n: int, allow_order_4: bool):
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n > 4 or (n == 4 and not allow_order_4):
-        raise ValueError(
-            "enumeration is budgeted for order <= 3 "
-            "(pass allow_order_4=True for order 4)")
-
-
 def _preserves(p, rs) -> bool:
     """Whether p(x <| y) = p(x) <| p(y), where x <| y = rs[y][x]."""
     return all(p[r[x]] == rs[p[y]][p[x]]
                for y, r in enumerate(rs) for x in range(len(rs)))
 
 
-def enumerate_biquandles(n: int, allow_order_4: bool = False
-                         ) -> EnumerationResult:
-    """All biquandle tables of order n, plus isomorphism classes.
+def enumerate_biquandles(n: int) -> EnumerationResult:
+    """All biquandle tables of order n, 1 <= n <= 4, plus isomorphism
+    classes; any other order raises ``ValueError``.
 
     Found through the derived quandle Q, x <| y = (x^z)_y where z_x = y
     (Soloviev; Lebed-Vendramin): each sigma_x = (._x) is in Aut(Q),
     and x^z = sigma_w^-1(x <| w) where w = z_x.  For each quandle on
-    0..n-1 the search places sigma_0, sigma_1, ... from Aut(Q) as down
-    columns, and x^z once sigma_x and sigma_w are placed.  It prunes on a
-    repeated value in a column of up, and on ``kernels._axiom3`` at (a, b)
-    once sigma_a, sigma_b, sigma_(b_a) and sigma_(a^b) are placed; index n
-    is "not placed", reads through it give n, and entries reading it are
-    skipped.  S(a, b) = (b_a, a^b) is then a bijection, so
-    ``from_pair_map`` gives the barred blocks; every leaf gets the full
-    axiom scan.  A table has one Q and one sigma, so it is found once.  A
-    class is keyed by the least of a table's up and down flats under all
-    n! relabellings (they fix the barred flats).
+    0..n-1 the search places sigma_0, sigma_1, ... from Aut(Q) as the
+    columns of down (``cols``, its one store of sigma), and x^z once
+    sigma_x and sigma_w are placed.  It prunes on a repeated value in a
+    column of up, and on ``kernels._axiom3`` at (a, b) once sigma_a,
+    sigma_b, sigma_(b_a) and sigma_(a^b) are placed; index n is "not
+    placed", reads through it give n, and entries reading it are skipped.
+    S(a, b) = (b_a, a^b) is then a bijection, so ``from_pair_map`` gives
+    the barred blocks; every leaf gets the full axiom scan.  A table has
+    one Q and one sigma, so it is found once.  A class is keyed by the
+    least of a table's up and down flats under all n! relabellings (they
+    fix the barred flats).
     """
-    _enumeration_guard(n, allow_order_4)
+    if not 1 <= n <= 4:
+        raise ValueError(f"enumeration covers orders 1..4, not {n}")
     perms = list(itertools.permutations(range(n)))
-    # up[x][z] = x^z, down[z][x] = cols[x][z] = z_x; n+1 by n+1
-    up, down, cols = ([[n] * (n + 1) for _ in range(n + 1)] for _ in range(3))
+    # up[x][z] = x^z, cols[x][z] = z_x; n+1 by n+1
+    up, cols = ([[n] * (n + 1) for _ in range(n + 1)] for _ in range(2))
     sigma_inv = [None] * n
     found = []
 
     def consistent(a, b):
-        lhs, rhs = kernels._axiom3(up, down, cols, a, b)
+        lhs, rhs = kernels._axiom3(up, cols, a, b)
         return lhs == rhs or all(l == r or n in (l, r) for sides in
                                  zip(lhs, rhs) for l, r in zip(*sides))
 
     def place(x):
         if x == n:
-            table = from_pair_map(n, *([v for row in t[:n] for v in row[:n]]
-                                       for t in (up, down)))
+            table = from_pair_map(
+                n, [v for row in up[:n] for v in row[:n]],
+                [col[z] for z in range(n) for col in cols[:n]])
             if satisfies_axioms(table):
                 found.append(table)
             return
         for sigma, inv in auts:
             sigma_inv[x] = inv
             cols[x][:n] = sigma
-            for z, w in enumerate(sigma):
-                down[z][x] = w
             new = [(x, z, sigma_inv[w][rs[w][x]])
                    for z, w in enumerate(sigma) if w <= x]
             new += [(a, sigma_inv[a][x], inv[rs[x][a]]) for a in range(x)]
@@ -511,8 +507,6 @@ def enumerate_biquandles(n: int, allow_order_4: bool = False
             for a, z, _ in new[:done]:
                 up[a][z] = n
         cols[x][:n] = [n] * n
-        for row in down[:n]:
-            row[x] = n
 
     fixing = [[p for p in perms if p[y] == y] for y in range(n)]
     for rs in itertools.product(*fixing):

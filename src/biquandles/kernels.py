@@ -46,15 +46,28 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
     for each is all of them.  ``axioms.verify_biquandle`` passes the
     generator points that decide every axiom of an affine table.
 
+    The barred operations invert S(a, b) = (b_a, a^b), so each barred
+    clause is an unbarred one read on mirrored tables, and each clause
+    group is written once and run over two sides:
+
+    - axiom 2: the y-group (codes 7..9) is the x-group (codes 4..6) on
+      (upbar, downbar, up, down) in place of (up, down, upbar, downbar);
+    - axiom 3: the barred clauses (codes 13..15) are ``_axiom3`` (codes
+      10..12) on upbar and downbar in place of up and down;
+    - axiom 4: the y-group (codes 18..19) is the x-group (codes 16..17) on
+      (upbar, downbar) in place of (down, up).
+
+    Axiom 1 stays inline.  Violations come in element-wise order: per pair
+    (a, b) axiom 1, the axiom-2 x-group, then its y-group; then axiom 3 by
+    (a, b, c); then axiom 4 by a, x-group first.
+
     Axioms 2 and 3 are scanned on two levels.  First a whole-row pass
-    decides each pair (a, b): clause 2.ii pins a = x^bar b and 2.v pins
-    a = y^b, so one O(n) pass per b counts every axiom-2 group's joint
-    solutions for every a, and the six axiom-3 clauses are compared as whole
-    lists over c, gathered from the tables' rows and columns.  Only a pair
-    that fails there is looked at element by element (axiom 2 recomputes
-    each clause's solutions to assign blame; axiom 3 walks c through the
-    same lists), so the violations and their order are those of a plain
-    element-wise scan.
+    decides each pair (a, b): clause 2.ii pins a = x^bar b, so one O(n)
+    pass per b and side counts each axiom-2 group's joint solutions for
+    every a, and the axiom-3 clauses are compared as whole lists over c,
+    gathered from the tables' rows and columns.  Only a pair that fails
+    there is looked at element by element (axiom 2 recomputes each clause's
+    solutions to assign blame; axiom 3 walks c through the same lists).
     """
     out = []
 
@@ -80,22 +93,21 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
             return itertools.product(range(n), repeat=2)
         return pairs
 
-    # joint solution counts of the axiom-2 groups, joint_x[b][a]: x solves
-    # the x-group of (a, b) only for a = upbar[x][b], y the y-group only
-    # for a = up[y][b]
-    joint_x, joint_y = [None] * n, [None] * n
-    for b in range(n) if pairs is None else {b for _, b in pairs}:
-        cx, cy = [0] * n, [0] * n
-        for x in range(n):
-            a = upbar[x * n + b]
-            d = downbar[b * n + x]
-            if x == up[a * n + d] and b == down[d * n + a]:
-                cx[a] += 1
-            a = up[x * n + b]
-            d = down[b * n + x]
-            if x == upbar[a * n + d] and b == downbar[d * n + a]:
-                cy[a] += 1
-        joint_x[b], joint_y[b] = cx, cy
+    # axiom 2 per side: the head code, the tables in the roles of (up,
+    # down, upbar, downbar), and joint[b][a], the number of x solving the
+    # group of (a, b); x solves it only for a = x^bbar
+    sides = []
+    for head, op_u, op_d, op_ub, op_db in ((4, up, down, upbar, downbar),
+                                           (7, upbar, downbar, up, down)):
+        joint = [None] * n
+        for b in range(n) if pairs is None else {b for _, b in pairs}:
+            cnt = joint[b] = [0] * n
+            for x in range(n):
+                a = op_ub[x * n + b]
+                bx = op_db[b * n + x]
+                if x == op_u[a * n + bx] and b == op_d[bx * n + a]:
+                    cnt[a] += 1
+        sides.append((head, op_u, op_d, op_ub, op_db, joint))
 
     for a, b in scan_pairs():
         u = up[a * n + b]
@@ -112,28 +124,20 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
         if down[db * n + ub] != b and emit(3, (a, b)):
             return out
 
-        # axiom 2, x-group (codes 4..6) and y-group (codes 7..9)
-        if joint_x[b][a] != 1:
-            s1 = [x for x in range(n)
-                  if x == up[a * n + downbar[b * n + x]]]
-            s2 = [x for x in range(n) if a == upbar[x * n + b]]
-            s3 = [x for x in range(n)
-                  if b == down[downbar[b * n + x] * n + a]]
-            if group(4, (a, b), s1, s2, s3):
-                return out
-
-        if joint_y[b][a] != 1:
-            s1 = [y for y in range(n)
-                  if y == upbar[a * n + down[b * n + y]]]
-            s2 = [y for y in range(n) if a == up[y * n + b]]
-            s3 = [y for y in range(n)
-                  if b == downbar[down[b * n + y] * n + a]]
-            if group(7, (a, b), s1, s2, s3):
-                return out
+        # axiom 2: x = a^(b_xbar), a = x^bbar, b = (b_xbar)_a
+        for head, op_u, op_d, op_ub, op_db, joint in sides:
+            if joint[b][a] != 1:
+                s1 = [x for x in range(n)
+                      if x == op_u[a * n + op_db[b * n + x]]]
+                s2 = [x for x in range(n) if a == op_ub[x * n + b]]
+                s3 = [x for x in range(n)
+                      if b == op_d[op_db[b * n + x] * n + a]]
+                if group(head, (a, b), s1, s2, s3):
+                    return out
 
     # axiom 3 over all c at once
-    rows = _rows(n, up, down, pairs)
-    rows_bar = _rows(n, upbar, downbar, pairs)
+    rows = _rows(n, up, down)
+    rows_bar = _rows(n, upbar, downbar)
     for a, b in scan_pairs():
         lhs, rhs = _axiom3(*rows, a, b)
         lhs_bar, rhs_bar = _axiom3(*rows_bar, a, b)
@@ -146,37 +150,28 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
                 if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
                     return out
 
+    # axiom 4: x = a_x, a = x^a
     for a in range(n) if singles is None else singles:
-        # axiom 4, x-group (codes 16..17), y-group (18..19)
-        s1 = [x for x in range(n) if x == down[a * n + x]]
-        s2 = [x for x in range(n) if a == up[x * n + a]]
-        if group(16, (a,), s1, s2):
-            return out
-
-        s1 = [y for y in range(n) if y == upbar[a * n + y]]
-        s2 = [y for y in range(n) if a == downbar[y * n + a]]
-        if group(18, (a,), s1, s2):
-            return out
+        for head, op_d, op_u in ((16, down, up), (18, upbar, downbar)):
+            s1 = [x for x in range(n) if x == op_d[a * n + x]]
+            s2 = [x for x in range(n) if a == op_u[x * n + a]]
+            if group(head, (a,), s1, s2):
+                return out
 
     return out
 
 
-def _rows(n, up, down, pairs=None):
-    """Rows of ``up`` and ``down`` and columns of ``down``, as sequences
-    over c: rows[i][c] = t[i][c], cols[j][c] = t[c][j].  ``_axiom3`` reads
-    columns only at the a, b, a^b and b_a of the pairs scanned; given
-    ``pairs``, the other columns are None."""
-    at = range(n) if pairs is None else {
-        x for a, b in pairs for x in (a, b, up[a * n + b], down[b * n + a])}
-    cols = [None] * n
-    for j in at:
-        cols[j] = down[j::n]
+def _rows(n, up, down):
+    """Rows of ``up`` and columns of ``down`` of flat tables, as sequences
+    over c: rows[i][c] = i^c and cols[j][c] = c_j, the tables ``_axiom3``
+    reads."""
     return (list(map(list, zip(*[iter(up)] * n))),
-            list(map(list, zip(*[iter(down)] * n))), cols)
+            [down[j::n] for j in range(n)])
 
 
-def _axiom3(ur, dr, dc, a, b):
-    """Left and right sides, as lists over c, of one bar type's clauses."""
+def _axiom3(ur, dc, a, b):
+    """Left and right sides, as lists over c, of one bar type's clauses,
+    read from the rows ``ur`` of up and the columns ``dc`` of down."""
     ra, ca = ur[a], dc[a]
     ab, ba = ra[b], ca[b]
     cb, c_ab, bc = dc[b], dc[ab], ur[b]
@@ -188,7 +183,7 @@ def _axiom3(ur, dr, dc, a, b):
     return ((ur[ab], [ca[i] for i in cb], [rba[i] for i in c_ab]),
             ([ur[i][j] for i, j in zip(a_cb, bc)],
              [cba[i] for i in c_ab],
-             [dr[i][j] for i, j in zip(bc, a_cb)]))
+             [dc[j][i] for i, j in zip(bc, a_cb)]))
 
 
 def yang_baxter(n, up, down):

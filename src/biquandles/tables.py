@@ -237,7 +237,7 @@ def normalize_map(f, n_src: int, n_dst: int) -> tuple[int, ...]:
             raise ValueError(
                 f"map must assign all {n_src} elements, got {len(images)}")
     for v in images:
-        if not isinstance(v, int) or not 1 <= v <= n_dst:
+        if type(v) is not int or not 1 <= v <= n_dst:
             raise ValueError(f"map value {v!r} outside 1..{n_dst}")
     return tuple(images)
 

@@ -123,6 +123,52 @@ class TestColumnBijectivity:
                         list(range(1, n + 1)), (kind, j)
 
 
+# Each barred clause is an unbarred one read on mirrored tables.  A mirror
+# permutes (up, down, upbar, downbar) and sends the clause codes of a table
+# to those of its mirror, witness for witness; each mirror is an involution.
+MIRRORS = {
+    # (upbar, downbar, up, down): axioms 1-3, unbarred to barred
+    (2, 3, 0, 1): dict(zip((0, 1, 4, 5, 6, 10, 11, 12),
+                           (2, 3, 7, 8, 9, 13, 14, 15))),
+    # (downbar, upbar, down, up): axiom 4, x-group to y-group
+    (3, 2, 1, 0): {16: 18, 17: 19},
+}
+
+
+def mirror_sweep_tables():
+    """(n, flats) of seeded random tables and corrupted biquandles of
+    order 2 to 4."""
+    rng = random.Random(20061019)
+    tables = []
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        tables.append((n, [[rng.randrange(n) for _ in range(n * n)]
+                           for _ in range(4)]))
+    bases = list(enumerate_biquandles(2).tables +
+                 enumerate_biquandles(3).tables)
+    bases += [make_alexander(mod) for mod in scalar_modules(4)]
+    bases.append(trivial_biquandle(4))
+    for _ in range(300):
+        table = corrupted(rng.choice(bases), rng.randint(1, 3), rng)
+        tables.append((table.n, list(table.flats())))
+    return tables
+
+
+class TestMirror:
+    def test_barred_clauses_are_unbarred_ones_on_mirrored_tables(self):
+        seen = set()
+        for n, flats in mirror_sweep_tables():
+            raw = kernels.axiom_scan(n, *flats)
+            seen.update(code for code, _ in raw)
+            for perm, codes in MIRRORS.items():
+                mirror = kernels.axiom_scan(n, *map(flats.__getitem__, perm))
+                for there in codes, {v: k for k, v in codes.items()}:
+                    assert [(there[c], w) for c, w in raw if c in there] == \
+                        [(c, w) for c, w in mirror
+                         if c in there.values()], (n, flats, perm)
+        assert seen == set(range(len(CLAUSE_IDS)))
+
+
 class TestYangBaxter:
     def test_trivial_is_solution(self):
         assert yang_baxter_check(trivial_biquandle(3))

@@ -316,9 +316,10 @@ class TestEnumerate:
         assert "biquandles of order 2: 2" in out
         assert "isomorphism classes: 2" in out
 
-    def test_order_four_needs_flag(self, capsys):
-        code, _, err = run(capsys, "enumerate", "4")
+    def test_order_five_refused(self, capsys):
+        code, _, err = run(capsys, "enumerate", "5")
         assert code == EXIT_INPUT
+        assert "orders 1..4" in err
 
     def test_order_three_json_frozen(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--json")

@@ -16,7 +16,8 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         one_minus_st_submodule, profiles_compatible,
                         structural_iso, translation_map, transversal,
                         trivial_biquandle, verify_biquandle)
-from biquandles.isomorphism import format_witness, witness_to_dict
+from biquandles.isomorphism import (_assemble, format_witness,
+                                    witness_to_dict)
 
 from conftest import (SWAP_MODULE, intertwiners, scalar_modules,
                       zero_fixing_perms)
@@ -393,7 +394,9 @@ def certificate_cases(a, b, rng):
     """(h, assembled map) for every submodule isomorphism h of a and b: the
     structural rep map when h is the one it extends, rep maps drawn from
     the (1-st) fibres that the structural search draws from, and rep maps
-    drawn from all of b.  All fix zero."""
+    drawn from all of b.  All fix zero.  The maps are assembled by
+    ``_assemble``, as ``assemble_witness_map`` refuses the ones that are
+    not bijections."""
     sub_a, sub_b = one_minus_st_submodule(a), one_minus_st_submodule(b)
     trans = transversal(a, sub_a)
     witness, _ = structural_iso(a, b)
@@ -407,9 +410,11 @@ def certificate_cases(a, b, rng):
             rep_maps.append({rep: rng.choice(
                 fibers[h(one_minus_st(a, rep))] if draw < 6
                 else b.elements) for rep in trans.reps})
+        h_of = {a.index_of(x): b.index_of(y) for x, y in h.pairs}
         for rep_map in rep_maps:
             rep_map[a.zero] = b.zero
-            yield h, assemble_witness_map(a, b, h, rep_map)
+            k_of = {a.index_of(x): b.index_of(y) for x, y in rep_map.items()}
+            yield h, _assemble(a, b, trans, h_of, k_of)
 
 
 class TestCertificate:
@@ -712,6 +717,22 @@ class TestWitnessRoundTrip:
         with pytest.raises(WitnessError, match="submodule map .* for 6$"):
             assemble_witness_map(Z8_35, Z8_35, partial, rep_map)
 
+    def test_assemble_refuses_a_map_that_is_not_a_bijection(self):
+        identity = ModuleIso(tuple((x, x) for x in
+                                   one_minus_st_submodule(Z8_35).elements))
+        with pytest.raises(WitnessError, match="not a bijection"):
+            assemble_witness_map(Z8_35, Z8_35, identity,
+                                 {(0,): (0,), (1,): (0,)})
+
+    def test_bool_images_are_refused(self):
+        mod = make_scalar_module(3, 2, 1)
+        table = make_alexander(mod)
+        assert normalize_iso(mod, mod, (1, 3, 2)) == (1, 3, 2)
+        with pytest.raises(ValueError):
+            normalize_iso(mod, mod, (True, 3, 2))
+        with pytest.raises(ValueError):
+            is_homomorphism(table, table, (True, 3, 2))
+
     def test_assemble_reduces_coordinates(self):
         # elements enter through index_of: (9,) is (1,) in Z_8
         witness, _ = structural_iso(Z8_35, Z8_35)
@@ -914,17 +935,14 @@ class TestEnumeration:
             assert witness is None
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_biquandles(4)
-        with pytest.raises(ValueError):
-            enumerate_biquandles(5, allow_order_4=True)
-        with pytest.raises(ValueError):
-            enumerate_biquandles(0)
+        for n in (0, 5):
+            with pytest.raises(ValueError):
+                enumerate_biquandles(n)
 
-    def test_order_four_behind_flag(self):
+    def test_order_four_pin(self):
         # about 0.4 s; frozen from the former column-by-column search, whose
         # completeness the unpruned scan checked at order 3
-        result = enumerate_biquandles(4, allow_order_4=True)
+        result = enumerate_biquandles(4)
         assert len(result.tables) == 744
         assert len(result.classes) == 98
         frozen = repr(([t.flats() for t in result.tables], result.classes))
@@ -942,7 +960,7 @@ class TestEnumeration:
 @pytest.fixture(scope="module")
 def enumerated():
     return {3: enumerate_biquandles(3),
-            4: enumerate_biquandles(4, allow_order_4=True)}
+            4: enumerate_biquandles(4)}
 
 
 def derived_quandle(table):
