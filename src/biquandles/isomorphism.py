@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import kernels
-from .axioms import satisfies_axioms, verify_biquandle
+from .axioms import verify_biquandle
 from .errors import WitnessError
 from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
                       _s_closure, format_elem, module_isomorphisms,
@@ -452,46 +452,45 @@ def enumerate_biquandles(n: int) -> EnumerationResult:
     classes; any other order raises ``ValueError``.
 
     Found through the derived quandle Q, x <| y = (x^z)_y where z_x = y
-    (Soloviev; Lebed-Vendramin): each sigma_x = (._x) is in Aut(Q),
-    and x^z = sigma_w^-1(x <| w) where w = z_x.  For each quandle on
-    0..n-1 the search places sigma_0, sigma_1, ... from Aut(Q) as the
-    columns of down (``cols``, its one store of sigma), and x^z once
-    sigma_x and sigma_w are placed.  It prunes on a repeated value in a
-    column of up, and on ``kernels._axiom3`` at (a, b) once sigma_a,
-    sigma_b, sigma_(b_a) and sigma_(a^b) are placed; index n is "not
-    placed", reads through it give n, and entries reading it are skipped.
-    S(a, b) = (b_a, a^b) is then a bijection, so ``from_pair_map`` gives
-    the barred blocks; every leaf gets the full axiom scan.  A table has
-    one Q and one sigma, so it is found once.  A class is keyed by the
-    least of a table's up and down flats under all n! relabellings (they
-    fix the barred flats).
+    (Soloviev; Lebed-Vendramin): each sigma_x = (._x) is in Aut(Q), and
+    x^z = sigma_w^-1(x <| w) where w = z_x.  For each quandle on 0..n-1
+    the search places sigma_0, sigma_1, ... from Aut(Q), and x^z once
+    sigma_x and sigma_w are placed (None until then).  Such a candidate
+    solves the Yang-Baxter equation iff identity (i), sigma_a o sigma_b =
+    sigma_(b_a) o sigma_(a^b), holds for all a, b.  The search prunes on
+    (i) once sigma_a, sigma_b, sigma_(b_a) and sigma_(a^b) are placed, and
+    on a repeated value in a column of up; it runs no axiom scan, and
+    tier-1 rechecks every table of orders 1..4 with ``recheck_axioms``,
+    the independent oracle in ``tests/oracles.py``.  ``from_pair_map``
+    gives the barred blocks.  A table has one Q and one sigma, so it is
+    found once.  A class is keyed by the least of a table's up and down
+    flats under all n! relabellings (they fix the barred flats).
     """
     if not 1 <= n <= 4:
         raise ValueError(f"enumeration covers orders 1..4, not {n}")
     perms = list(itertools.permutations(range(n)))
-    # up[x][z] = x^z, cols[x][z] = z_x; n+1 by n+1
-    up, cols = ([[n] * (n + 1) for _ in range(n + 1)] for _ in range(2))
-    sigma_inv = [None] * n
+    sigma, sigma_inv = [None] * n, [None] * n  # sigma[x][z] = z_x
+    up = [[None] * n for _ in range(n)]  # up[x][z] = x^z
     found = []
 
-    def consistent(a, b):
-        lhs, rhs = kernels._axiom3(up, cols, a, b)
-        return lhs == rhs or all(l == r or n in (l, r) for sides in
-                                 zip(lhs, rhs) for l, r in zip(*sides))
+    def identity_holds(x, a, b):
+        """(i) at (a, b) if x is the newest of a, b, b_a and a^b, else True."""
+        ba = sigma[a][b]
+        if ba > x or max(a, b, ba, up[a][b]) != x:
+            return True
+        sa, s_ba, s_ab = sigma[a], sigma[ba], sigma[up[a][b]]
+        return [sa[z] for z in sigma[b]] == [s_ba[z] for z in s_ab]
 
     def place(x):
         if x == n:
-            table = from_pair_map(
-                n, [v for row in up[:n] for v in row[:n]],
-                [col[z] for z in range(n) for col in cols[:n]])
-            if satisfies_axioms(table):
-                found.append(table)
+            found.append(from_pair_map(
+                n, [v for row in up for v in row],
+                [s[z] for z in range(n) for s in sigma]))
             return
-        for sigma, inv in auts:
-            sigma_inv[x] = inv
-            cols[x][:n] = sigma
+        for s, inv in auts:
+            sigma[x], sigma_inv[x] = s, inv
             new = [(x, z, sigma_inv[w][rs[w][x]])
-                   for z, w in enumerate(sigma) if w <= x]
+                   for z, w in enumerate(s) if w <= x]
             new += [(a, sigma_inv[a][x], inv[rs[x][a]]) for a in range(x)]
             done = 0
             for a, z, v in new:  # tau_z = (.^z) stays injective
@@ -500,13 +499,12 @@ def enumerate_biquandles(n: int) -> EnumerationResult:
                 up[a][z] = v
                 done += 1
             else:
-                if all(consistent(a, b) for a in range(x + 1)
-                       for b in range(x + 1)
-                       if max(a, b, cols[a][b], up[a][b]) == x):
+                if all(identity_holds(x, a, b) for a in range(x + 1)
+                       for b in range(x + 1)):
                     place(x + 1)
             for a, z, _ in new[:done]:
-                up[a][z] = n
-        cols[x][:n] = [n] * n
+                up[a][z] = None
+        sigma[x] = sigma_inv[x] = None
 
     fixing = [[p for p in perms if p[y] == y] for y in range(n)]
     for rs in itertools.product(*fixing):

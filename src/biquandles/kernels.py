@@ -39,8 +39,8 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
-    axiom 3, (a,) for axiom 4.  With ``first_only`` the scan stops at the
-    first violation (used by enumeration; reports stay exhaustive otherwise).
+    axiom 3, (a,) for axiom 4.  With ``first_only`` (``satisfies_axioms``)
+    the scan stops at the first violation; reports stay exhaustive.
     ``pairs`` limits axioms 1, 2 and 3 to those (a, b) pairs, axiom 3 over
     every c, and ``singles`` limits axiom 4 to those elements a; the default
     for each is all of them.  ``axioms.verify_biquandle`` passes the

@@ -34,7 +34,7 @@ def _flatten(n, kind, rows) -> list:
     """Row-major entries of a 1-based n x n block, shifted to 0-based."""
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"{kind} block must be {n}x{n}")
-    return [e - 1 if isinstance(e, int) else e for row in rows for e in row]
+    return [e - 1 if type(e) is int else e for row in rows for e in row]
 
 
 def _check_flat(n, kind, flat):

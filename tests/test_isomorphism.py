@@ -859,13 +859,19 @@ class TestHomEnumeration:
                 enumerate_homomorphisms(table, table, **kwargs)
 
 
+@pytest.fixture(scope="module")
+def enumerated():
+    """Every order the enumeration accepts, enumerated once per module."""
+    return {n: enumerate_biquandles(n) for n in range(1, 5)}
+
+
 class TestEnumeration:
-    def test_order_one(self):
-        result = enumerate_biquandles(1)
+    def test_order_one(self, enumerated):
+        result = enumerated[1]
         assert len(result.tables) == 1 and len(result.classes) == 1
 
-    def test_order_two_frozen_and_cross_checked(self):
-        result = enumerate_biquandles(2)
+    def test_order_two_frozen_and_cross_checked(self, enumerated):
+        result = enumerated[2]
         assert len(result.tables) == 2
         assert len(result.classes) == 2
         # independent 256-candidate scan: every choice of permutation
@@ -883,14 +889,27 @@ class TestEnumeration:
                 scan.add(table)
         assert scan == set(result.tables)
 
-    def test_order_three_frozen_counts(self):
-        result = enumerate_biquandles(3)
+    def test_order_three_frozen_counts(self, enumerated):
+        result = enumerated[3]
         assert len(result.tables) == 36
         assert len(result.classes) == 15
-        for table in result.tables[::7]:
-            assert verify_biquandle(table).passed
 
-    def test_order_three_complete(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_table_passes_the_oracle(self, enumerated, n):
+        # the search runs no axiom scan: every table it returns, at every
+        # order it accepts, is rechecked here from scratch (order 4: 0.8 s)
+        for table in enumerated[n].tables:
+            assert recheck_axioms(table) == (True, ())
+
+    def test_enumeration_runs_no_axiom_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration ran an axiom check")
+
+        monkeypatch.setattr(kernels, "axiom_scan", refuse)
+        monkeypatch.setattr(kernels, "_axiom3", refuse)
+        assert len(enumerate_biquandles(3).tables) == 36
+
+    def test_order_three_complete(self, enumerated):
         # independent 6^6-candidate scan: every choice of permutation
         # columns for up and down, filtered by the Yang-Baxter oracle, with
         # the barred blocks from S^-1 and the axioms rechecked from scratch
@@ -914,10 +933,10 @@ class TestEnumeration:
                 for m in (upbar, downbar)))
             if recheck_axioms(table)[0]:
                 scan.add(table)
-        assert scan == set(enumerate_biquandles(3).tables)
+        assert scan == set(enumerated[3].tables)
 
-    def test_classes_partition_correctly(self):
-        result = enumerate_biquandles(3)
+    def test_classes_partition_correctly(self, enumerated):
+        result = enumerated[3]
         assert result.classes == (
             (0,), (1, 2, 3), (4,), (5, 20, 27), (6, 21, 28), (7, 12, 14),
             (8, 13, 15), (9, 22, 34), (10, 23, 35), (11, 24, 33),
@@ -939,28 +958,20 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 enumerate_biquandles(n)
 
-    def test_order_four_pin(self):
-        # about 0.4 s; frozen from the former column-by-column search, whose
+    def test_order_four_pin(self, enumerated):
+        # frozen from the former column-by-column search, whose
         # completeness the unpruned scan checked at order 3
-        result = enumerate_biquandles(4)
+        result = enumerated[4]
         assert len(result.tables) == 744
         assert len(result.classes) == 98
         frozen = repr(([t.flats() for t in result.tables], result.classes))
         assert hashlib.sha256(frozen.encode()).hexdigest() == (
             "abdf0c9d4691914c6597a3da0dd8137c4ffd97f310ce4cfb85323ac2eee06cf9")
-        for table in result.tables[::97]:
-            assert verify_biquandle(table).passed
 
 
 # ---------------------------------------------------------------------------
 # The derived quandle, read off each enumerated table from its operations
 # alone: x <| y = (x^z)_y, where z is the element with z_x = y.
-
-
-@pytest.fixture(scope="module")
-def enumerated():
-    return {3: enumerate_biquandles(3),
-            4: enumerate_biquandles(4)}
 
 
 def derived_quandle(table):
@@ -1043,6 +1054,49 @@ class TestDerivedQuandle:
         keys = {(table.down, tuple(sorted(derived_quandle(table).items())))
                 for table in enumerated[n].tables}
         assert len(keys) == len(enumerated[n].tables)
+
+
+class TestIdentityCriterion:
+    """The criterion the enumeration prunes on, checked on every candidate
+    the search could reach at orders 2 and 3."""
+
+    @pytest.mark.parametrize("n, candidates, passing", [(2, 4, 2),
+                                                        (3, 456, 36)])
+    def test_identity_decides_yang_baxter(self, n, candidates, passing):
+        # for every labelled quandle Q and every sigma in Aut(Q)^n, with
+        # x^z = sigma_w^-1(x <| w), w = sigma_x(z): sigma_a o sigma_b =
+        # sigma_(b_a) o sigma_(a^b) for all a, b iff S is a YBE solution
+        rng = range(1, n + 1)
+        perms = list(itertools.permutations(rng))
+        fixing = [[p for p in perms if p[y - 1] == y] for y in rng]
+        seen = passed = 0
+        for rows in itertools.product(*fixing):
+            q = {(x, y): rows[y - 1][x - 1] for x in rng for y in rng}
+            if not is_quandle(n, q):
+                continue
+            auts = [p for p in perms if all(
+                p[q[x, y] - 1] == q[p[x - 1], p[y - 1]]
+                for x in rng for y in rng)]
+            for sigma in itertools.product(auts, repeat=n):
+                def s(x, z):
+                    return sigma[x - 1][z - 1]
+
+                def s_inv(x, v):
+                    return sigma[x - 1].index(v) + 1
+
+                up = tuple(tuple(s_inv(s(x, z), q[x, s(x, z)]) for z in rng)
+                           for x in rng)
+                down = tuple(tuple(s(x, z) for x in rng) for z in rng)
+                identity = all(
+                    s(a, s(b, c)) == s(s(a, b), s(up[a - 1][b - 1], c))
+                    for a in rng for b in rng for c in rng)
+                # the barred blocks are placeholders: the oracle reads
+                # up and down
+                table = BiquandleTable(n, up, down, up, down)
+                assert identity == recheck_yang_baxter(table)
+                seen += 1
+                passed += identity
+        assert (seen, passed) == (candidates, passing)
 
 
 class TestEnumeratedClasses:

@@ -95,6 +95,16 @@ class TestTableValidation:
                     f"{kind} entry {shown} outside 1..2")):
                 BiquandleTable.from_flats(2, *flats)
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_bool_entry_refused(self, entry):
+        # a bool is not an element, though True - 1 would pass as 0
+        for i, kind in enumerate(KINDS):
+            blocks = [((1, 1), (2, 2))] * 4
+            blocks[i] = ((entry, 1), (2, 2))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{kind} entry {entry} outside 1..2")):
+                BiquandleTable(2, *blocks)
+
     def test_ragged_block(self):
         with pytest.raises(ValueError, match="up block must be 2x2"):
             BiquandleTable(2, ((1,), (2, 2)), ((1, 1), (2, 2)),
