@@ -6,11 +6,14 @@ biquandles that pairs an intertwining isomorphism of the (1-st) submodules
 with a map of coset representatives chosen once per s-cycle of cosets.  The
 two must agree; the test suite sweeps them against each other.  Both get
 their maps from the one propagate-and-branch search, ``kernels.iter_maps``,
-which yields maps in increasing lexicographic order of their image tuples:
-the first over the four biquandle tables, the second, through
-``module_isomorphisms``, over the submodules' addition table and the table
-of x * y = s.x + t.y, one submodule isomorphism at a time.  Enumeration
-runs no map search: it groups the tables it finds by a canonical form.
+which yields maps in increasing lexicographic order of their image tuples.
+Each search reads only the tables that determine its map: the first the
+up and down tables, as axiom 1 makes the barred pair their inverse (see
+``brute_force_iso``); the second, through ``module_isomorphisms``, the
+submodules' table of x * y = s.x + t.y, which forces additivity and both
+actions (see ``modules._star_table``), one submodule isomorphism at a
+time.  Enumeration runs no map search: it groups the tables it finds by a
+canonical form.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
 
 _OP_BITS = dict(zip(KINDS, (kernels.OP_UP, kernels.OP_DOWN,
                             kernels.OP_UPBAR, kernels.OP_DOWNBAR)))
+# the tables that determine a biquandle map (see ``brute_force_iso``)
+_UNBARRED = kernels.OP_UP | kernels.OP_DOWN
 
 
 @dataclass(frozen=True)
@@ -54,20 +59,21 @@ def _require_biquandle(table: BiquandleTable, which: str):
 
 
 def fixed_point_profile(table: BiquandleTable) -> tuple[tuple, ...]:
-    """Per-element fingerprint preserved by isomorphisms.
+    """Per-element fingerprint preserved by isomorphisms: the one the map
+    search filters candidate images by.
 
-    For each element and each operation: how many right operands fix it,
-    how many left operands are fixed by it, and whether it fixes itself.
-    ``kernels._profiles`` reads all three from one mask per operation,
-    t(i, j) == i, counted by row, counted by column, and on the diagonal.
-    Isomorphic tables have equal sorted profiles; the map search filters
-    candidate images by them.
+    For each element and each of up and down: how many right operands fix
+    it, how many left operands are fixed by it, and whether it fixes
+    itself.  The barred operations are left out, as the search reads only
+    up and down (see ``brute_force_iso``).  Isomorphic tables have equal
+    sorted profiles.
     """
-    return tuple(kernels._profiles(table.n, table.flats(), kernels.ALL_OPS))
+    return tuple(kernels._profiles(table.n, table.flats(), _UNBARRED))
 
 
 def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:
-    """Necessary condition for isomorphism: equal sorted profiles."""
+    """Necessary condition for isomorphism: equal sorted profiles, the
+    ones the map search filters by."""
     return sorted(fixed_point_profile(src)) == sorted(fixed_point_profile(dst))
 
 
@@ -82,13 +88,19 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
 
     Both inputs must pass the axiom check.  The search assigns the first
     unassigned element next, tries its images in increasing order, filters
-    them by fixed-point profile, and propagates forced images through all
-    four operation tables, so its first map is the least image tuple.
+    them by fixed-point profile, and propagates forced images through the
+    up and down tables only, so its first map is the least image tuple.
+
+    Those two determine the rest.  By axiom 1 the barred pair inverts
+    S(a, b) = (b_a, a^b), so for any map f, bijective or not, f x f o S =
+    S' o f x f gives f x f o S^-1 = S'^-1 o f x f: a map preserving up and
+    down preserves upbar and downbar.  The search accepts the same maps as
+    on all four tables, in the same order.
     """
     _require_biquandle(src, "source")
     _require_biquandle(dst, "target")
     maps, raw = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats())
+        src.n, src.flats(), dst.n, dst.flats(), ops_mask=_UNBARRED)
     found = tuple(v + 1 for v in maps[0]) if maps else None
     return found, _stats(raw)
 
@@ -96,11 +108,13 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
 def all_isomorphisms(src: BiquandleTable, dst: BiquandleTable
                      ) -> list[tuple[int, ...]]:
     """Every isomorphism, in increasing lexicographic order of image
-    tuples (the search order)."""
+    tuples (the search order), found on up and down as in
+    ``brute_force_iso``."""
     _require_biquandle(src, "source")
     _require_biquandle(dst, "target")
     maps, _ = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats(), find_all=True)
+        src.n, src.flats(), dst.n, dst.flats(), ops_mask=_UNBARRED,
+        find_all=True)
     return [tuple(v + 1 for v in m) for m in maps]
 
 

@@ -19,7 +19,7 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
 from biquandles.isomorphism import (_assemble, format_witness,
                                     witness_to_dict)
 
-from conftest import (SWAP_MODULE, intertwiners, scalar_modules,
+from conftest import (SWAP_MODULE, intertwiners, scalar_modules, units,
                       zero_fixing_perms)
 from oracles import (_neg, _sum, _vec, matrix_inverse, recheck_axioms,
                      recheck_yang_baxter)
@@ -106,6 +106,90 @@ class TestBruteForce:
                 continue
             assert is_homomorphism(ta, tb, witness)
             assert is_homomorphism(tb, ta, inverse_perm(witness))
+
+
+class TestUnbarredTables:
+    """The isomorphism deciders read only up and down: axiom 1 makes the
+    barred pair S^-1, so a map preserving up and down preserves all four."""
+
+    @staticmethod
+    def _corpus(z2z2_table, enumerated):
+        """Groups of tables of one order each, and the Z_4^3 closure pair.
+
+        The scalar groups leave out s = t = 1, the trivial table, whose n!
+        automorphisms would take seconds to list at orders 7 and 8; the
+        trivial tables of orders 1 to 4 stand in for it (and for Z_2).
+        """
+        groups = [[make_alexander(make_scalar_module(n, s, t))
+                   for s in units(n) for t in units(n) if (s, t) != (1, 1)]
+                  for n in range(3, 9)]
+        groups += [[make_alexander(SWAP_MODULE)] + [
+            make_alexander(make_module(3, 2, s, t)) for s, t in (
+                (((1, 1), (0, 1)), diag(2, 2)),
+                (((1, 0), (1, 1)), diag(2, 2)),
+                (diag(2, 1), diag(1, 2)))]]
+        groups += [[make_alexander(make_module(4, 2, s, t)) for s, t in (
+            (((1, 1), (0, 3)), diag(3, 3)), (((1, 1), (0, 1)), diag(3, 3)),
+            (((1, 0), (1, 1)), diag(3, 3)),
+            (((0, 1), (1, 2)), ((0, 3), (3, 2))),
+            (((1, 1), (1, 2)), diag(1, 1)))]]
+        groups += [[trivial_biquandle(n)] for n in (1, 2, 3)]
+        groups += [[trivial_biquandle(4), z2z2_table]]
+        groups += [list(enumerated[3].tables)]
+        pairs = [pair for group in groups
+                 for pair in itertools.product(group, repeat=2)]
+        pairs.append(tuple(make_alexander(make_module(4, 3, *spec))
+                           for spec in ((diag(1, 1, 1), diag(3, 1, 1)),
+                                        (diag(3, 1, 1), diag(1, 1, 1)))))
+        return pairs
+
+    def test_deciders_match_the_four_table_search(self, z2z2_table,
+                                                  enumerated):
+        pairs = self._corpus(z2z2_table, enumerated)
+        assert len(pairs) > 3000
+        found = 0
+        for ta, tb in pairs:
+            maps, _ = kernels.search_maps(ta.n, ta.flats(), tb.n, tb.flats(),
+                                          ops_mask=kernels.ALL_OPS,
+                                          find_all=True)
+            expected = [tuple(v + 1 for v in m) for m in maps]
+            assert all_isomorphisms(ta, tb) == expected
+            witness, _ = brute_force_iso(ta, tb)
+            assert witness == (expected[0] if expected else None)
+            found += bool(expected) and ta != tb
+        assert found > 50
+
+    def test_unbarred_homomorphisms_are_homomorphisms(self, enumerated):
+        # the lemma holds for maps that are not bijections too
+        tables = enumerated[3].tables
+        for ta, tb in itertools.product(tables, repeat=2):
+            assert enumerate_homomorphisms(ta, tb, ops=("up", "down")) == \
+                enumerate_homomorphisms(ta, tb)
+
+    def test_deciders_search_up_and_down(self, monkeypatch):
+        # each decider hands the map search only the tables that determine
+        # its map: two biquandle tables, or one submodule table per side
+        masks, tables = [], []
+        search, iterate = kernels.search_maps, kernels.iter_maps
+
+        def search_spy(*args, **kwargs):
+            masks.append(kwargs.get("ops_mask", kernels.ALL_OPS))
+            return search(*args, **kwargs)
+
+        def iter_spy(n_src, src, n_dst, dst, *args, **kwargs):
+            tables.append((len(src), len(dst)))
+            return iterate(n_src, src, n_dst, dst, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "search_maps", search_spy)
+        table = make_alexander(Z8_35)
+        brute_force_iso(table, table)
+        all_isomorphisms(table, make_alexander(Z8_53))
+        assert masks == [kernels.OP_UP | kernels.OP_DOWN] * 2
+        monkeypatch.setattr(kernels, "iter_maps", iter_spy)
+        sub = one_minus_st_submodule(Z8_35)
+        assert len(list(module_isomorphisms(sub, sub))) == 2
+        assert structural_iso(Z8_35, Z8_35)[0] is not None
+        assert tables == [(1, 1)] * 2
 
 
 class TestProfiles:

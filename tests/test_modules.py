@@ -16,7 +16,7 @@ from biquandles import (FiniteModule, ModuleError, Submodule,
                         module_isomorphisms,
                         one_minus_st_submodule, s_orbit, structural_iso,
                         translation_map, transversal)
-from biquandles import modules
+from biquandles import kernels, modules
 from biquandles.errors import SwitchError
 from biquandles.kernels import MAX_STATES
 from biquandles.modules import (_addition_table, _det, _mat_inv, _mat_mul,
@@ -433,6 +433,53 @@ class TestModuleIsomorphisms:
             assert got == sorted(got)
             found += bool(got) and a.module != b.module
         assert found > 100
+
+    def test_star_table_matches_the_two_table_search(self):
+        # the search reads x * y = s.x + t.y alone; the same maps come out,
+        # in the same order, as from the search on it and x + y, both
+        # tables built here from the oracles' coordinate arithmetic, and
+        # for |N| <= 8 as from the permutation scan
+        def tables(sub):
+            mod, xs = sub.module, sub.elements
+            pos = {x: i for i, x in enumerate(xs)}
+            plus = tuple(pos[_sum(mod.m, x, y)] for x in xs for y in xs)
+            star = tuple(pos[_sum(mod.m, _vec(mod.s_matrix, x, mod.m),
+                                  _vec(mod.t_matrix, y, mod.m))]
+                         for x in xs for y in xs)
+            return (plus, star), pos[mod.zero]
+
+        def two_table_search(a, b):
+            (ta, za), (tb, zb) = built[a], built[b]
+            return [tuple(sorted((x, b.elements[j])
+                                 for x, j in zip(a.elements, f)))
+                    for f in kernels.iter_maps(len(a), ta, len(b), tb, {},
+                                               fixed=((za, zb),),
+                                               use_profiles=False)]
+
+        subs = [one_minus_st_submodule(mod)
+                for m in range(2, 9) for mod in scalar_modules(m)]
+        subs += self._rank_two_submodules()
+        # rank 3: a proper N, then N = M on Z_2^3 (s of order 7), Z_3^3
+        # and Z_5^3 (s = 2I, t = I + J, J the superdiagonal)
+        shift = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+        subs += [one_minus_st_submodule(make_module(*spec)) for spec in (
+            (3, 3, ((0, 2, 1), (2, 0, 1), (0, 0, 2)),
+             ((0, 2, 0), (2, 0, 0), (0, 0, 2))),
+            (2, 3, ((0, 0, 1), (1, 0, 1), (0, 1, 0)),
+             ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            (3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), shift),
+            (5, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), shift))]
+        built = {sub: tables(sub) for sub in subs}
+        sizes = set()
+        for a, b in itertools.product(subs, repeat=2):
+            if len(a) != len(b):
+                continue
+            got = [iso.pairs for iso in module_isomorphisms(a, b)]
+            assert got == two_table_search(a, b), (a, b)
+            if len(a) <= 8:
+                assert got == scan_module_isomorphisms(a, b), (a, b)
+            sizes.add(len(a))
+        assert sizes == {1, 2, 3, 4, 5, 6, 7, 8, 27, 125}
 
     def test_outputs_recheck(self):
         sub = one_minus_st_submodule(Z8_35)
