@@ -7,8 +7,9 @@ with a map of coset representatives chosen once per s-cycle of cosets.  The
 two must agree; the test suite sweeps them against each other.  Both get
 their maps from the one propagate-and-branch search, ``kernels.iter_maps``,
 which yields maps in increasing lexicographic order of their image tuples.
-Each search reads only the tables that determine its map: the first the
-up and down tables, as axiom 1 makes the barred pair their inverse (see
+The search reads the tables its caller hands it and nothing else, so each
+decider chooses the tables that determine its map: the first the up and
+down tables, as axiom 1 makes the barred pair their inverse (see
 ``brute_force_iso``); the second, through ``module_isomorphisms``, the
 submodules' table of x * y = s.x + t.y, which forces additivity and both
 actions (see ``modules._star_table``), one submodule isomorphism at a
@@ -26,15 +27,10 @@ from typing import Optional
 from . import kernels
 from .axioms import verify_biquandle
 from .errors import WitnessError
-from .modules import (Elem, FiniteModule, ModuleIso, Submodule, Transversal,
-                      _s_closure, format_elem, module_isomorphisms,
+from .modules import (Elem, FiniteModule, ModuleIso, Transversal, _s_closure,
+                      format_elem, module_isomorphisms,
                       one_minus_st_submodule, transversal)
 from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
-
-_OP_BITS = dict(zip(KINDS, (kernels.OP_UP, kernels.OP_DOWN,
-                            kernels.OP_UPBAR, kernels.OP_DOWNBAR)))
-# the tables that determine a biquandle map (see ``brute_force_iso``)
-_UNBARRED = kernels.OP_UP | kernels.OP_DOWN
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ def fixed_point_profile(table: BiquandleTable) -> tuple[tuple, ...]:
     up and down (see ``brute_force_iso``).  Isomorphic tables have equal
     sorted profiles.
     """
-    return tuple(kernels._profiles(table.n, table.flats(), _UNBARRED))
+    return tuple(kernels._profiles(table.n, table.flats()[:2]))
 
 
 def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:
@@ -80,6 +76,17 @@ def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:
 def _stats(raw) -> SearchStats:
     return SearchStats(candidates=raw["candidates"],
                        prunes=dict(raw["prunes"]), work=raw["work"])
+
+
+def _isomorphisms(src: BiquandleTable, dst: BiquandleTable, find_all: bool
+                  ) -> tuple[list[tuple[int, ...]], dict]:
+    """(1-based isomorphisms in search order, all or the first, raw search
+    counters) from the search on up and down (see ``brute_force_iso``)."""
+    _require_biquandle(src, "source")
+    _require_biquandle(dst, "target")
+    maps, raw = kernels.search_maps(src.n, src.flats()[:2], dst.n,
+                                    dst.flats()[:2], find_all=find_all)
+    return [tuple(v + 1 for v in m) for m in maps], raw
 
 
 def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
@@ -97,12 +104,8 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
     down preserves upbar and downbar.  The search accepts the same maps as
     on all four tables, in the same order.
     """
-    _require_biquandle(src, "source")
-    _require_biquandle(dst, "target")
-    maps, raw = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats(), ops_mask=_UNBARRED)
-    found = tuple(v + 1 for v in maps[0]) if maps else None
-    return found, _stats(raw)
+    maps, raw = _isomorphisms(src, dst, find_all=False)
+    return (maps[0] if maps else None), _stats(raw)
 
 
 def all_isomorphisms(src: BiquandleTable, dst: BiquandleTable
@@ -110,12 +113,7 @@ def all_isomorphisms(src: BiquandleTable, dst: BiquandleTable
     """Every isomorphism, in increasing lexicographic order of image
     tuples (the search order), found on up and down as in
     ``brute_force_iso``."""
-    _require_biquandle(src, "source")
-    _require_biquandle(dst, "target")
-    maps, _ = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats(), ops_mask=_UNBARRED,
-        find_all=True)
-    return [tuple(v + 1 for v in m) for m in maps]
+    return _isomorphisms(src, dst, find_all=True)[0]
 
 
 def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
@@ -132,19 +130,20 @@ def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
     the unbarred equations.  An unknown kind or a ``fix`` entry that is not
     an element of its side raises ``ValueError``.
     """
-    mask = 0
+    ops = tuple(ops)  # read twice: checked here, then matched to KINDS
     for kind in ops:
-        if kind not in _OP_BITS:
+        if kind not in KINDS:
             raise ValueError(f"unknown operation kind {kind!r}")
-        mask |= _OP_BITS[kind]
     fix = fix or {}
     for i, j in fix.items():
         if type(i) is not int or not 1 <= i <= src.n:
             raise ValueError(f"fix key {i!r} outside 1..{src.n}")
         if type(j) is not int or not 1 <= j <= dst.n:
             raise ValueError(f"fix value {j!r} outside 1..{dst.n}")
+    keep = [kind in ops for kind in KINDS]  # in KINDS order, each once
     maps, _ = kernels.search_maps(
-        src.n, src.flats(), dst.n, dst.flats(), ops_mask=mask,
+        src.n, list(itertools.compress(src.flats(), keep)),
+        dst.n, list(itertools.compress(dst.flats(), keep)),
         require_bijection=require_bijection,
         fixed=[(i - 1, j - 1) for i, j in fix.items()], find_all=True)
     return [tuple(v + 1 for v in m) for m in maps]
@@ -318,8 +317,7 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         fibers.setdefault(v, []).append(y)
 
     sub_s = one_minus_st_submodule(src)
-    sub_d = Submodule(dst, tuple(map(dst.elements.__getitem__,
-                                     sorted(fibers))))
+    sub_d = one_minus_st_submodule(dst)
     trans_s = transversal(src, sub_s)
     trans_d = transversal(dst, sub_d)
     cycles = _s_cycles(src, trans_s)

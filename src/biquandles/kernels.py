@@ -4,7 +4,8 @@ The library calls each kernel through this module's attributes
 (``kernels.axiom_scan``), so tests and the benchmark tracer can rebind it.
 All kernels work on 0-based flattened operation tables (``t[i*n + j]`` is the
 result of element ``i`` operated by element ``j``).  The public library wraps
-these with the 1-based table objects.
+these with the 1-based table objects.  The map search (``iter_maps``) reads
+the tables it is handed and knows nothing of the four biquandle operations.
 
 Clause codes index ``CLAUSE_IDS`` below.  Axioms 2 and 4 quantify one unknown
 jointly over a group of clauses ("there are unique x, y such that ..."), so a
@@ -29,9 +30,6 @@ CLAUSE_IDS = (
     "3.i", "3.ii", "3.iii", "3.iv", "3.v", "3.vi",
     "4.i", "4.ii", "4.iii", "4.iv",
 )
-
-OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR = 1, 2, 4, 8
-ALL_OPS = OP_UP | OP_DOWN | OP_UPBAR | OP_DOWNBAR
 
 
 def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
@@ -200,26 +198,22 @@ def yang_baxter(n, up, down):
                (_axiom3(*rows, a, b) for a, b in pairs))
 
 
-def _profiles(n, tables, mask):
-    """Per-element fingerprints preserved by bijective op-preserving maps.
+def _profiles(n, tables):
+    """Per-element fingerprints preserved by bijective table-preserving maps.
 
-    Element a gets one (rowfix, colfix, selffix) triple per table selected
-    by ``mask``: how many b have t(a, b) = a (counted in row a), how many b
-    have t(b, a) = b (column a against 0..n-1), and whether t(a, a) = a.
+    Element a gets one (rowfix, colfix, selffix) triple per table: how many
+    b have t(a, b) = a (counted in row a), how many b have t(b, a) = b
+    (column a against 0..n-1), and whether t(a, a) = a.
     """
-    per_table = []
     cols = range(n)
-    for bit, t in zip((OP_UP, OP_DOWN, OP_UPBAR, OP_DOWNBAR), tables):
-        if mask & bit:
-            per_table.append([(t[a * n:a * n + n].count(a),
-                               sum(map(eq, t[a::n], cols)),
-                               t[a * n + a] == a) for a in cols])
+    per_table = [[(t[a * n:a * n + n].count(a), sum(map(eq, t[a::n], cols)),
+                   t[a * n + a] == a) for a in cols] for t in tables]
     return list(zip(*per_table)) or [()] * n
 
 
-def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
-                require_bijection=True, fixed=(), find_all=False):
-    """Operation-preserving maps src -> dst, collected from ``iter_maps``.
+def search_maps(n_src, src, n_dst, dst, require_bijection=True, fixed=(),
+                find_all=False):
+    """Table-preserving maps src -> dst, collected from ``iter_maps``.
 
     Returns (maps, stats): every map when ``find_all`` is set, otherwise at
     most the first, as length-n_src tuples in search order, and the search
@@ -227,19 +221,18 @@ def search_maps(n_src, src, n_dst, dst, ops_mask=ALL_OPS,
     """
     stats = {}
     maps = list(itertools.islice(
-        iter_maps(n_src, src, n_dst, dst, stats, ops_mask, require_bijection,
-                  fixed),
+        iter_maps(n_src, src, n_dst, dst, stats, require_bijection, fixed),
         None if find_all else 1))
     return maps, stats
 
 
-def iter_maps(n_src, src, n_dst, dst, stats, ops_mask=ALL_OPS,
-              require_bijection=True, fixed=(), use_profiles=True):
-    """Backtracking search for operation-preserving maps src -> dst.
+def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
+              fixed=(), use_profiles=True):
+    """Backtracking search for table-preserving maps src -> dst.
 
     ``src``/``dst`` are equal-length sequences of flat binary-operation
-    tables; bit i of ``ops_mask`` selects table i, so the biquandle tables
-    (up, down, upbar, downbar) go with the ``OP_*`` bits.  ``fixed``
+    tables; a map must carry each table of ``src`` onto its partner in
+    ``dst``, and the caller chooses which tables to hand over.  ``fixed``
     pre-assigns (i, j) pairs.  The search branches on the first unassigned
     element and tries its images in increasing order.  Assigning f(i)
     propagates every consequence f(t(i, i2)) = t'(f(i), f(i2)) over
@@ -250,14 +243,14 @@ def iter_maps(n_src, src, n_dst, dst, stats, ops_mask=ALL_OPS,
     ``fixed`` and the profile filter remove maps but never reorder them.
 
     The profile filter (bijections only) rejects f(i) = j when i and j
-    have different fixed-point profiles on the selected tables.  It stays
+    have different fixed-point profiles on the tables searched.  It stays
     because propagation alone is not enough: on the up and down tables of
     the ``Z_4^3`` pair (s, t) = (1, 3) against (3, 1) the search rejects
     all 64 candidates by profile in about 1 ms, while without the filter
     the search on all four tables did not finish in five minutes.  The
-    isomorphism deciders select only the tables that determine their map:
-    up and down for biquandles (see ``isomorphism.brute_force_iso``), the
-    one table of x * y = s.x + t.y for submodules (see
+    isomorphism deciders hand it only the tables that determine their
+    map: up and down for biquandles (see ``isomorphism.brute_force_iso``),
+    the one table of x * y = s.x + t.y for submodules (see
     ``modules._star_table``).
 
     A generator: it yields each map as a length-n_src tuple only when asked
@@ -265,8 +258,7 @@ def iter_maps(n_src, src, n_dst, dst, stats, ops_mask=ALL_OPS,
     by reason, and constraint evaluations ("work"), up to the last map
     taken.
     """
-    ops = [(s, d) for bit, (s, d) in enumerate(zip(src, dst))
-           if ops_mask >> bit & 1]
+    ops = list(zip(src, dst))
     stats.update(candidates=0, work=0,
                  prunes={"profile": 0, "used": 0, "conflict": 0})
     if require_bijection and n_src != n_dst:
@@ -274,8 +266,8 @@ def iter_maps(n_src, src, n_dst, dst, stats, ops_mask=ALL_OPS,
 
     ps = pd = None
     if use_profiles and require_bijection:
-        ps = _profiles(n_src, src, ops_mask)
-        pd = _profiles(n_dst, dst, ops_mask)
+        ps = _profiles(n_src, src)
+        pd = _profiles(n_dst, dst)
 
     f = [-1] * n_src
     finv = [-1] * n_dst

@@ -127,9 +127,12 @@ def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
 
 
 def _check_size(m: int, k: int) -> None:
-    """Refuse Z_m^k past 1024 elements with ``ModuleError``: its addition
-    table would hold more than ``kernels.MAX_STATES`` entries.  The size
-    m^k is formed only up to k = 64 and printed only below 2^64."""
+    """Refuse Z_m^k with ``ModuleError`` unless m >= 2 and k >= 1, and
+    past 1024 elements: its addition table would hold more than
+    ``kernels.MAX_STATES`` entries.  The size m^k is formed only up to
+    k = 64 and printed only below 2^64."""
+    if m < 2 or k < 1:
+        raise ModuleError("need modulus >= 2 and rank >= 1")
     size = m ** min(k, 64)  # every m >= 2 is past the bound at k = 11
     if size ** 2 > kernels.MAX_STATES:
         shown = size if size < 1 << 64 else f"{m}^{k}"

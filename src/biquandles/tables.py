@@ -113,13 +113,14 @@ class BiquandleTable:
     up, down, upbar, downbar = map(_view, range(4))
 
     def op(self, kind: str, a: int, b: int) -> int:
-        """Table entry for ``a <kind> b`` (all 1-based)."""
+        """Table entry for ``a <kind> b`` (all 1-based).  An unknown kind,
+        or an index that is not an ``int`` in 1..n, raises ``ValueError``."""
         if kind not in KINDS:
             raise ValueError(f"unknown operation kind {kind!r}")
         n = self.n
-        if not 1 <= a <= n or not 1 <= b <= n:
+        if not all(type(x) is int and 1 <= x <= n for x in (a, b)):
             raise ValueError(
-                f"element index out of range: ({a}, {b}) for order {n}")
+                f"element index out of range: ({a!r}, {b!r}) for order {n}")
         return self._flats[KINDS.index(kind)][(a - 1) * n + b - 1] + 1
 
 

@@ -139,6 +139,13 @@ class TestSwitch:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: Z_2^20 has 1048576 elements;")
 
+    @pytest.mark.parametrize("m,k", [("3", "-1"), ("3", "0"), ("1", "2"),
+                                     ("0", "2")])
+    def test_invalid_group_refused(self, capsys, m, k):
+        code, out, err = run(capsys, "switch", m, k, "--A", "1", "--B", "1")
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: need modulus >= 2 and rank >= 1\n"
+
     def test_failing_order_125_table(self, capsys, monkeypatch):
         def exhaustive_report(table):
             raise AssertionError("switch built the exhaustive axiom report")
@@ -231,6 +238,22 @@ class TestIso:
     def test_needs_two_modules(self, capsys):
         code, _, err = run(capsys, "iso", "--zn", "3", "2", "1")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("pair,brute", [
+        (("8", "3", "5", "8", "7", "5"),
+         {"candidates": 3, "isomorphic": True, "witness": [1, 2, 7, 8, 5, 6,
+                                                           3, 4],
+          "prunes": {"conflict": 0, "profile": 1, "used": 0}, "work": 144}),
+        (("7", "2", "3", "7", "2", "5"),
+         {"candidates": 14, "isomorphic": False,
+          "prunes": {"conflict": 0, "profile": 7, "used": 6}, "work": 124}),
+    ])
+    def test_json_brute_counters_frozen(self, capsys, pair, brute):
+        # the map search on up and down: every counter, not just the verdict
+        code, out, _ = run(capsys, "iso", "--zn", *pair[:3], "--zn",
+                           *pair[3:], "--method", "brute", "--json")
+        assert json.loads(out)["methods"]["brute"] == brute
+        assert code == (EXIT_OK if brute["isomorphic"] else EXIT_NEGATIVE)
 
 
 class TestCount:

@@ -150,7 +150,6 @@ class TestUnbarredTables:
         found = 0
         for ta, tb in pairs:
             maps, _ = kernels.search_maps(ta.n, ta.flats(), tb.n, tb.flats(),
-                                          ops_mask=kernels.ALL_OPS,
                                           find_all=True)
             expected = [tuple(v + 1 for v in m) for m in maps]
             assert all_isomorphisms(ta, tb) == expected
@@ -166,25 +165,62 @@ class TestUnbarredTables:
             assert enumerate_homomorphisms(ta, tb, ops=("up", "down")) == \
                 enumerate_homomorphisms(ta, tb)
 
+    def test_homomorphisms_ignore_order_and_repeats_of_ops(self, enumerated):
+        # the search reads the selected tables once each, in KINDS order,
+        # however ``ops`` lists them
+        tables = enumerated[3].tables
+        for ta, tb in itertools.product(tables, repeat=2):
+            for ops, same in ((("down", "up", "up"), ("up", "down")),
+                              (("upbar", "down", "upbar"), ("down", "upbar")),
+                              (("downbar", "upbar", "down", "up", "down"),
+                               ("up", "down", "upbar", "downbar"))):
+                for bijective in (False, True):
+                    assert enumerate_homomorphisms(
+                        ta, tb, ops=ops, require_bijection=bijective) == \
+                        enumerate_homomorphisms(
+                            ta, tb, ops=same, require_bijection=bijective)
+
+    def test_homomorphisms_search_the_selected_tables(self, monkeypatch,
+                                                      z2z2_table):
+        seen = []
+        search = kernels.search_maps
+
+        def spy(n_src, src, n_dst, dst, **kwargs):
+            seen.append((src, dst))
+            return search(n_src, src, n_dst, dst, **kwargs)
+
+        monkeypatch.setattr(kernels, "search_maps", spy)
+        flats = z2z2_table.flats()
+        for ops, picked in ((("downbar", "up", "up"), (0, 3)),
+                            (iter(("downbar", "up")), (0, 3)),
+                            (("down",), (1,)), ((), ())):
+            enumerate_homomorphisms(z2z2_table, z2z2_table, ops=ops)
+            expected = [flats[i] for i in picked]
+            assert seen.pop() == (expected, expected)
+        with pytest.raises(ValueError, match="unknown operation kind 'upp'"):
+            enumerate_homomorphisms(z2z2_table, z2z2_table, ops=("up", "upp"))
+        assert seen == []
+
     def test_deciders_search_up_and_down(self, monkeypatch):
         # each decider hands the map search only the tables that determine
-        # its map: two biquandle tables, or one submodule table per side
-        masks, tables = [], []
+        # its map: up and down per side, or one submodule table per side
+        searched, tables = [], []
         search, iterate = kernels.search_maps, kernels.iter_maps
 
-        def search_spy(*args, **kwargs):
-            masks.append(kwargs.get("ops_mask", kernels.ALL_OPS))
-            return search(*args, **kwargs)
+        def search_spy(n_src, src, n_dst, dst, *args, **kwargs):
+            searched.append((tuple(src), tuple(dst)))
+            return search(n_src, src, n_dst, dst, *args, **kwargs)
 
         def iter_spy(n_src, src, n_dst, dst, *args, **kwargs):
             tables.append((len(src), len(dst)))
             return iterate(n_src, src, n_dst, dst, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "search_maps", search_spy)
-        table = make_alexander(Z8_35)
+        table, other = make_alexander(Z8_35), make_alexander(Z8_53)
         brute_force_iso(table, table)
-        all_isomorphisms(table, make_alexander(Z8_53))
-        assert masks == [kernels.OP_UP | kernels.OP_DOWN] * 2
+        all_isomorphisms(table, other)
+        assert searched == [(table.flats()[:2], table.flats()[:2]),
+                            (table.flats()[:2], other.flats()[:2])]
         monkeypatch.setattr(kernels, "iter_maps", iter_spy)
         sub = one_minus_st_submodule(Z8_35)
         assert len(list(module_isomorphisms(sub, sub))) == 2
@@ -203,15 +239,14 @@ class TestProfiles:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 27])
     def test_kernel_profiles_match_elementwise_loop(self, n):
-        def literal(tables, mask):
+        def literal(tables):
             profs = []
             for a in range(n):
                 prof = []
-                for bit, t in enumerate(tables):
-                    if mask >> bit & 1:
-                        rowfix = sum(1 for b in range(n) if t[a * n + b] == a)
-                        colfix = sum(1 for b in range(n) if t[b * n + a] == b)
-                        prof.append((rowfix, colfix, t[a * n + a] == a))
+                for t in tables:
+                    rowfix = sum(1 for b in range(n) if t[a * n + b] == a)
+                    colfix = sum(1 for b in range(n) if t[b * n + a] == b)
+                    prof.append((rowfix, colfix, t[a * n + a] == a))
                 profs.append(tuple(prof))
             return profs
 
@@ -224,9 +259,11 @@ class TestProfiles:
             free = [tuple(rng.randrange(n) for _ in range(n * n))
                     for _ in range(2)]
             tables = perms + free
-            for mask in range(16):
-                assert kernels._profiles(n, tables, mask) == \
-                    literal(tables, mask), (n, mask)
+            # every subset of the four tables, the empty one included
+            for size in range(5):
+                for subset in itertools.combinations(tables, size):
+                    assert kernels._profiles(n, subset) == \
+                        literal(subset), (n, size)
 
     def test_profiles_preserved_by_isomorphism(self):
         table = make_alexander(make_scalar_module(5, 2, 3))

@@ -571,3 +571,13 @@ class TestTranslationAndOrders:
             with pytest.raises(ModuleError,
                                match=rf"^Z_{m}\^{k} has {size} elements"):
                 counting_element_order(m, k)
+
+    @pytest.mark.parametrize("m,k", [(3, 0), (1, 3), (0, 2), (3, -1),
+                                     (1, 0)])
+    def test_counting_order_refuses_invalid_group(self, m, k):
+        # no modulus below 2 or rank below 1, in the order or the carrier
+        for build in (counting_element_order,
+                      lambda m, k: modules.Carrier(m, k).elements):
+            with pytest.raises(ModuleError,
+                               match=r"^need modulus >= 2 and rank >= 1$"):
+                build(m, k)

@@ -38,9 +38,12 @@ class TestOpLookup:
         assert z2z2_table.op("up", 1, 1) == 3
         assert z2z2_table.op("down", 1, 1) == 4
 
-    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (5, 1), (1, 5)])
+    # an index must be an int: True is an int subclass but no element
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (5, 1), (1, 5),
+                                     (True, 2), (2, True), (1.0, 2),
+                                     (2, 2.0), ("1", 1), (None, 1)])
     def test_out_of_range(self, z2z2_table, a, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="element index out of range"):
             z2z2_table.op("up", a, b)
 
     def test_unknown_kind(self):
