@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import ModuleError, SwitchError
-from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _identity,
-                      _mat_inv, _mat_mul, _mat_sub, carrier)
+from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _check_size,
+                      carrier)
 from .tables import BiquandleTable
 
 
@@ -35,6 +35,14 @@ def _inverse(perm: list[int]) -> list[int]:
     if len(set(perm)) < len(perm):
         raise SwitchError("switch pair map is not invertible")
     return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def _compose(*maps) -> list[int]:
+    """The composition of index maps, the last one applied first."""
+    out = maps[-1]
+    for f in reversed(maps[:-1]):
+        out = list(map(f.__getitem__, out))
+    return out
 
 
 def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
@@ -115,48 +123,49 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     x_ybar = Rx + Ty - (R+T)c.  The report carries whether the commutator
     condition [B, (A-I)(A,B)] = 0 holds and, when asked for, the axiom
     report, since neither is guaranteed for arbitrary inputs.
+
+    Every map above is computed as a composition of the index images of A
+    and B on Z_m^k (``Carrier.images``): a product is a gather, an inverse
+    is ``_inverse`` and a difference reads ``plus`` and ``neg_of``.
     """
     if shift is not None and len(shift) != k:
         raise SwitchError(f"shift needs {k} coordinates")
-    if m < 2 or k < 1:
-        raise SwitchError("need modulus >= 2 and rank >= 1")
     try:
+        _check_size(m, k)
         amat = _as_matrix(m, k, a_matrix, "A")
         bmat = _as_matrix(m, k, b_matrix, "B")
-        ainv = _mat_inv(amat, m, "A")
-        binv = _mat_inv(bmat, m, "B")
     except ModuleError as exc:
         raise SwitchError(str(exc)) from None
-
-    ident = _identity(k)
-    try:
-        tmat = _mat_mul(_mat_inv(_mat_sub(amat, ident, m), m, "A - I"),
-                        amat, m)
-    except ModuleError:
-        raise SwitchError("switch pair map is not invertible") from None
-    aibi = _mat_mul(ainv, binv, m)
-    cmat = _mat_mul(_mat_mul(aibi, amat, m), _mat_sub(ident, amat, m), m)
-    dmat = _mat_sub(ident, _mat_mul(_mat_mul(aibi, amat, m), bmat, m), m)
-    zero = _mat_sub(ident, ident, m)
-    c_ainv = _mat_mul(cmat, ainv, m)
-    qmat = _mat_sub(zero, _mat_mul(_mat_mul(ainv, bmat, m), tmat, m), m)
-    rmat = _mat_sub(zero, _mat_mul(tmat, c_ainv, m), m)
-    pmat = _mat_sub(ainv, _mat_mul(qmat, c_ainv, m), m)
-
     group = carrier(m, k)
+    ay, bx = group.images(amat), group.images(bmat)
+    for name, img in (("A", ay), ("B", bx)):
+        if len(set(img)) < group.size:
+            raise SwitchError(f"{name} is not invertible mod {m}")
+
+    plus, neg = group.plus, group.neg_of
+
+    def minus(f, g):
+        return [plus[x][neg[y]] for x, y in zip(f, g)]
+
+    ident, ainv = range(group.size), _inverse(ay)
+    a_minus_i = minus(ay, ident)
+    ty = _compose(_inverse(a_minus_i), ay)
+    aibia = _compose(ainv, _inverse(bx), ay)
+    group_comm = _compose(aibia, bx)  # (A,B) = A^-1 B^-1 A B
+    cx, dy = _compose(aibia, minus(ident, ay)), minus(ident, group_comm)
+    c_ainv = _compose(cx, ainv)
+    qx = _compose(neg, ainv, bx, ty)
+    rx = _compose(neg, ty, c_ainv)
+    py = minus(ainv, _compose(qx, c_ainv))
+
     order = _resolve_order(group.elements, element_order, m)
     c = 0 if shift is None else group.index_of(shift)
-    cx, dy, bx, ay, qx, py, rx, ty = map(group.images, (
-        cmat, dmat, bmat, amat, qmat, pmat, rmat, tmat))
-    plus, neg = group.plus, group.neg_of
     table = _affine_table(group, (
         (cx, dy, c), (bx, ay, c),
         (qx, py, neg[plus[qx[c]][py[c]]]),
         (rx, ty, neg[plus[rx[c]][ty[c]]])), order)
 
-    group_comm = _mat_mul(aibi, _mat_mul(amat, bmat, m), m)  # (A,B)
-    term = _mat_mul(_mat_sub(amat, ident, m), group_comm, m)
-    holds = _mat_mul(bmat, term, m) == _mat_mul(term, bmat, m)
+    term = _compose(a_minus_i, group_comm)
+    holds = _compose(bx, term) == _compose(term, bx)
 
     return SwitchReport(table, holds)
-

@@ -3,6 +3,9 @@ coset, and orbit machinery.
 
 A module is an abelian group Z_m^k, its *carrier*, with two commuting
 invertible k x k matrices giving the actions of the ring generators s and t.
+A matrix is read only where it is parsed, applied to the unit vectors
+(``Carrier.images``) or shown; invertibility, commuting and every derived
+map are decided on those index images.
 Elements are coordinate tuples at the public boundary only; the canonical
 enumeration is plain lexicographic on coordinates, so the zero vector always
 has index 0, and every algorithm here runs on those 0-based indices.  The
@@ -15,7 +18,6 @@ its own actions (``s_of``, ``t_of``, ``one_minus_st_of``).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import attrgetter, mul
@@ -40,21 +42,9 @@ def _mat_vec(mat: Mat, vec: Elem, m: int) -> Elem:
     return tuple([sum(map(mul, row, vec)) % m for row in mat])
 
 
-def _mat_mul(a: Mat, b: Mat, m: int) -> Mat:
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) % m for j in range(k))
-        for i in range(k))
-
-
 def _identity(k: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(k))
                  for i in range(k))
-
-
-def _mat_sub(a: Mat, b: Mat, m: int) -> Mat:
-    return tuple(tuple((x - y) % m for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
 
 
 def _addition_table(m: int, index: Mapping[Elem, int]) -> list[list[int]]:
@@ -82,48 +72,6 @@ def _addition_table(m: int, index: Mapping[Elem, int]) -> list[list[int]]:
                 rows[gen[j]] = [row[v] for v in gen]
                 known.append(gen[j])
     return rows
-
-
-def _minor(mat: Mat, i: int, j: int) -> Mat:
-    return tuple(row[:j] + row[j + 1:] for r, row in enumerate(mat) if r != i)
-
-
-def _det(mat: Mat) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination: every
-    division is exact, so it stays in the integers in O(k^3) steps."""
-    a = [list(row) for row in mat]
-    sign, prev = 1, 1
-    for p in range(len(a) - 1):
-        if not a[p][p]:
-            swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
-            if swap is None:
-                return 0
-            a[p], a[swap] = a[swap], a[p]
-            sign = -sign
-        for i in range(p + 1, len(a)):
-            for j in range(p + 1, len(a)):
-                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
-        prev = a[p][p]
-    return sign * a[-1][-1] if a else 1
-
-
-def _unit_det(mat: Mat, m: int, name: str) -> int:
-    """The determinant mod m, which must be a unit."""
-    det = _det(mat) % m
-    if math.gcd(det, m) != 1:
-        raise ModuleError(f"{name} is not invertible mod {m}: "
-                          f"determinant {det} is not a unit")
-    return det
-
-
-def _mat_inv(mat: Mat, m: int, name: str) -> Mat:
-    """Inverse mod m: the integer adjugate times the inverse determinant."""
-    unit = pow(_unit_det(mat, m, name), -1, m)
-    k = len(mat)
-    return tuple(
-        tuple((-1) ** (i + j) * _det(_minor(mat, j, i)) * unit % m
-              for j in range(k))
-        for i in range(k))
 
 
 def _check_size(m: int, k: int) -> None:
@@ -275,18 +223,23 @@ class FiniteModule:
 
 
 def make_module(m: int, k: int, s_matrix, t_matrix) -> FiniteModule:
-    """Validated module; actions must be invertible mod m and commute."""
-    if m < 2:
-        raise ModuleError("modulus must be >= 2")
-    if k < 1:
-        raise ModuleError("rank must be >= 1")
-    smat = _as_matrix(m, k, s_matrix, "s action")
-    tmat = _as_matrix(m, k, t_matrix, "t action")
-    _unit_det(smat, m, "s action")
-    _unit_det(tmat, m, "t action")
-    if _mat_mul(smat, tmat, m) != _mat_mul(tmat, smat, m):
-        raise ModuleError("s and t actions do not commute mod m")
-    return FiniteModule(m, k, smat, tmat)
+    """Validated module: the actions must permute Z_m^k and commute.
+
+    Both are decided on the images: s.t is a permutation exactly when s
+    and t are, and s.t = t.s on every index exactly when the matrices
+    commute mod m.
+    """
+    _check_size(m, k)
+    mod = FiniteModule(m, k, _as_matrix(m, k, s_matrix, "s action"),
+                       _as_matrix(m, k, t_matrix, "t action"))
+    s_of, t_of = mod.s_of, mod.t_of
+    st = list(map(s_of.__getitem__, t_of))
+    if len(set(st)) < mod.size:
+        name = "s action" if len(set(s_of)) < mod.size else "t action"
+        raise ModuleError(f"{name} is not invertible mod {m}")
+    if st != list(map(t_of.__getitem__, s_of)):
+        raise ModuleError(f"s and t actions do not commute mod {m}")
+    return mod
 
 
 def make_scalar_module(m: int, s: int, t: int) -> FiniteModule:

@@ -5,8 +5,9 @@ spelled out over `BiquandleTable.op`, the Yang-Baxter check composes explicit
 pair maps, the labeling counters enumerate the full assignment space or
 solve the linear system of an Alexander target mod m, the affine tables
 are evaluated pair by pair from their formulas without the library's
-builders or matrix helpers, and submodule isomorphisms are filtered from
-every zero-fixing bijection.
+builders, matrices are multiplied by rows and columns and inverted or
+tested for units by scanning Z_m^k, and submodule isomorphisms are
+filtered from every zero-fixing bijection.
 """
 
 import itertools
@@ -295,6 +296,25 @@ def matrix_inverse(mat, m):
         if _mul(mat, cand, m) == _ident(k):
             return cand
     return None
+
+
+def _vectors(m, k):
+    return itertools.product(range(m), repeat=k)
+
+
+def is_bijective(mat, m):
+    """Whether x -> mat.x permutes Z_m^k, by counting its images."""
+    k = len(mat)
+    return len({_vec(mat, x, m) for x in _vectors(m, k)}) == m ** k
+
+
+def column_inverse(mat, m):
+    """Inverse mod m whose j-th column is the vector x with mat.x = e_j,
+    found by scanning Z_m^k, or None when some e_j has no preimage."""
+    k = len(mat)
+    preimage = {_vec(mat, x, m): x for x in _vectors(m, k)}
+    cols = [preimage.get(e) for e in _ident(k)]
+    return None if None in cols else tuple(zip(*cols))
 
 
 def _blocks(order, up, down, upbar, downbar):

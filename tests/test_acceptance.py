@@ -161,7 +161,11 @@ def test_criterion_5a_homomorphism_zero_image(acceptance, sweep):
                 # (1-s')f(0) = 0 holds identically since s' = 1
                 assert all(((1 - 1) * z) % b.m == 0 for z in range(b.m))
                 continue
-            for f in enumerate_homomorphisms(tables[a], tables[b]):
+            # up and down determine the homomorphisms: f x f intertwines
+            # S(a, b) = (b_a, a^b) with S' iff it intertwines their
+            # inverses, so all four tables give the same 1086643 maps
+            for f in enumerate_homomorphisms(tables[a], tables[b],
+                                             ops=("up", "down")):
                 checked += 1
                 f_zero = b.elements[f[0] - 1]
                 if _vec(tuple(
@@ -170,7 +174,7 @@ def test_criterion_5a_homomorphism_zero_image(acceptance, sweep):
                         f_zero, b.m) != b.zero:
                     violations += 1
     elapsed = time.perf_counter() - start
-    ok = violations == 0 and checked > 0
+    ok = violations == 0 and checked == 1086643
     acceptance("5a", f"(1-s')f(0) = 0 for all {checked} homomorphisms "
                      "found between Alexander tables of size <= 8",
                ok, f"{elapsed:.1f}s")

@@ -16,7 +16,8 @@ from biquandles.modules import counting_element_order
 
 from conftest import (SWAP_MODULE, SWITCH_A, SWITCH_B, Z2Z2_MATRIX,
                       intertwiners, scalar_modules, units)
-from oracles import alexander_blocks, matrix_inverse, switch_blocks
+from oracles import (_ident, _mul, alexander_blocks, column_inverse,
+                     is_bijective, matrix_inverse, switch_blocks)
 
 
 def blocks(table):
@@ -155,6 +156,34 @@ class TestMakeSwitch:
         report = make_switch_biquandle(2, 2, SWITCH_A, SWITCH_B)
         assert report.switch_condition_holds
         assert report.axioms.passed
+
+    def test_switch_condition_matches_matrix_commutator(self):
+        # [B, (A-I)(A,B)] = 0 with (A,B) = A^-1 B^-1 A B, multiplied out
+        # by rows and columns on seeded unit matrices
+        def minus(x, y, m):
+            return tuple(tuple((p - q) % m for p, q in zip(rx, ry))
+                         for rx, ry in zip(x, y))
+
+        rng = random.Random(20061119)
+        verdicts = []
+        for m in range(2, 8):
+            for k in (1, 2, 3):
+                for _ in range(10):
+                    a, b = (tuple(tuple(rng.randrange(m) for _ in range(k))
+                                  for _ in range(k)) for _ in range(2))
+                    a_minus_i = minus(a, _ident(k), m)
+                    if not (is_bijective(a, m) and is_bijective(b, m)
+                            and is_bijective(a_minus_i, m)):
+                        continue
+                    ai, bi = column_inverse(a, m), column_inverse(b, m)
+                    group_comm = _mul(_mul(_mul(ai, bi, m), a, m), b, m)
+                    term = _mul(a_minus_i, group_comm, m)
+                    holds = _mul(b, term, m) == _mul(term, b, m)
+                    shift = [rng.randrange(m) for _ in range(k)]
+                    report = make_switch_biquandle(m, k, a, b, shift)
+                    assert report.switch_condition_holds == holds, (m, a, b)
+                    verdicts.append(holds)
+        assert verdicts.count(True) > 10 and verdicts.count(False) > 10
 
     def test_identity_switch_degenerates(self):
         # A = B = I gives C = D = 0, so the pair map (a, b) -> (a + b, 0)
