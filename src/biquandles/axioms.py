@@ -27,28 +27,26 @@ class AxiomReport:
         return tuple(sorted({cid for cid, _ in self.violations}))
 
 
-def _generator_points(basis: tuple[int, ...]) -> tuple[list, tuple]:
-    """The pairs (0, 0), (e_i, 0), (0, e_i) and the elements 0, e_i of an
-    ``affine_basis`` (0, e_1, ..., e_k): ``axiom_scan``'s pairs and
-    singles."""
+def _generator_scan(table: BiquandleTable) -> list:
+    """``kernels.axiom_scan`` of a table with an ``affine_basis``
+    (0, e_1, ..., e_k) on its generator points only (see
+    ``verify_biquandle``): the pairs (0, 0), (e_i, 0), (0, e_i) and the
+    elements 0, e_i."""
+    basis = table.affine_basis
     zero, units = basis[0], basis[1:]
     pairs = [(zero, zero)] + [(e, zero) for e in units] + \
         [(zero, e) for e in units]
-    return pairs, basis
+    return kernels.axiom_scan(table.n, *table.flats(), pairs=pairs,
+                              singles=basis)
 
 
-def _scan(table: BiquandleTable, first_only: bool = False) -> list:
+def _scan(table: BiquandleTable) -> list:
     """``kernels.axiom_scan`` of ``table``.  A table with an
-    ``affine_basis`` is scanned first on its generator points only (see
-    ``verify_biquandle``), and in full only if that scan fails."""
-    flats = table.flats()
-    if table.affine_basis is not None:
-        pairs, singles = _generator_points(table.affine_basis)
-        raw = kernels.axiom_scan(table.n, *flats, first_only=first_only,
-                                 pairs=pairs, singles=singles)
-        if not raw or first_only:
-            return raw
-    return kernels.axiom_scan(table.n, *flats, first_only=first_only)
+    ``affine_basis`` is scanned first on its generator points only, and in
+    full only if that scan fails."""
+    if table.affine_basis is not None and not _generator_scan(table):
+        return []
+    return kernels.axiom_scan(table.n, *table.flats())
 
 
 @lru_cache(maxsize=512)
@@ -88,7 +86,10 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     - Axiom 4.  The same argument, per element a, on 0 and the e_i.
 
     A table that fails there is scanned again in full, so its report is
-    the same as without the marker.
+    the same as without the marker.  Only that builder marks a table, so
+    the marker is right and an equal unmarked table has the same report:
+    the cache, whose key ignores the marker, may share one entry between
+    them.
     """
     violations = tuple(sorted(
         (CLAUSE_IDS[code], tuple(x + 1 for x in wit))
@@ -98,8 +99,13 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
 
 
 def satisfies_axioms(table: BiquandleTable) -> bool:
-    """Fast pass/fail scan (stops at the first violation)."""
-    return not _scan(table, first_only=True)
+    """``verify_biquandle(table).passed``.  A table with an
+    ``affine_basis`` is decided by its generator-point scan alone, so a
+    failing switch builds no report; any other reads the cached report,
+    so a failing one pays for one full scan."""
+    if table.affine_basis is not None:
+        return not _generator_scan(table)
+    return verify_biquandle(table).passed
 
 
 def yang_baxter_check(table: BiquandleTable) -> bool:

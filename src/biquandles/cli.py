@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .alexander import make_alexander, make_switch_biquandle
@@ -233,7 +234,6 @@ def _single_code_from_file(path):
 
 
 def cmd_count(args) -> int:
-    import os
     if args.gauss_file:
         text = _single_code_from_file(args.gauss_file)
     elif args.gauss is None:
@@ -367,10 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BiquandleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (BiquandleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -32,17 +32,15 @@ CLAUSE_IDS = (
 )
 
 
-def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
-               singles=None):
+def axiom_scan(n, up, down, upbar, downbar, pairs=None, singles=None):
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
-    axiom 3, (a,) for axiom 4.  With ``first_only`` (``satisfies_axioms``)
-    the scan stops at the first violation; reports stay exhaustive.
-    ``pairs`` limits axioms 1, 2 and 3 to those (a, b) pairs, axiom 3 over
-    every c, and ``singles`` limits axiom 4 to those elements a; the default
-    for each is all of them.  ``axioms.verify_biquandle`` passes the
-    generator points that decide every axiom of an affine table.
+    axiom 3, (a,) for axiom 4; every violation is listed.  ``pairs`` limits
+    axioms 1, 2 and 3 to those (a, b) pairs, axiom 3 over every c, and
+    ``singles`` limits axiom 4 to those elements a; the default for each is
+    all of them.  ``axioms.verify_biquandle`` passes the generator points
+    that decide every axiom of an affine table.
 
     The barred operations invert S(a, b) = (b_a, a^b), so each barred
     clause is an unbarred one read on mirrored tables, and each clause
@@ -69,22 +67,14 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
     """
     out = []
 
-    def emit(code, wit):
-        out.append((code, wit))
-        return first_only
-
     def group(head, wit, *sols):
         """Joint existence-and-uniqueness check for one clause group."""
         joint = sols[0]
         for s in sols[1:]:
             joint = [x for x in joint if x in s]
-        if len(joint) == 1:
-            return False
-        blamed = [head + off for off, s in enumerate(sols) if len(s) != 1]
-        for code in blamed or [head]:
-            if emit(code, wit):
-                return True
-        return False
+        if len(joint) != 1:
+            blamed = [head + off for off, s in enumerate(sols) if len(s) != 1]
+            out.extend((code, wit) for code in blamed or [head])
 
     def scan_pairs():
         if pairs is None:
@@ -113,14 +103,14 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
         ub = upbar[a * n + b]
         db = downbar[b * n + a]
         # axiom 1: the barred pair inverts the unbarred pair and back
-        if upbar[u * n + d] != a and emit(0, (a, b)):
-            return out
-        if downbar[d * n + u] != b and emit(1, (a, b)):
-            return out
-        if up[ub * n + db] != a and emit(2, (a, b)):
-            return out
-        if down[db * n + ub] != b and emit(3, (a, b)):
-            return out
+        if upbar[u * n + d] != a:
+            out.append((0, (a, b)))
+        if downbar[d * n + u] != b:
+            out.append((1, (a, b)))
+        if up[ub * n + db] != a:
+            out.append((2, (a, b)))
+        if down[db * n + ub] != b:
+            out.append((3, (a, b)))
 
         # axiom 2: x = a^(b_xbar), a = x^bbar, b = (b_xbar)_a
         for head, op_u, op_d, op_ub, op_db, joint in sides:
@@ -130,8 +120,7 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
                 s2 = [x for x in range(n) if a == op_ub[x * n + b]]
                 s3 = [x for x in range(n)
                       if b == op_d[op_db[b * n + x] * n + a]]
-                if group(head, (a, b), s1, s2, s3):
-                    return out
+                group(head, (a, b), s1, s2, s3)
 
     # axiom 3 over all c at once
     rows = _rows(n, up, down)
@@ -145,16 +134,15 @@ def axiom_scan(n, up, down, upbar, downbar, first_only=False, pairs=None,
         lhs, rhs = lhs + lhs_bar, rhs + rhs_bar
         for c in range(n):
             for k in range(6):
-                if lhs[k][c] != rhs[k][c] and emit(10 + k, (a, b, c)):
-                    return out
+                if lhs[k][c] != rhs[k][c]:
+                    out.append((10 + k, (a, b, c)))
 
     # axiom 4: x = a_x, a = x^a
     for a in range(n) if singles is None else singles:
         for head, op_d, op_u in ((16, down, up), (18, upbar, downbar)):
             s1 = [x for x in range(n) if x == op_d[a * n + x]]
             s2 = [x for x in range(n) if a == op_u[x * n + a]]
-            if group(head, (a,), s1, s2):
-                return out
+            group(head, (a,), s1, s2)
 
     return out
 
@@ -345,25 +333,28 @@ def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
     yield from dfs()
 
 
-def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
+def diagram_count(n_arcs, crossings, n, up, down, keep=False):
     """Count semi-arc labelings consistent at every crossing.
 
     ``crossings`` holds (sign, under_in, over_in, under_out, over_out) with
-    0-based arc ids.  A frontier contraction, the state-sum view of Carter,
-    Jelsovsky, Kamada, Langford and Saito: a map {labels of open arcs: count}
-    absorbs the crossing sharing the most open arcs (then opening the fewest,
-    then first listed).  An arc is summed out once both of its crossing
-    slots are done; with ``keep`` none is, so the final keys are the full
-    labelings.
+    0-based arc ids, and ``up`` and ``down`` give the switch
+    S(a, b) = (b_a, a^b) of a biquandle.  A frontier contraction, the
+    state-sum view of Carter, Jelsovsky, Kamada, Langford and Saito: a map
+    {labels of open arcs: count} absorbs the crossing sharing the most open
+    arcs (then opening the fewest, then first listed).  An arc is summed
+    out once both of its crossing slots are done; with ``keep`` none is,
+    so the final keys are the full labelings.
 
-    A crossing's valid rows come from the n^2 quads (x, y, x^y, y_x) of its
-    sign, built once per call.  Its relation keeps the quads that agree on
-    tied slots (an arc met twice, as at a kink) and groups them as
-    {labels of shared arcs: [labels of new arcs]}; it depends only on the
-    crossing's pattern (sign, ties, shared slots, new slots), so it is built
-    once per pattern.  States join it through tuple projections.  More than
-    ``MAX_STATES`` states raise ``ValueError``.  Returns (count, sorted
-    0-based assignments or None).
+    A crossing's valid rows come from the n^2 quads (x, y, x^y, y_x), built
+    once per call.  A negative crossing's quads (x, y, x^ybar, y_xbar) are
+    (a^b, b_a, a, b), since the barred operations invert S, so it reads as
+    a positive one on (under_out, over_out, under_in, over_in).  Its
+    relation keeps the quads that agree on tied slots (an arc met twice,
+    as at a kink) and groups them as {labels of shared arcs: [labels of new
+    arcs]}; it depends only on the crossing's pattern (ties, shared slots,
+    new slots), so it is built once per pattern.  States join it through
+    tuple projections.  More than ``MAX_STATES`` states raise
+    ``ValueError``.  Returns (count, sorted 0-based assignments or None).
     """
     left = Counter(arc for crossing in crossings for arc in crossing[1:])
     free = [a for a in range(n_arcs) if not left[a]]
@@ -371,7 +362,7 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     states = dict.fromkeys(itertools.product(range(n), repeat=len(opened)),
                            1 if keep else n ** len(free))
     arc_sets = [set(crossing[1:]) for crossing in crossings]
-    quads, relations = {}, {}
+    quads, relations = None, {}
     todo = list(range(len(crossings)))
     while todo:
         pos = {a: i for i, a in enumerate(opened)}
@@ -380,6 +371,8 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
             len(arc_sets[c].difference(pos))))
         todo.remove(best)
         sign, *arcs = crossings[best]
+        if sign < 0:
+            arcs = arcs[2:] + arcs[:2]
         for arc in arcs:
             left[arc] -= 1
         ids = list(dict.fromkeys(arcs))
@@ -387,15 +380,13 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
         new = [a for a in ids if a not in pos and (keep or left[a])]
         stay = [i for i, a in enumerate(opened) if keep or left[a]]
         opened = [opened[i] for i in stay] + new
-        pattern = (sign, tuple(map(arcs.index, arcs)),
+        pattern = (tuple(map(arcs.index, arcs)),
                    tuple(arcs.index(a) for a in ids if a in pos),
                    tuple(map(arcs.index, new)))
         rel = relations.get(pattern)
         if rel is None:
-            if sign not in quads:
-                quads[sign] = _quads(n, *((up, down) if sign > 0
-                                          else (upbar, downbar)))
-            rel = relations[pattern] = _relation(quads[sign], *pattern[1:])
+            quads = quads or _quads(n, up, down)
+            rel = relations[pattern] = _relation(quads, *pattern)
         rest, common, get = _proj(stay), _proj(shared), rel.get
         out = {}
         for key, cnt in states.items():
@@ -413,11 +404,11 @@ def diagram_count(n_arcs, crossings, n, up, down, upbar, downbar, keep=False):
     return len(states), sorted(map(_proj(perm), states))
 
 
-def _quads(n, op_u, op_o):
-    """(x, y, op_u(x, y), op_o(y, x)) for every pair, x-major."""
-    transposed = itertools.chain.from_iterable(op_o[x::n] for x in range(n))
+def _quads(n, up, down):
+    """(x, y, x^y, y_x) for every pair, x-major."""
+    transposed = itertools.chain.from_iterable(down[x::n] for x in range(n))
     return [(x, y, u, o) for (x, y), u, o in zip(
-        itertools.product(range(n), repeat=2), op_u, transposed)]
+        itertools.product(range(n), repeat=2), up, transposed)]
 
 
 def _relation(quads, ties, key_slots, tail_slots):

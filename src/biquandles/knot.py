@@ -7,7 +7,8 @@ through virtual crossings uncut.  The invariant counts labelings of the
 semi-arcs by elements of a target biquandle that are consistent at every
 crossing: at a positive crossing the outgoing understrand is
 (under-in)^(over-in) and the outgoing overstrand is (over-in)_(under-in);
-negative crossings use the barred operations.
+negative crossings use the barred operations, which invert the switch
+S(a, b) = (b_a, a^b), so the counter reads them through S^-1 on up and down.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     counts, so the cost follows the widest frontier rather than the number
     of crossings.  Each crossing's relation {labels of shared arcs: labels
     of new arcs} is built once per crossing pattern from the target's n^2
-    pairs and joined through tuple projections.  A frontier past
+    pairs and joined through tuple projections; only up and down are read
+    (a negative crossing goes through S^-1).  A frontier past
     ``kernels.MAX_STATES`` states raises ``ValueError``.  Kept assignments
     are 1-based, in the kernel's sorted order.
     """
@@ -146,7 +148,7 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     if not report.passed:
         raise ValueError("target table is not a biquandle")
     count, sols = kernels.diagram_count(
-        diagram.semi_arcs, diagram.crossings, target.n, *target.flats(),
+        diagram.semi_arcs, diagram.crossings, target.n, *target.flats()[:2],
         keep=keep_assignments)
     assignments = None
     if keep_assignments:

@@ -46,8 +46,8 @@ def _check_flat(n, kind, flat):
         raise ValueError(f"{kind} entry {shown!r} outside 1..{n}")
 
 
-def _checked(n, flats) -> tuple[Flat, Flat, Flat, Flat]:
-    """The four flats as tuples, each checked to be an n x n table."""
+def _checked(n, flats) -> tuple[Flat, ...]:
+    """The flats, in ``KINDS`` order, as tuples checked to be n x n."""
     if n < 1:
         raise ValueError("order must be >= 1")
     flats = tuple(map(tuple, flats))
@@ -70,10 +70,11 @@ class BiquandleTable:
     """Order plus the four operations as 0-based flat tuples; ``up``,
     ``down``, ``upbar`` and ``downbar`` are derived 1-based blocks.
 
-    ``affine_basis`` is set only by builders whose four operations are
-    affine maps of Z_m^k: it holds the 0-based indices of the zero vector
-    and of the k unit vectors, in that order.  Equality, hashing and repr
-    ignore it, so a marked table equals the same table parsed from text.
+    ``affine_basis`` is set only by the library's affine builder, whose
+    four operations are affine maps of Z_m^k; no public constructor takes
+    it.  It holds the 0-based indices of the zero vector and of the k unit
+    vectors, in that order.  Equality, hashing and repr ignore it, so a
+    marked table equals the same table parsed from text.
     """
 
     n: int
@@ -87,14 +88,13 @@ class BiquandleTable:
                                     zip(KINDS, (up, down, upbar, downbar)))))
 
     @classmethod
-    def from_flats(cls, n: int, up, down, upbar, downbar,
-                   affine_basis=None) -> BiquandleTable:
-        """Table from four 0-based flat tables, ``up[i*n + j] = i ^ j``."""
-        return cls._built(n, _checked(n, (up, down, upbar, downbar)),
-                          affine_basis)
+    def from_flats(cls, n: int, up, down, upbar, downbar) -> BiquandleTable:
+        """Table from four 0-based flat tables, ``up[i*n + j] = i ^ j``,
+        each validated; the table is unmarked (no ``affine_basis``)."""
+        return cls._built(n, _checked(n, (up, down, upbar, downbar)))
 
     @classmethod
-    def _built(cls, n, flats, affine_basis) -> BiquandleTable:
+    def _built(cls, n, flats, affine_basis=None) -> BiquandleTable:
         """Table from four flat tuples already known to be n x n tables
         on 0..n-1, such as a builder's own arithmetic; not re-validated."""
         table = cls.__new__(cls)
@@ -124,13 +124,14 @@ class BiquandleTable:
         return self._flats[KINDS.index(kind)][(a - 1) * n + b - 1] + 1
 
 
-def from_pair_map(n: int, up, down, affine_basis=None) -> BiquandleTable:
+def from_pair_map(n: int, up, down) -> BiquandleTable:
     """Table whose barred operations invert S(a, b) = (b_a, a^b).
 
-    ``up`` and ``down`` are 0-based flat tables.  S(a, b) = (c, x) gives
-    x ^ cbar = a and c _ xbar = b; a non-bijective S raises ``SwitchError``.
-    ``affine_basis`` is passed through to the table.
+    ``up`` and ``down`` are 0-based flat tables, validated like
+    ``from_flats``'s.  S(a, b) = (c, x) gives x ^ cbar = a and
+    c _ xbar = b; a non-bijective S raises ``SwitchError``.
     """
+    up, down = _checked(n, (up, down))
     upbar, downbar = [-1] * (n * n), [-1] * (n * n)
     for a in range(n):
         for b in range(n):
@@ -139,8 +140,8 @@ def from_pair_map(n: int, up, down, affine_basis=None) -> BiquandleTable:
                 raise SwitchError("switch pair map is not invertible")
             upbar[x * n + c] = a
             downbar[c * n + x] = b
-    return BiquandleTable.from_flats(n, up, down, upbar, downbar,
-                                     affine_basis)
+    # a bijective S fills every barred slot, so all four are n x n tables
+    return BiquandleTable._built(n, (up, down, tuple(upbar), tuple(downbar)))
 
 
 def trivial_biquandle(n: int) -> BiquandleTable:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquandles import (AxiomReport, BiquandleTable, enumerate_biquandles,
-                        kernels, make_alexander, make_module,
-                        make_scalar_module, make_switch_biquandle,
-                        trivial_biquandle, verify_biquandle,
-                        yang_baxter_check)
-from biquandles.axioms import (CLAUSE_IDS, _generator_points,
+from biquandles import (AxiomReport, BiquandleTable, build_diagram,
+                        count_homs, enumerate_biquandles, kernels,
+                        make_alexander, make_module, make_scalar_module,
+                        make_switch_biquandle, parse_gauss_code, parse_matrix,
+                        serialize_matrix, trivial_biquandle,
+                        verify_biquandle, yang_baxter_check)
+from biquandles.axioms import (CLAUSE_IDS, _generator_scan,
                                satisfies_axioms)
 from biquandles.errors import SwitchError
 from biquandles.modules import counting_element_order
@@ -60,8 +61,8 @@ def affine_table(m, c, d, a, b):
     return from_pair_map(m, up, down)
 
 
-# affine tables on Z_7 that keep axioms 1 and 2 and first fail 3.i, 3.ii
-# and 3.iii, so that a first-only scan stops inside axiom 3
+# affine tables on Z_7 that keep axioms 1 and 2 and fail 3.i, 3.ii and
+# 3.iii first, so that a full scan's first violation lies inside axiom 3
 AXIOM_3_FIRST = [((1, 1, 0, 1), 10), ((1, 0, 1, 1), 11), ((1, 2, 1, 6), 12)]
 
 
@@ -220,15 +221,10 @@ class TestDoubleEntry:
             report = verify_biquandle(table)
             assert (report.passed, report.violations) == expected, table.n
 
-    def test_first_only_stops_at_first_violation(self, larger_tables):
-        for table, (passed, _) in larger_tables:
-            full = kernels.axiom_scan(table.n, *table.flats())
-            assert kernels.axiom_scan(table.n, *table.flats(),
-                                      first_only=True) == full[:1]
-            assert satisfies_axioms(table) == passed
-        firsts = [kernels.axiom_scan(7, *table.flats(), first_only=True)
+    def test_axiom_3_first_tables_fail_axiom_3_first(self, larger_tables):
+        firsts = [kernels.axiom_scan(7, *table.flats())[0]
                   for table, _ in larger_tables[-len(AXIOM_3_FIRST):]]
-        assert [code for (code, _), in firsts] == \
+        assert [code for code, _ in firsts] == \
             [code for _, code in AXIOM_3_FIRST]
 
     def test_scan_order_is_element_wise(self, larger_tables):
@@ -300,6 +296,30 @@ def affine_sweep_tables():
     return tables
 
 
+def marked(table, basis):
+    """``table`` with ``affine_basis`` set, as only the affine builder sets
+    it; the caller vouches that the four operations are affine maps of
+    Z_m^k with zero and unit vectors at ``basis``."""
+    return BiquandleTable._built(table.n, table.flats(), basis)
+
+
+def failing_switches(count, seed):
+    """Seeded marked switch tables that fail the axioms."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        m, k = rng.choice([(2, 2), (3, 2), (4, 2), (7, 1)])
+        a, b = (random_unit_matrix(rng, m, k) for _ in range(2))
+        shift = [rng.randrange(m) for _ in range(k)]
+        try:
+            table = make_switch_biquandle(m, k, a, b, shift).table
+        except SwitchError:
+            continue
+        if not recheck_axioms(table)[0]:
+            tables.append(table)
+    return tables
+
+
 def affine_op(m, k, u, v, w):
     """Flat table of x * y = Ux + Vy + w over Z_m^k in canonical order."""
     elems = list(itertools.product(range(m), repeat=k))
@@ -332,15 +352,14 @@ def random_affine_tables(count, seed):
         up, down = (affine_op(m, k, mat(), mat(), c) for _ in range(2))
         basis = (0,) + tuple(m ** (k - 1 - i) for i in range(k))
         try:
-            table = from_pair_map(m ** k, up, down, basis)
+            table = from_pair_map(m ** k, up, down)
         except SwitchError:
             continue
         if len(tables) % 3 == 2:
             flats = list(table.flats())
             flats[rng.choice((2, 3))] = affine_op(m, k, mat(), mat(), vec())
-            table = BiquandleTable.from_flats(table.n, *flats,
-                                              affine_basis=basis)
-        tables.append(table)
+            table = BiquandleTable.from_flats(table.n, *flats)
+        tables.append(marked(table, basis))
     return tables
 
 
@@ -374,10 +393,8 @@ class TestAffineBasis:
     def test_each_clause_fails_on_generator_points_iff_anywhere(self):
         seen, without_3 = set(), set()
         for table in random_affine_tables(200, seed=11):
-            pairs, singles = _generator_points(table.affine_basis)
             full = kernels.axiom_scan(table.n, *table.flats())
-            limited = kernels.axiom_scan(table.n, *table.flats(),
-                                         pairs=pairs, singles=singles)
+            limited = _generator_scan(table)
             assert failing_units(limited) == failing_units(full)
             report = verify_biquandle.__wrapped__(table)
             assert (report.passed, report.violations) == \
@@ -415,10 +432,77 @@ class TestAffineBasis:
         assert seen == [(None, None)]
 
     def test_marked_and_unmarked_tables_are_one_key(self):
-        marked = make_alexander(make_scalar_module(9, 2, 4))
-        unmarked = BiquandleTable.from_flats(9, *marked.flats())
-        assert marked.affine_basis == (0, 1)
+        built = make_alexander(make_scalar_module(9, 2, 4))
+        unmarked = BiquandleTable.from_flats(9, *built.flats())
+        copy = marked(unmarked, (0, 1))
+        assert built.affine_basis == copy.affine_basis == (0, 1)
         assert unmarked.affine_basis is None
-        assert marked == unmarked and hash(marked) == hash(unmarked)
-        assert repr(marked) == repr(unmarked)
-        assert verify_biquandle(marked) is verify_biquandle(unmarked)
+        for table in built, copy:
+            assert table == unmarked and hash(table) == hash(unmarked)
+            assert repr(table) == repr(unmarked)
+        assert verify_biquandle(copy) is verify_biquandle(unmarked)
+
+    def test_failing_switch_is_decided_on_generator_points(self,
+                                                           monkeypatch):
+        # satisfies_axioms scans a marked table once, on its generator
+        # points, and never builds the full report
+        scan, seen = kernels.axiom_scan, []
+
+        def spy(*args, pairs=None, singles=None):
+            seen.append(None if pairs is None else len(pairs))
+            return scan(*args, pairs=pairs, singles=singles)
+
+        monkeypatch.setattr(kernels, "axiom_scan", spy)
+        for table in failing_switches(6, seed=20061021):
+            k = len(table.affine_basis) - 1
+            seen.clear()
+            assert not satisfies_axioms(table)
+            assert seen == [1 + 2 * k]
+
+
+class TestMarker:
+    def test_only_the_builder_marks_a_table(self):
+        table = make_alexander(make_module(3, 2, ((2, 0), (0, 2)),
+                                           ((1, 1), (0, 1))))
+        flats = [list(flat) for flat in table.flats()]
+        assert flats[0][77] == 6
+        flats[0][77] = 5
+        with pytest.raises(TypeError):
+            BiquandleTable.from_flats(9, *flats,
+                                      affine_basis=table.affine_basis)
+        with pytest.raises(TypeError):
+            from_pair_map(9, *table.flats()[:2],
+                          affine_basis=table.affine_basis)
+        copy = BiquandleTable.from_flats(9, *flats)
+        assert copy.affine_basis is None
+        report = verify_biquandle(copy)
+        assert not report.passed and len(report.violations) == 63
+        assert report.clause_ids() == ("1.i", "1.iii", "2.iii", "2.v",
+                                       "2.vi", "3.i", "3.iii")
+        assert (report.passed, report.violations) == recheck_axioms(copy)
+        assert not satisfies_axioms(copy)
+        with pytest.raises(ValueError, match="not a biquandle"):
+            count_homs(build_diagram(parse_gauss_code("")), copy)
+        reparsed = parse_matrix(serialize_matrix(copy))
+        assert verify_biquandle.__wrapped__(reparsed) == report
+
+
+def verdict_sweep_tables():
+    """Tables of every kind ``satisfies_axioms`` sees: the mirror sweep's
+    600, every enumerated table of orders 1-4, and marked affine tables
+    and switches that pass or fail."""
+    tables = [BiquandleTable.from_flats(n, *flats)
+              for n, flats in mirror_sweep_tables()]
+    for n in range(1, 5):
+        tables += enumerate_biquandles(n).tables
+    tables += random_affine_tables(200, seed=11)
+    tables += failing_switches(20, seed=20061020)
+    return tables
+
+
+class TestVerdict:
+    def test_satisfies_axioms_is_the_report_verdict(self, larger_tables):
+        tables = verdict_sweep_tables() + [t for t, _ in larger_tables]
+        verdicts = [satisfies_axioms(t) for t in tables]
+        assert verdicts == [verify_biquandle(t).passed for t in tables]
+        assert True in verdicts and False in verdicts

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 import biquandles
 from biquandles import (GaussCodeError, build_diagram, cli, count_gauss,
-                        count_homs, kernels, kishino_codes, make_alexander,
-                        make_module, make_scalar_module, parse_gauss_code,
+                        count_homs, enumerate_biquandles, kernels,
+                        kishino_codes, make_alexander, make_module,
+                        make_scalar_module, parse_gauss_code,
                         reidemeister_suite, serialize_matrix,
                         trivial_biquandle)
-from biquandles.knot import (KINK_POSITIVE, MIRROR_BRAID, MIRROR_BRAID_R3,
-                             R2_POKE, REIDEMEISTER_PAIRS, TREFOIL,
-                             TREFOIL_BRAID, TREFOIL_BRAID_R3)
+from biquandles.knot import (KINK_NEGATIVE, KINK_POSITIVE, MIRROR_BRAID,
+                             MIRROR_BRAID_R3, R2_POKE, REIDEMEISTER_PAIRS,
+                             TREFOIL, TREFOIL_BRAID, TREFOIL_BRAID_R3)
 
 from oracles import (braid_closure_code, naive_labeling_count,
                      naive_labelings, smith_labeling_count)
@@ -286,6 +287,35 @@ class TestCountHoms:
         assert cli.main(["count", "--gauss", code, "--target",
                          str(path)]) == cli.EXIT_INPUT
         assert "frontier exceeds" in capsys.readouterr().err
+
+    def test_kernel_reads_negative_crossings_through_s_inverse(self):
+        # the kernel gets up and down alone; the oracles read a negative
+        # crossing through the barred tables
+        rng = random.Random(20061020)
+        codes = [KINK_NEGATIVE, MIRROR_BRAID, MIRROR_BRAID_R3,
+                 "O1-,U2-,O3-,U1-,O2-,U3-"]
+        while len(codes) < 10:
+            word = [(rng.randrange(1, 3), rng.choice((1, -1)))
+                    for _ in range(rng.randint(2, 4))]
+            code = braid_closure_code(word)
+            if code is not None and "+" in code and "-" in code:
+                codes.append(code)
+        targets = [t for t in enumerate_biquandles(3).tables
+                   if t.flats()[:2] != t.flats()[2:]]
+        targets.append(make_alexander(make_scalar_module(3, 2, 1)))
+        assert len(targets) > 1
+        for text in codes:
+            diagram = build_diagram(parse_gauss_code(text))
+            assert diagram.semi_arcs <= 8
+            for target in targets:
+                args = (diagram.semi_arcs, diagram.crossings, target.n,
+                        *target.flats()[:2])
+                count, _ = kernels.diagram_count(*args)
+                kept = kernels.diagram_count(*args, keep=True)
+                assert count == kept[0] == \
+                    naive_labeling_count(diagram, target), text
+                assert [tuple(v + 1 for v in s) for s in kept[1]] == \
+                    naive_labelings(diagram, target), text
 
     def test_kernels_are_the_pure_functions(self):
         assert biquandles.BACKEND == kernels.BACKEND == "pure"

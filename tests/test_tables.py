@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from biquandles import (BiquandleTable, MatrixParseError, is_homomorphism,
                         make_alexander, make_scalar_module, parse_matrix,
                         serialize_matrix, trivial_biquandle, verify_biquandle)
-from biquandles.tables import KINDS
+from biquandles.tables import KINDS, from_pair_map
 
 from conftest import Z2Z2_MATRIX
 
@@ -97,6 +97,19 @@ class TestTableValidation:
             with pytest.raises(ValueError, match=re.escape(
                     f"{kind} entry {shown} outside 1..2")):
                 BiquandleTable.from_flats(2, *flats)
+
+    @pytest.mark.parametrize("n,up,down,message", [
+        (2, [-1, -1, 0, 2], [0, 0, 1, 1], "up entry 0 outside 1..2"),
+        (2, [-1] * 4, [0, 0, 1, 1], "up entry 0 outside 1..2"),
+        (2, [0, 0, 1, 1], [0, 0, 1, 5], "down entry 6 outside 1..2"),
+        (2, [0, 0, 1], [0, 0, 1, 1], "up block must be 2x2"),
+        (0, [], [], "order must be >= 1")])
+    def test_from_pair_map_validates_before_inverting(self, n, up, down,
+                                                      message):
+        # a bad entry is named, not used as an index into the barred
+        # tables or read as a non-bijective S
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_pair_map(n, up, down)
 
     @pytest.mark.parametrize("entry", [True, False])
     def test_bool_entry_refused(self, entry):
