@@ -49,7 +49,7 @@ def _scan(table: BiquandleTable) -> list:
     return kernels.axiom_scan(table.n, *table.flats())
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)
 def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     """Check every axiom clause exhaustively and report all violations.
 
@@ -89,7 +89,8 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     the same as without the marker.  Only that builder marks a table, so
     the marker is right and an equal unmarked table has the same report:
     the cache, whose key ignores the marker, may share one entry between
-    them.
+    them.  The cache holds the last 8 tables: each caller reuses at most
+    three, and every entry keeps its table alive.
     """
     violations = tuple(sorted(
         (CLAUSE_IDS[code], tuple(x + 1 for x in wit))

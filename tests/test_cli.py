@@ -235,6 +235,25 @@ class TestIso:
         assert code == EXIT_INCONSISTENT
         assert "INTERNAL INCONSISTENCY" in out
 
+    def test_mixed_module_options_keep_their_order(self, capsys, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "z3.txt"
+        path.write_text("3 1\n2\n1\n")
+        seen = []
+        decide = cli.structural_iso
+
+        def spy(a, b):
+            seen.append((a.m, b.m))
+            return decide(a, b)
+
+        monkeypatch.setattr(cli, "structural_iso", spy)
+        for modules in (("--zn", "5", "2", "3", "--mod", str(path)),
+                        ("--mod", str(path), "--zn", "5", "2", "3")):
+            code, _, _ = run(capsys, "iso", *modules, "--method",
+                             "structural")
+            assert code == EXIT_NEGATIVE
+        assert seen == [(5, 3), (3, 5)]
+
     def test_needs_two_modules(self, capsys):
         code, _, err = run(capsys, "iso", "--zn", "3", "2", "1")
         assert code == EXIT_INPUT

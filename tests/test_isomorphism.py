@@ -699,6 +699,90 @@ class TestFrozenStructural:
         assert hashlib.sha256(fields.encode()).hexdigest()[:16] == digest
 
 
+
+def _search_side(spec, k):
+    """Order and first k flats of a trivial table (spec n), a scalar
+    Alexander table (m, s, t) or a module one (m, k, s, t)."""
+    if isinstance(spec, int):
+        table = trivial_biquandle(spec)
+    elif len(spec) == 3:
+        table = make_alexander(make_scalar_module(*spec))
+    else:
+        table = make_alexander(make_module(*spec))
+    return table.n, table.flats()[:k]
+
+
+# name: (src, dst, number of tables read, search_maps keywords); the
+# searches prune by profile, by used image and by conflict, run without
+# the bijection requirement, collect every map, and start from ``fixed``
+# pairs that conflict at once, hit a used image or a profile mismatch
+FROZEN_SEARCH_CASES = {
+    "z4cube_profile": (*FROZEN_PAIRS["z4cube_closure"], 2, {}),
+    "z12_profile": ((12, 1, 1), (12, 1, 5), 2, {}),
+    "z8_35_53": ((8, 3, 5), (8, 5, 3), 2, {}),
+    "z5_12_13": ((5, 1, 2), (5, 1, 3), 4, {}),
+    "z5_21_31": ((5, 2, 1), (5, 3, 1), 2, {}),
+    "z7_24_all": ((7, 2, 4), (7, 2, 4), 2, {"find_all": True}),
+    "z6_55_all": ((6, 5, 5), (6, 5, 5), 4, {"find_all": True}),
+    "z6_55_first": ((6, 5, 5), (6, 5, 5), 2, {}),
+    "trivial4_all": (4, 4, 4, {"find_all": True}),
+    "z6_to_z3_homs": ((6, 5, 5), (3, 2, 2), 4,
+                      {"require_bijection": False, "find_all": True}),
+    "z3_to_z6_homs": ((3, 2, 2), (6, 5, 5), 4,
+                      {"require_bijection": False, "find_all": True}),
+    "z4_to_trivial2_homs": ((4, 3, 3), 2, 4,
+                            {"require_bijection": False, "find_all": True}),
+    "z5_self_homs_first": ((5, 2, 3), (5, 2, 3), 2,
+                           {"require_bijection": False}),
+    "z6_z3_homs_fixed": ((6, 5, 5), (3, 2, 2), 2,
+                         {"require_bijection": False, "find_all": True,
+                          "fixed": ((1, 2),)}),
+    "fixed_conflict": ((5, 2, 3), (5, 2, 3), 2, {"fixed": ((0, 0), (0, 1))}),
+    "fixed_profile": ((5, 2, 3), (5, 2, 3), 2, {"fixed": ((0, 1), (1, 1))}),
+    "fixed_used": (3, 3, 4, {"fixed": ((0, 0), (1, 0))}),
+    "fixed_all": ((7, 2, 4), (7, 2, 4), 2,
+                  {"fixed": ((0, 0),), "find_all": True}),
+}
+
+# name: (number of maps, sha256 prefix of repr(maps), candidates, work,
+# prunes by (profile, used, conflict)): the search's bookkeeping may
+# change, its maps, their order and its counters may not
+FROZEN_SEARCHES = {
+    "z4cube_profile": (0, "4f53cda18c2baa0c", 64, 0, (64, 0, 0)),
+    "z12_profile": (0, "4f53cda18c2baa0c", 12, 0, (12, 0, 0)),
+    "z8_35_53": (0, "4f53cda18c2baa0c", 8, 0, (8, 0, 0)),
+    "z5_12_13": (0, "4f53cda18c2baa0c", 30, 480, (0, 5, 20)),
+    "z5_21_31": (0, "4f53cda18c2baa0c", 10, 28, (5, 0, 4)),
+    "z7_24_all": (18, "08de370719d4cbb1", 56, 1516, (13, 18, 0)),
+    "z6_55_all": (16, "4c053a887fc22ddc", 162, 2256, (88, 32, 0)),
+    "z6_55_first": (1, "92065ae2dbf2b967", 10, 84, (4, 2, 0)),
+    "trivial4_all": (24, "d456d810e0990713", 164, 1568, (0, 100, 0)),
+    "z6_to_z3_homs": (9, "f635be4f8317a297", 42, 1248, (0, 0, 20)),
+    "z3_to_z6_homs": (12, "0fc8f40cf190acd8", 18, 504, (0, 0, 4)),
+    "z4_to_trivial2_homs": (8, "4a36dc3a1a8ffe35", 14, 432, (0, 0, 0)),
+    "z5_self_homs_first": (1, "46efef09698c4df1", 2, 60, (0, 0, 0)),
+    "z6_z3_homs_fixed": (3, "a5d70bd10617160c", 15, 220, (0, 0, 8)),
+    "fixed_conflict": (0, "4f53cda18c2baa0c", 0, 4, (0, 0, 1)),
+    "fixed_profile": (0, "4f53cda18c2baa0c", 0, 0, (1, 0, 0)),
+    "fixed_used": (0, "4f53cda18c2baa0c", 0, 8, (0, 1, 0)),
+    "fixed_all": (18, "08de370719d4cbb1", 49, 1516, (7, 18, 0)),
+}
+
+
+class TestFrozenSearch:
+    @pytest.mark.parametrize("name", sorted(FROZEN_SEARCH_CASES))
+    def test_maps_and_counters_unchanged(self, name):
+        src, dst, k, kwargs = FROZEN_SEARCH_CASES[name]
+        maps, stats = kernels.search_maps(*_search_side(src, k),
+                                          *_search_side(dst, k), **kwargs)
+        count, digest, candidates, work, prunes = FROZEN_SEARCHES[name]
+        assert len(maps) == count
+        assert hashlib.sha256(repr(maps).encode()).hexdigest()[:16] == digest
+        assert stats == {"candidates": candidates, "work": work,
+                         "prunes": dict(zip(("profile", "used", "conflict"),
+                                            prunes))}
+
+
 class TestSharedArithmetic:
     @pytest.mark.parametrize("name", ["z3cube_proper", "z4_vs_z2sq_shear",
                                       "z9_25_52", "z4cube_closure"])
