@@ -21,11 +21,11 @@ from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _check_size,
 from .tables import BiquandleTable
 
 
-def _resolve_order(module_elements, element_order, m):
+def _resolve_order(group: Carrier, element_order):
     if element_order is None:
         return None
-    order = tuple(tuple(int(c) % m for c in e) for e in element_order)
-    if sorted(order) != sorted(module_elements):
+    order = tuple(tuple(int(c) % group.m for c in e) for e in element_order)
+    if sorted(order) != sorted(group.elements):
         raise ValueError("element_order must enumerate every element once")
     return order
 
@@ -84,7 +84,7 @@ def make_alexander(module: FiniteModule,
     the inverse permutations of the module's s and t; a singular s or t
     leaves S without an inverse and raises ``SwitchError``.
     """
-    order = _resolve_order(module.elements, element_order, module.m)
+    order = _resolve_order(module.carrier, element_order)
     s_inv, t_inv = _inverse(module.s_of), _inverse(module.t_of)
     plus, neg = module.plus, module.neg_of
     barred = [plus[y][neg[t_inv[x]]] for y, x in enumerate(s_inv)]
@@ -158,7 +158,7 @@ def make_switch_biquandle(m: int, k: int, a_matrix, b_matrix, shift=None,
     rx = _compose(neg, ty, c_ainv)
     py = minus(ainv, _compose(qx, c_ainv))
 
-    order = _resolve_order(group.elements, element_order, m)
+    order = _resolve_order(group, element_order)
     c = 0 if shift is None else group.index_of(shift)
     table = _affine_table(group, (
         (cx, dy, c), (bx, ay, c),

@@ -27,26 +27,15 @@ class AxiomReport:
         return tuple(sorted({cid for cid, _ in self.violations}))
 
 
-def _generator_scan(table: BiquandleTable) -> list:
-    """``kernels.axiom_scan`` of a table with an ``affine_basis``
-    (0, e_1, ..., e_k) on its generator points only (see
-    ``verify_biquandle``): the pairs (0, 0), (e_i, 0), (0, e_i) and the
-    elements 0, e_i."""
-    basis = table.affine_basis
-    zero, units = basis[0], basis[1:]
-    pairs = [(zero, zero)] + [(e, zero) for e in units] + \
-        [(zero, e) for e in units]
-    return kernels.axiom_scan(table.n, *table.flats(), pairs=pairs,
-                              singles=basis)
-
-
 def _scan(table: BiquandleTable) -> list:
     """``kernels.axiom_scan`` of ``table``.  A table with an
     ``affine_basis`` is scanned first on its generator points only, and in
     full only if that scan fails."""
-    if table.affine_basis is not None and not _generator_scan(table):
+    flats, basis = table.flats(), table.affine_basis
+    if basis is not None and not kernels.axiom_scan(table.n, *flats,
+                                                    basis=basis):
         return []
-    return kernels.axiom_scan(table.n, *table.flats())
+    return kernels.axiom_scan(table.n, *flats)
 
 
 @lru_cache(maxsize=8)
@@ -60,10 +49,11 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     when the members disagree).  Witnesses are 1-based element tuples.
 
     A table built by ``alexander._affine_table`` carries an
-    ``affine_basis`` and has every axiom decided on its generator points:
-    axioms 1-3 on the 1 + 2k pairs (0, 0), (e_i, 0) and (0, e_i), axiom 3
-    over every c, and axiom 4 on the 1 + k elements 0 and e_i, instead of
-    all n^2 pairs and n elements.  That builder succeeds only when
+    ``affine_basis`` (0, e_1, ..., e_k), and ``kernels.axiom_scan`` given
+    it as ``basis`` decides every axiom on its generator points: axioms
+    1-3 on the 1 + 2k pairs (0, 0), (e_i, 0) and (0, e_i), axiom 3 over
+    every c, and axiom 4 on the 1 + k basis elements, instead of all n^2
+    pairs and n elements.  That builder succeeds only when
     S(a, b) = (b_a, a^b) is a bijection; S is an affine map of Z_m^2k, so
     its inverse is affine too, and so are both barred operations, which
     are read off that inverse.
@@ -101,11 +91,12 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
 
 def satisfies_axioms(table: BiquandleTable) -> bool:
     """``verify_biquandle(table).passed``.  A table with an
-    ``affine_basis`` is decided by its generator-point scan alone, so a
+    ``affine_basis`` is decided by the scan on that basis alone, so a
     failing switch builds no report; any other reads the cached report,
     so a failing one pays for one full scan."""
     if table.affine_basis is not None:
-        return not _generator_scan(table)
+        return not kernels.axiom_scan(table.n, *table.flats(),
+                                      basis=table.affine_basis)
     return verify_biquandle(table).passed
 
 

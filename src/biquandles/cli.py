@@ -21,8 +21,8 @@ from .isomorphism import (brute_force_iso, enumerate_biquandles,
 from .knot import build_diagram, count_homs, parse_gauss_code
 from .modules import (FiniteModule, counting_element_order, format_elem,
                       kernel_one_minus_s, make_module, make_scalar_module,
-                      one_minus_st_submodule, transversal)
-from .tables import parse_matrix, serialize_matrix
+                      transversal)
+from .tables import _content_lines, parse_matrix, serialize_matrix
 
 SCHEMA_PREFIX = "biquandles-cli"
 
@@ -52,19 +52,15 @@ def _read_text(path):
 
 def parse_module_text(text: str) -> FiniteModule:
     """Module description: 'm k' line, k rows for s action, k rows for t."""
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((ln, line.split()))
+    rows = [line.split() for _, line in _content_lines(text)]
     if not rows:
         raise BiquandleError("empty module description")
-    head = rows[0][1]
+    head = rows[0]
     if len(head) != 2:
         raise BiquandleError("first line must be 'm k'")
     try:
         m, k = int(head[0]), int(head[1])
-        body = [[int(tok) for tok in toks] for _, toks in rows[1:]]
+        body = [[int(tok) for tok in toks] for toks in rows[1:]]
     except ValueError as exc:
         raise BiquandleError(f"non-integer token: {exc}") from None
     if len(body) != 2 * k or any(len(r) != k for r in body):
@@ -212,9 +208,7 @@ def cmd_iso(args) -> int:
 
 
 def _single_code_from_file(path):
-    lines = [ln.split("#", 1)[0].strip()
-             for ln in _read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [line for _, line in _content_lines(_read_text(path))]
     if len(lines) != 1:
         raise BiquandleError(
             "gauss file must hold exactly one code for counting")
@@ -243,9 +237,8 @@ def cmd_count(args) -> int:
 
 def cmd_orbits(args) -> int:
     module = _single_module(args, "orbits")
-    sub = one_minus_st_submodule(module)
-    ker = kernel_one_minus_s(module)
-    trans = transversal(module, sub)
+    trans = transversal(module)
+    sub, ker = trans.sub, kernel_one_minus_s(module)
     if args.json:
         _emit_json({
             "module": module.describe(),

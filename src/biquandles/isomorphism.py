@@ -28,8 +28,7 @@ from . import kernels
 from .axioms import verify_biquandle
 from .errors import WitnessError
 from .modules import (Elem, FiniteModule, ModuleIso, Transversal, _s_closure,
-                      format_elem, module_isomorphisms,
-                      one_minus_st_submodule, transversal)
+                      format_elem, module_isomorphisms, transversal)
 from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
 
 
@@ -177,8 +176,8 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
     ``WitnessError`` naming it, and so does data that assembles to a map
     that is not a bijection.
     """
-    sub = one_minus_st_submodule(src)
-    trans = transversal(src, sub)
+    trans = transversal(src)
+    sub = trans.sub
     h_of, k_of = ({src.index_of(x): dst.index_of(y) for x, y in pairs}
                   for pairs in (submodule_map.pairs, rep_map.items()))
     for name, given, needed in (("submodule map", h_of, sub.elements),
@@ -316,10 +315,8 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     for y, v in enumerate(dst.one_minus_st_of):
         fibers.setdefault(v, []).append(y)
 
-    sub_s = one_minus_st_submodule(src)
-    sub_d = one_minus_st_submodule(dst)
-    trans_s = transversal(src, sub_s)
-    trans_d = transversal(dst, sub_d)
+    trans_s, trans_d = transversal(src), transversal(dst)
+    sub_s, sub_d = trans_s.sub, trans_d.sub
     cycles = _s_cycles(src, trans_s)
     d_cycles = _s_cycles(dst, trans_d)
     if sorted(map(len, cycles)) != sorted(map(len, d_cycles)):
@@ -389,12 +386,11 @@ def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
     """
     perm = normalize_iso(src, dst, f)
     img = [i - 1 for i in perm]  # f on 0-based canonical indices
-    sub_s = one_minus_st_submodule(src)
-    ws = list(map(src.index.__getitem__, sub_s.elements))
+    trans_s = transversal(src)
+    ws = list(map(src.index.__getitem__, trans_s.sub.elements))
     h_ws = [img[w] for w in ws]
 
-    trans_s = transversal(src, sub_s)
-    d_rep = transversal(dst, one_minus_st_submodule(dst)).rep_index
+    d_rep = transversal(dst).rep_index
     reps = sorted(set(trans_s.rep_index))  # trans_s.reps as indices
     if len({d_rep[img[rep]] for rep in reps}) != len(reps):
         raise WitnessError("representative images are not a transversal")

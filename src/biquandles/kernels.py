@@ -32,15 +32,17 @@ CLAUSE_IDS = (
 )
 
 
-def axiom_scan(n, up, down, upbar, downbar, pairs=None, singles=None):
+def axiom_scan(n, up, down, upbar, downbar, basis=None):
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
-    axiom 3, (a,) for axiom 4; every violation is listed.  ``pairs`` limits
-    axioms 1, 2 and 3 to those (a, b) pairs, axiom 3 over every c, and
-    ``singles`` limits axiom 4 to those elements a; the default for each is
-    all of them.  ``axioms.verify_biquandle`` passes the generator points
-    that decide every axiom of an affine table.
+    axiom 3, (a,) for axiom 4; every violation is listed.  A ``basis``
+    (z, e_1, ..., e_k) limits the scan to its generator points: axioms 1,
+    2 and 3 to the 1 + 2k pairs (z, z), (e_i, z) and (z, e_i), in that
+    order, axiom 3 over every c, and axiom 4 to the basis elements.  The
+    default scans every pair and element.  ``axioms.verify_biquandle``
+    passes the ``affine_basis`` of an affine table, whose generator points
+    decide every axiom.
 
     The barred operations invert S(a, b) = (b_a, a^b), so each barred
     clause is an unbarred one read on mirrored tables, and each clause
@@ -66,6 +68,11 @@ def axiom_scan(n, up, down, upbar, downbar, pairs=None, singles=None):
     solutions to assign blame; axiom 3 walks c through the same lists).
     """
     out = []
+    pairs = None
+    if basis is not None:
+        zero, units = basis[0], basis[1:]
+        pairs = [(zero, zero)] + [(e, zero) for e in units] + \
+            [(zero, e) for e in units]
 
     def group(head, wit, *sols):
         """Joint existence-and-uniqueness check for one clause group."""
@@ -138,7 +145,7 @@ def axiom_scan(n, up, down, upbar, downbar, pairs=None, singles=None):
                     out.append((10 + k, (a, b, c)))
 
     # axiom 4: x = a_x, a = x^a
-    for a in range(n) if singles is None else singles:
+    for a in range(n) if basis is None else basis:
         for head, op_d, op_u in ((16, down, up), (18, upbar, downbar)):
             s1 = [x for x in range(n) if x == op_d[a * n + x]]
             s2 = [x for x in range(n) if a == op_u[x * n + a]]

@@ -21,7 +21,7 @@ from typing import Optional
 from . import kernels
 from .axioms import verify_biquandle
 from .errors import GaussCodeError
-from .tables import BiquandleTable
+from .tables import BiquandleTable, _content_lines
 
 _TOKEN = re.compile(r"^([OU])([0-9]+)([+-])$")
 
@@ -211,12 +211,7 @@ def reidemeister_suite(target: BiquandleTable) -> ReidemeisterReport:
 def load_fixture_codes(name: str) -> tuple[GaussCode, ...]:
     """Codes from a packaged fixture file (one code per line, '#' comments)."""
     text = resources.files("biquandles.data").joinpath(name).read_text()
-    codes = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            codes.append(parse_gauss_code(line))
-    return tuple(codes)
+    return tuple(parse_gauss_code(line) for _, line in _content_lines(text))
 
 
 def kishino_codes() -> tuple[GaussCode, ...]:

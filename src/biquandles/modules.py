@@ -8,11 +8,14 @@ A matrix is read only where it is parsed, applied to the unit vectors
 map are decided on those index images.
 Elements are coordinate tuples at the public boundary only; the canonical
 enumeration is plain lexicographic on coordinates, so the zero vector always
-has index 0, and every algorithm here runs on those 0-based indices.  The
-group arithmetic (``Carrier.plus``, ``neg_of`` and the images of matrices)
-depends on (m, k) alone, so one ``Carrier`` per group is built once and
-shared by every module and switch on it; a module adds only the images of
-its own actions (``s_of``, ``t_of``, ``one_minus_st_of``).
+has index 0, an index is the element's base-m digits, and every algorithm
+here runs on those 0-based indices.  The group arithmetic (``Carrier.plus``,
+``neg_of`` and the images of matrices) depends on (m, k) alone and is built
+from the digits, without coordinate tuples, so one ``Carrier`` per group is
+built once and shared by every module and switch on it; a module adds only
+the images of its own actions (``s_of``, ``t_of``, ``one_minus_st_of``).
+The tuples (``elements``) and their lookup (``index``) are built only when
+a caller passes elements in or reads them out.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -47,31 +50,27 @@ def _identity(k: int) -> Mat:
                  for i in range(k))
 
 
-def _addition_table(m: int, index: Mapping[Elem, int]) -> list[list[int]]:
-    """Addition on the keys of ``index`` (closed under + mod m): row i,
-    column j holds the index of the sum of the i-th and j-th keys.
+def _addition_table(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Addition on Z_m^k in canonical order: row i, column j holds the
+    index of the sum of the i-th and j-th elements.
 
-    Only a key that the rows so far do not reach gets its row by adding
-    vectors (zero's row is the identity).  Every other row is composed
-    from two known ones, since row(x + g)[v] = row(x)[row(g)[v]].
+    Built from the base-m digits of the indices, one leading digit at a
+    time from the table of Z_m^(k-1), whose size M is that digit's weight.
+    Since (a.M + i) + (c.M + j) = ((a + c) mod m).M + (i + j) for i, j < M,
+    the row of a.M + i is the row of i with each leading digit c written
+    in front (c.M + v), rotated left by a blocks: one slice of that list
+    doubled.  Every entry is gathered from one tuple of the indices.
     """
-    keys = list(index)
-    rows: list = [None] * len(keys)
-    known = []  # indices of the keys with a row; a subgroup between steps
-    for i, x in enumerate(keys):
-        if rows[i] is not None:
-            continue
-        gen = rows[i] = list(index.values()) if not any(x) else [
-            index[tuple([(p + q) % m for p, q in zip(x, y)])] for y in keys]
-        known.append(i)
-        # the loop also visits the keys it appends, so ``known`` ends
-        # closed under + x: the subgroup generated by the old one and x
-        for j in known:
-            if rows[gen[j]] is None:
-                row = rows[j]
-                rows[gen[j]] = [row[v] for v in gen]
-                known.append(gen[j])
-    return rows
+    ids = tuple(range(m ** k))
+    base = ids[:m] * 2
+    rows = [base[a:a + m] for a in range(m)]  # Z_m: rotations of 0..m-1
+    for _ in range(k - 1):
+        size = len(rows)
+        n = m * size
+        blocks = [ids[c:c + size] for c in range(0, n, size)]  # c.M + v
+        doubled = [sum(map(itemgetter(*row), blocks), ()) * 2 for row in rows]
+        rows = [d[a:a + n] for a in range(0, n, size) for d in doubled]
+    return tuple(rows)
 
 
 def _check_size(m: int, k: int) -> None:
@@ -131,8 +130,11 @@ class Carrier:
 
     @cached_property
     def plus(self) -> tuple[tuple[int, ...], ...]:
-        """plus[i][j] is the index of elements[i] + elements[j]."""
-        return tuple(map(tuple, _addition_table(self.m, self.index)))
+        """plus[i][j] is the index of elements[i] + elements[j], built from
+        the digits of the indices; a group past 1024 elements raises
+        ``ModuleError`` first (``_check_size``)."""
+        _check_size(self.m, self.k)
+        return _addition_table(self.m, self.k)
 
     @cached_property
     def neg_of(self) -> tuple[int, ...]:
@@ -141,12 +143,13 @@ class Carrier:
 
     def images(self, mat: Mat) -> list[int]:
         """Index of mat.x for each index x; mat is applied to the unit
-        vectors only.  In canonical order the elements zero before
+        vectors only, and the index of mat.e_g is read off its digits
+        (weights ``units``).  In canonical order the elements zero before
         coordinate g are the blocks x + j.e_g (j < m) over those zero up to
         g, so each block is the previous one plus mat.e_g."""
-        img = [0]
+        img, units = [0], self.units
         for e in reversed(_identity(self.k)):
-            add = self.plus[self.index[_mat_vec(mat, e, self.m)]]
+            add = self.plus[sum(map(mul, _mat_vec(mat, e, self.m), units))]
             block = img
             for _ in range(self.m - 1):
                 block = list(map(add.__getitem__, block))
@@ -305,7 +308,8 @@ def kernel_one_minus_s(module: FiniteModule) -> Submodule:
 
 @dataclass(frozen=True)
 class Transversal:
-    """Canonical coset representatives (zero first) plus their s-orbit;
+    """Canonical representatives (zero first) of the cosets of the (1-st)
+    submodule ``sub``, plus their s-orbit;
     ``rep_index[i]`` is the index of the representative of the coset of
     the element with canonical 0-based index i."""
 
@@ -346,16 +350,16 @@ def _s_closure(module: FiniteModule, idx: Iterable[int]) -> set[int]:
     return seen
 
 
-def transversal(module: FiniteModule, sub: Submodule) -> Transversal:
-    """One representative per coset of ``sub``, chosen canonically.
+def transversal(module: FiniteModule) -> Transversal:
+    """One representative per coset of the (1-st) submodule N, chosen
+    canonically; N is built here and kept as ``sub``.
 
     Scanning elements in canonical order and keeping the first member of
     each new coset makes the choice deterministic and puts the zero vector
     (canonically first) in charge of the zero coset.
     """
-    if sub.module is not module and sub.module != module:
-        raise ValueError("submodule belongs to a different module")
-    reps, members = [], list(map(module.index.__getitem__, sub.elements))
+    sub = one_minus_st_submodule(module)
+    reps, members = [], set(module.one_minus_st_of)  # N's indices
     rep_index, elements = [-1] * module.size, module.elements
     for x, row in enumerate(module.plus):
         if rep_index[x] < 0:

@@ -164,12 +164,19 @@ def serialize_matrix(table: BiquandleTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text):
+    """Yield (line_number, line) for each line of ``text`` that holds more
+    than a comment: the part before any '#', stripped.  Table, module and
+    Gauss-code files are all read through here."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
 def _tokenize(text):
     """Yield (line_number, [(column, token), ...]) skipping comments/blanks."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+    for ln, line in _content_lines(text):
         yield ln, [(i + 1, tok) for i, tok in enumerate(line.split())]
 
 
@@ -220,10 +227,12 @@ def parse_matrix(text: str) -> BiquandleTable:
         grid.append(row)
 
     def flat(r0, c0):
-        return [grid[r0 + i][c0 + j] for i in range(n) for j in range(n)]
+        return tuple([grid[r0 + i][c0 + j] for i in range(n)
+                      for j in range(n)])
 
-    return BiquandleTable.from_flats(n, flat(0, 0), flat(0, n), flat(n, 0),
-                                     flat(n, n))
+    # the checks above make every block an n x n table on 0..n-1
+    return BiquandleTable._built(n, (flat(0, 0), flat(0, n), flat(n, 0),
+                                     flat(n, n)))
 
 
 def normalize_map(f, n_src: int, n_dst: int) -> tuple[int, ...]:

@@ -14,8 +14,7 @@ from biquandles import (AxiomReport, BiquandleTable, build_diagram,
                         make_switch_biquandle, parse_gauss_code, parse_matrix,
                         serialize_matrix, trivial_biquandle,
                         verify_biquandle, yang_baxter_check)
-from biquandles.axioms import (CLAUSE_IDS, _generator_scan,
-                               satisfies_axioms)
+from biquandles.axioms import CLAUSE_IDS, satisfies_axioms
 from biquandles.errors import SwitchError
 from biquandles.modules import counting_element_order
 from biquandles.tables import from_pair_map
@@ -405,7 +404,8 @@ class TestAffineBasis:
         seen, without_3 = set(), set()
         for table in random_affine_tables(200, seed=11):
             full = kernels.axiom_scan(table.n, *table.flats())
-            limited = _generator_scan(table)
+            limited = kernels.axiom_scan(table.n, *table.flats(),
+                                         basis=table.affine_basis)
             assert failing_units(limited) == failing_units(full)
             report = verify_biquandle.__wrapped__(table)
             assert (report.passed, report.violations) == \
@@ -421,26 +421,51 @@ class TestAffineBasis:
         assert without_3 == {"2", "4"}
 
     def test_marked_table_scans_few_axiom_3_pairs(self, monkeypatch):
-        # every axiom of a marked table is scanned on 1 + 2k pairs and
-        # 1 + k single elements; an unmarked copy is scanned in full
+        # every axiom of a marked table is scanned on its basis of 1 + k
+        # elements, so on 1 + 2k pairs (test_basis_scan_reports_only_
+        # generator_points); an unmarked copy is scanned in full
         table = make_alexander(make_module(
             3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
             ((1, 1, 0), (0, 1, 1), (0, 0, 1))))
         scan, seen = kernels.axiom_scan, []
 
-        def spy(*args, pairs=None, singles=None, **kwargs):
-            seen.append((None if pairs is None else len(pairs),
-                         None if singles is None else len(singles)))
-            return scan(*args, pairs=pairs, singles=singles, **kwargs)
+        def spy(*args, basis=None, **kwargs):
+            seen.append(basis)
+            return scan(*args, basis=basis, **kwargs)
 
         monkeypatch.setattr(kernels, "axiom_scan", spy)
         assert verify_biquandle.__wrapped__(table).passed
         assert satisfies_axioms(table)
-        assert seen == [(1 + 2 * 3, 1 + 3)] * 2
+        assert seen == [(0, 9, 3, 1)] * 2 == [table.affine_basis] * 2
         seen.clear()
         unmarked = BiquandleTable.from_flats(table.n, *table.flats())
         assert verify_biquandle.__wrapped__(unmarked).passed
-        assert seen == [(None, None)]
+        assert seen == [None]
+
+    def test_basis_scan_reports_only_generator_points(self):
+        # a random table fails at every pair and element; scanned on a
+        # basis (z, e_1, ..., e_k) it reports exactly the full scan's
+        # violations at the 1 + 2k pairs (z, z), (e_i, z), (z, e_i) and at
+        # the 1 + k basis elements
+        rng = random.Random(27)
+        n, basis = 6, (2, 0, 5)
+        z, units = basis[0], basis[1:]
+        flats = [tuple(rng.randrange(n) for _ in range(n * n))
+                 for _ in range(4)]
+        full = kernels.axiom_scan(n, *flats)
+        limited = kernels.axiom_scan(n, *flats, basis=basis)
+        pairs = {(z, z)} | {(e, z) for e in units} | {(z, e) for e in units}
+        assert len(pairs) == 1 + 2 * len(units)
+
+        def at_generators(wit):
+            return wit[:2] in pairs if len(wit) > 1 else wit[0] in basis
+
+        assert {wit[:2] for _, wit in full if len(wit) > 1} == \
+            set(itertools.product(range(n), repeat=2))
+        assert {wit for _, wit in full if len(wit) == 1} == \
+            {(a,) for a in range(n)}
+        assert sorted(limited) == sorted(
+            (code, wit) for code, wit in full if at_generators(wit))
 
     def test_marked_and_unmarked_tables_are_one_key(self):
         built = make_alexander(make_scalar_module(9, 2, 4))
@@ -459,16 +484,16 @@ class TestAffineBasis:
         # points, and never builds the full report
         scan, seen = kernels.axiom_scan, []
 
-        def spy(*args, pairs=None, singles=None):
-            seen.append(None if pairs is None else len(pairs))
-            return scan(*args, pairs=pairs, singles=singles)
+        def spy(*args, basis=None):
+            seen.append(None if basis is None else len(basis))
+            return scan(*args, basis=basis)
 
         monkeypatch.setattr(kernels, "axiom_scan", spy)
         for table in failing_switches(6, seed=20061021):
             k = len(table.affine_basis) - 1
             seen.clear()
             assert not satisfies_axioms(table)
-            assert seen == [1 + 2 * k]
+            assert seen == [1 + k]
 
 
 class TestMarker:

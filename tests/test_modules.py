@@ -15,7 +15,7 @@ from biquandles import (FiniteModule, ModuleError, Submodule,
                         make_scalar_module, make_switch_biquandle,
                         module_isomorphisms,
                         one_minus_st_submodule, s_orbit, structural_iso,
-                        translation_map, transversal)
+                        translation_map, transversal, verify_biquandle)
 from biquandles import kernels, modules
 from biquandles.errors import SwitchError
 from biquandles.kernels import MAX_STATES
@@ -142,9 +142,9 @@ def tables_built(monkeypatch, fresh_carriers):
     built = []
     fill = modules._addition_table
 
-    def spy(m, index):
-        built.append(len(index))
-        return fill(m, index)
+    def spy(m, k):
+        built.append(m ** k)
+        return fill(m, k)
 
     monkeypatch.setattr(modules, "_addition_table", spy)
     return built
@@ -203,43 +203,41 @@ class TestCarrier:
             ident = modules._identity(k)
             with pytest.raises(ModuleError, match=rf"^Z_{m}\^{k} has"):
                 make_module(m, k, ident, ident)
-            with pytest.raises(ModuleError):
-                carrier(m, k).plus
+            # plus checks the size itself: it never reads the elements
+            group = carrier(m, k)
+            with pytest.raises(ModuleError, match=rf"^Z_{m}\^{k} has"):
+                group.plus
+            assert "elements" not in vars(group)
         assert tables_built == []
+
+    def test_builds_read_no_element_tuples(self, fresh_carriers):
+        # modules, switches and their tables run on digit arithmetic alone
+        mod = make_module(3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                          ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+        assert verify_biquandle(make_alexander(mod)).passed
+        report = make_switch_biquandle(3, 3, ((2, 1, 0), (1, 1, 0), (0, 0, 2)),
+                                       modules._identity(3))
+        assert report.table.n == 27
+        assert "elements" not in vars(mod.carrier)
+        assert "index" not in vars(mod.carrier)
 
 
 class TestAdditionTable:
     @staticmethod
-    def naive(m, keys):
+    def naive(m, k):
+        """Z_m^k's table from coordinate vectors: in canonical order, the
+        sums x + y over all y are the product of each coordinate of x
+        shifted through Z_m, looked up in an element -> index dict."""
+        keys = list(itertools.product(range(m), repeat=k))
         index = {e: i for i, e in enumerate(keys)}
-        return [[index[tuple((p + q) % m for p, q in zip(x, y))]
-                 for y in keys] for x in keys]
-
-    def key_sets(self):
-        """Whole groups in canonical, counting and shuffled orders, and
-        the (1-st) submodules and Ker(1-s) of scalar and rank-2 modules."""
-        rng = random.Random(11)
-        for m, k in ((2, 1), (12, 1), (2, 3), (3, 2), (4, 2), (6, 2)):
-            whole = list(itertools.product(range(m), repeat=k))
-            yield m, whole
-            yield m, list(counting_element_order(m, k))
-            yield m, rng.sample(whole, len(whole))
-        mods = [make_scalar_module(12, 5, 7), Z8_35,
-                make_module(6, 2, ((1, 0), (0, 1)), ((1, 1), (0, 1))),
-                make_module(4, 2, ((3, 0), (0, 3)), ((1, 2), (0, 1)))]
-        for mod in mods:
-            for sub in (one_minus_st_submodule(mod), kernel_one_minus_s(mod)):
-                yield mod.m, list(sub.elements)
-                yield mod.m, rng.sample(sub.elements, len(sub))
+        return tuple(tuple(map(index.__getitem__, itertools.product(
+            *[[(c + v) % m for v in range(m)] for c in x]))) for x in keys)
 
     def test_matches_naive_fill(self):
-        sizes = set()
-        for m, keys in self.key_sets():
-            index = {e: i for i, e in enumerate(keys)}
-            assert _addition_table(m, index) == self.naive(m, keys), keys
-            sizes.add(len(keys))
-        # proper submodules are among the key sets
-        assert {4, 6} <= sizes
+        # whole groups in canonical order, up to the 1024-element bound
+        for m, k in ((2, 1), (12, 1), (2, 3), (3, 2), (4, 2), (6, 2),
+                     (5, 3), (3, 5), (2, 10), (4, 5), (32, 2)):
+            assert _addition_table(m, k) == self.naive(m, k), (m, k)
 
 
 class TestOneMinusSt:
@@ -297,17 +295,17 @@ class TestKernel:
 
 class TestTransversal:
     def test_z8_reps_and_orbit(self):
-        trans = transversal(Z8_35, one_minus_st_submodule(Z8_35))
+        trans = transversal(Z8_35)
         assert trans.reps == elems((0, 1))
         assert trans.orbit == elems((0, 1, 3))
 
     def test_whole_module_gives_zero_rep(self):
         mod = make_scalar_module(3, 2, 1)
-        trans = transversal(mod, one_minus_st_submodule(mod))
+        trans = transversal(mod)
         assert trans.reps == elems((0,))
 
     def test_rep_of_covers_module(self):
-        trans = transversal(Z8_35, one_minus_st_submodule(Z8_35))
+        trans = transversal(Z8_35)
         for x in Z8_35.elements:
             rep = trans.rep_of(x)
             assert rep in trans.reps
@@ -331,7 +329,7 @@ class TestElementArguments:
                 translation_map(Z8_35, bad)
 
     def test_rep_of(self):
-        trans = transversal(Z8_35, one_minus_st_submodule(Z8_35))
+        trans = transversal(Z8_35)
         assert trans.rep_of((9,)) == trans.rep_of((1,)) == (1,)
         assert trans.rep_of((-2,)) == (0,)
         for bad in ((1, 2), ()):
@@ -524,7 +522,7 @@ def arithmetic_records(mod):
     """Ker(1-s), the transversal of (1-st)M and its s-orbit, the s-orbit of
     every element and of a few seeded triples, and every element's
     translation map and coset representative."""
-    trans = transversal(mod, one_minus_st_submodule(mod))
+    trans = transversal(mod)
     rng = random.Random(f"orbits:{mod.m}^{mod.k}")
     seeds = [[x] for x in mod.elements]
     seeds += [rng.sample(mod.elements, 3) for _ in range(5)]
