@@ -22,12 +22,13 @@ from .tables import BiquandleTable
 
 
 def _resolve_order(group: Carrier, element_order):
+    """The canonical index of each element of ``element_order``, in order."""
     if element_order is None:
         return None
-    order = tuple(tuple(int(c) % group.m for c in e) for e in element_order)
-    if sorted(order) != sorted(group.elements):
+    pos = [group.index_of(e) for e in element_order]
+    if sorted(pos) != list(range(group.size)):
         raise ValueError("element_order must enumerate every element once")
-    return order
+    return pos
 
 
 def _inverse(perm: list[int]) -> list[int]:
@@ -49,12 +50,12 @@ def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
     """Table of the four operations (up, down, upbar, downbar), each given
     as (Cx, Dy, c), index images of two linear maps and a shift's index,
     for x * y = Cx + Dy + c with every sum read from ``group.plus``.  Index
-    i is the group's i-th canonical element, relabelled to ``order[i]``
-    when an order is given.  ``affine_basis`` holds the indices of zero and
-    of the unit vectors (``group.units``), so ``verify_biquandle`` decides
-    every axiom on 1 + 2k pairs.  Every entry is read from ``plus``, so it
-    is in range by construction and the table is stored without
-    re-validation.
+    i is the group's i-th canonical element; an ``order`` of canonical
+    indices relabels ``order[j]`` to j.  ``affine_basis`` holds the indices
+    of zero and of the unit vectors (``group.units``), so
+    ``verify_biquandle`` decides every axiom on 1 + 2k pairs.  Every entry
+    is read from ``plus``, so it is in range by construction and the table
+    is stored without re-validation.
     """
     plus, n = group.plus, group.size
     flats = []
@@ -64,9 +65,8 @@ def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
                             for y in dy]))
     basis = (0,) + group.units
     if order is not None:
-        pos = list(map(group.index.__getitem__, order))  # -> canonical
-        label = _inverse(pos)
-        flats = [tuple([label[flat[i * n + j]] for i in pos for j in pos])
+        label = _inverse(order)
+        flats = [tuple([label[flat[i * n + j]] for i in order for j in order])
                  for flat in flats]
         basis = map(label.__getitem__, basis)
     return BiquandleTable._built(n, tuple(flats), tuple(basis))

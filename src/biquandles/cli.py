@@ -15,14 +15,14 @@ import sys
 
 from .alexander import make_alexander, make_switch_biquandle
 from .axioms import satisfies_axioms, verify_biquandle
-from .errors import BiquandleError
+from .errors import BiquandleError, MatrixParseError
 from .isomorphism import (brute_force_iso, enumerate_biquandles,
                           format_witness, structural_iso, witness_to_dict)
 from .knot import build_diagram, count_homs, parse_gauss_code
-from .modules import (FiniteModule, counting_element_order, format_elem,
-                      kernel_one_minus_s, make_module, make_scalar_module,
-                      transversal)
-from .tables import _content_lines, parse_matrix, serialize_matrix
+from .modules import (FiniteModule, _check_size, counting_element_order,
+                      format_elem, kernel_one_minus_s, make_module,
+                      make_scalar_module, transversal)
+from .tables import _content_lines, _int_rows, parse_matrix, serialize_matrix
 
 SCHEMA_PREFIX = "biquandles-cli"
 
@@ -51,20 +51,22 @@ def _read_text(path):
 
 
 def parse_module_text(text: str) -> FiniteModule:
-    """Module description: 'm k' line, k rows for s action, k rows for t."""
-    rows = [line.split() for _, line in _content_lines(text)]
-    if not rows:
-        raise BiquandleError("empty module description")
-    head = rows[0]
+    """Module description: 'm k' line, k rows for s action, k rows for t;
+    ``MatrixParseError`` names the line where a malformed one goes wrong."""
+    rows = list(_int_rows(text))
+    ln, head = rows[0] if rows else (1, ())
     if len(head) != 2:
-        raise BiquandleError("first line must be 'm k'")
-    try:
-        m, k = int(head[0]), int(head[1])
-        body = [[int(tok) for tok in toks] for toks in rows[1:]]
-    except ValueError as exc:
-        raise BiquandleError(f"non-integer token: {exc}") from None
-    if len(body) != 2 * k or any(len(r) != k for r in body):
-        raise BiquandleError(f"expected {2 * k} rows of {k} entries")
+        raise MatrixParseError("first line must be 'm k'", ln)
+    m, k = head
+    _check_size(m, k)
+    if len(rows) != 2 * k + 1:
+        raise MatrixParseError(f"expected {2 * k} matrix rows, found "
+                               f"{len(rows) - 1}", rows[-1][0])
+    for ln, row in rows[1:]:
+        if len(row) != k:
+            raise MatrixParseError(
+                f"expected {k} entries, found {len(row)}", ln)
+    body = [row for _, row in rows[1:]]
     return make_module(m, k, body[:k], body[k:])
 
 
@@ -126,18 +128,14 @@ def cmd_alexander(args) -> int:
     return EXIT_OK
 
 
-def _parse_small_matrix(text):
-    """Rows split on ';' or newlines; the switch builder checks the shape."""
-    return [[int(tok) for tok in row.split()]
-            for row in text.replace(";", "\n").splitlines() if row.strip()]
-
-
 def cmd_switch(args) -> int:
-    a_mat = _parse_small_matrix(args.A)
-    b_mat = _parse_small_matrix(args.B)
+    # rows split on ';' or newlines; the switch builder checks the shape
+    a_mat, b_mat = ([row for _, row in _int_rows(text.replace(";", "\n"))]
+                    for text in (args.A, args.B))
     shift = None
     if args.c is not None:
-        shift = tuple(int(tok) for tok in args.c.replace(",", " ").split())
+        shift = tuple(v for _, row in _int_rows(args.c.replace(",", " "))
+                      for v in row)
     report = make_switch_biquandle(
         args.m, args.k, a_mat, b_mat, shift,
         counting_element_order(args.m, args.k))
@@ -216,10 +214,11 @@ def _single_code_from_file(path):
 
 
 def cmd_count(args) -> int:
-    if args.gauss_file:
+    if (args.gauss is None) == (args.gauss_file is None):
+        raise BiquandleError(
+            "pass exactly one of --gauss CODE_OR_FILE and --gauss-file FILE")
+    if args.gauss_file is not None:
         text = _single_code_from_file(args.gauss_file)
-    elif args.gauss is None:
-        raise BiquandleError("pass --gauss CODE_OR_FILE or --gauss-file FILE")
     elif args.gauss and os.path.exists(args.gauss):
         text = _single_code_from_file(args.gauss)
     else:

@@ -6,7 +6,8 @@ class BiquandleError(Exception):
 
 
 class MatrixParseError(BiquandleError):
-    """Malformed operation-matrix text; carries 1-based line/column."""
+    """Malformed integer text (a matrix or module file, a switch matrix);
+    carries the 1-based line and, for a bad token, its column."""
 
     def __init__(self, message, line, column=None):
         loc = f"line {line}" if column is None else f"line {line}, column {column}"

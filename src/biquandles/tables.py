@@ -174,10 +174,21 @@ def _content_lines(text):
             yield ln, line
 
 
-def _tokenize(text):
-    """Yield (line_number, [(column, token), ...]) skipping comments/blanks."""
+def _int_rows(text):
+    """Yield (line_number, values) for each content line of ``text``, its
+    whitespace-separated tokens read as integers.  This is the one reader
+    of integer text: matrix files, module files and the switch's matrices.
+    A token that is not an integer raises ``MatrixParseError`` at its line
+    and column (the token's 1-based place on the line)."""
     for ln, line in _content_lines(text):
-        yield ln, [(i + 1, tok) for i, tok in enumerate(line.split())]
+        values = []
+        for col, tok in enumerate(line.split(), start=1):
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise MatrixParseError(f"non-integer entry {tok!r}",
+                                       ln, col) from None
+        yield ln, values
 
 
 def parse_matrix(text: str) -> BiquandleTable:
@@ -186,45 +197,30 @@ def parse_matrix(text: str) -> BiquandleTable:
     Comment lines start with '#'; blank lines and trailing whitespace are
     ignored.  Raises ``MatrixParseError`` with the offending line/column.
     """
-    rows = list(_tokenize(text))
+    rows = list(_int_rows(text))
     if not rows:
         raise MatrixParseError("missing order line", 1)
-    ln, toks = rows[0]
-    if len(toks) != 1:
-        raise MatrixParseError("order line must hold a single integer", ln,
-                               toks[1][0] if len(toks) > 1 else 1)
-    try:
-        n = int(toks[0][1])
-    except ValueError:
-        raise MatrixParseError(f"order is not an integer: {toks[0][1]!r}",
-                               ln, toks[0][0]) from None
+    ln, head = rows[0]
+    if len(head) != 1:
+        raise MatrixParseError("order line must hold a single integer", ln, 2)
+    n = head[0]
     if n < 1:
-        raise MatrixParseError("order must be >= 1", ln, toks[0][0])
+        raise MatrixParseError("order must be >= 1", ln, 1)
 
     body = rows[1:]
     if len(body) != 2 * n:
-        where = body[-1][0] if body else ln
         raise MatrixParseError(
-            f"expected {2 * n} matrix rows, found {len(body)}", where)
+            f"expected {2 * n} matrix rows, found {len(body)}", rows[-1][0])
 
     grid = []
-    for ln, toks in body:
-        if len(toks) != 2 * n:
+    for ln, row in body:
+        if len(row) != 2 * n:
             raise MatrixParseError(
-                f"expected {2 * n} entries, found {len(toks)}", ln,
-                toks[-1][0] if toks else 1)
-        row = []
-        for col, tok in toks:
-            try:
-                e = int(tok)
-            except ValueError:
-                raise MatrixParseError(f"non-integer entry {tok!r}",
-                                       ln, col) from None
+                f"expected {2 * n} entries, found {len(row)}", ln, len(row))
+        for col, e in enumerate(row, start=1):
             if not 1 <= e <= n:
-                raise MatrixParseError(
-                    f"entry {e} outside 1..{n}", ln, col)
-            row.append(e - 1)
-        grid.append(row)
+                raise MatrixParseError(f"entry {e} outside 1..{n}", ln, col)
+        grid.append([e - 1 for e in row])
 
     def flat(r0, c0):
         return tuple([grid[r0 + i][c0 + j] for i in range(n)

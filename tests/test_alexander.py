@@ -57,6 +57,19 @@ class TestMakeAlexander:
         assert table.down == ((2, 2, 2), (1, 1, 1), (3, 3, 3))
         assert table.downbar == ((2, 2, 2), (1, 1, 1), (3, 3, 3))
 
+    @pytest.mark.parametrize("order", [
+        ((1,), (2,)), ((1,), (2,), (0,), (1,)), ((1,), (2,), (2,)),
+        ((1,), (2,), (0,), (3,))])
+    def test_order_must_list_every_element_once(self, order):
+        # (3,) is 0 mod 3: a repeat, not a fourth element
+        with pytest.raises(ValueError, match="every element once"):
+            make_alexander(make_scalar_module(3, 2, 1), order)
+
+    def test_order_coordinates_reduced_mod_m(self):
+        mod = make_scalar_module(3, 2, 1)
+        assert make_alexander(mod, ((4,), (-1,), (3,))) == \
+            make_alexander(mod, counting_element_order(3, 1))
+
     def test_z3_down_block_from_formula(self):
         # oracle: x_y = s x recomputed by direct modular arithmetic
         order = [1, 2, 0]

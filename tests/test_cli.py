@@ -6,7 +6,7 @@ import pytest
 from biquandles import alexander, cli
 from biquandles.cli import (EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NEGATIVE,
                             EXIT_OK, main, parse_module_text)
-from biquandles.errors import BiquandleError
+from biquandles.errors import BiquandleError, MatrixParseError
 
 from conftest import Z2Z2_MATRIX
 
@@ -158,6 +158,18 @@ class TestSwitch:
         assert out.startswith("125\n")
         assert err == "switch condition: fails\naxioms: fail\n"
 
+    @pytest.mark.parametrize("a,c,where,token", [
+        ("0 1;1 x", None, "line 2, column 2", "x"),
+        ("0 1;1 1", "1,y", "line 1, column 2", "y"),
+        ("0 1;1 1", "1 1.5", "line 1, column 2", "1.5"),
+    ], ids=["A", "c-comma", "c-space"])
+    def test_non_integer_entry_located(self, capsys, a, c, where, token):
+        shift = () if c is None else ("--c", c)
+        code, out, err = run(capsys, "switch", "2", "2", "--A", a,
+                             "--B", "1 1;0 1", *shift)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {where}: non-integer entry {token!r}\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "switch", "2", "2", "--A", "0 1;1 1",
                            "--B", "1 1;0 1", "--c", "1 1", "--json")
@@ -305,6 +317,19 @@ class TestCount:
                            "--target", z2z2_file)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("both", [True, False])
+    def test_exactly_one_code_input(self, capsys, z2z2_file, tmp_path,
+                                    both):
+        # given both, the file's kink used to win silently over --gauss
+        path = tmp_path / "kink.gauss"
+        path.write_text("O1+,U1+\n")
+        codes = (("--gauss", "O1-,U2-,O3-,U1-,O2-,U3-", "--gauss-file",
+                  str(path)) if both else ())
+        code, out, err = run(capsys, "count", *codes, "--target", z2z2_file)
+        assert code == EXIT_INPUT and out == ""
+        assert err == ("error: pass exactly one of --gauss CODE_OR_FILE "
+                       "and --gauss-file FILE\n")
+
     def test_json(self, capsys, z2z2_file):
         code, out, _ = run(capsys, "count", "--gauss", "", "--json",
                            "--target", z2z2_file)
@@ -392,3 +417,41 @@ class TestModuleFileParsing:
     def test_bad_row_count(self):
         with pytest.raises(BiquandleError):
             parse_module_text("3 1\n2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 2\n0 1\n1 1\n1 1\n1 x\n",
+         "line 5, column 2: non-integer entry 'x'"),
+        ("# s then t\n2 1\n1\n\n0.5  # t\n",
+         "line 5, column 1: non-integer entry '0.5'"),
+        ("2 2\n0 1\n1\n1 1\n1 0\n", "line 3: expected 2 entries, found 1"),
+        ("2 2\n0 1\n1 1 0\n1 1\n1 0\n",
+         "line 3: expected 2 entries, found 3"),
+        ("2 2\n0 1\n1 1\n1 1\n", "line 4: expected 4 matrix rows, found 3"),
+        ("2 1\n1\n1\n1\n", "line 4: expected 2 matrix rows, found 3"),
+        ("2 1\n", "line 1: expected 2 matrix rows, found 0"),
+        ("# no head\n\n3\n2\n1\n", "line 3: first line must be 'm k'"),
+        ("3 1 1\n2\n1\n", "line 1: first line must be 'm k'"),
+        ("3 k\n2\n1\n", "line 1, column 2: non-integer entry 'k'"),
+        ("# nothing\n", "line 1: first line must be 'm k'"),
+        ("2 -1\n", "need modulus >= 2 and rank >= 1"),
+    ], ids=["token", "scalar-token", "short-row", "long-row", "few-rows",
+            "many-rows", "no-rows", "short-head", "long-head", "head-token",
+            "empty", "negative-rank"])
+    def test_malformed_file_located(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.mod"
+        path.write_text(text)
+        code, out, err = run(capsys, "alexander", "--mod", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_oversized_group_refused_before_rows(self, capsys, tmp_path):
+        path = tmp_path / "big.mod"
+        path.write_text("2 11\n")
+        code, out, err = run(capsys, "alexander", "--mod", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: Z_2^11 has 2048 elements;")
+
+    def test_parse_error_carries_position(self):
+        with pytest.raises(MatrixParseError) as err:
+            parse_module_text("3 1\n2\nt\n")
+        assert (err.value.line, err.value.column) == (3, 1)

@@ -155,6 +155,18 @@ class TestSerialization:
             parse_matrix("2\n1 x 1 1\n2 2 2 2\n1 1 1 1\n2 2 2 2\n")
         assert err.value.line == 2 and err.value.column == 2
 
+    @pytest.mark.parametrize("text,line,column,message", [
+        ("x\n", 1, 1, "non-integer entry 'x'"),
+        ("# order\n2 x\n", 2, 2, "non-integer entry 'x'"),
+        ("2 2\n", 1, 2, "order line must hold a single integer"),
+        ("0\n", 1, 1, "order must be >= 1"),
+    ], ids=["token", "second-token", "two-integers", "zero"])
+    def test_bad_order_line(self, text, line, column, message):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
     def test_wrong_row_count(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("2\n1 1 1 1\n2 2 2 2\n1 1 1 1\n")
