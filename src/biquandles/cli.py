@@ -128,14 +128,22 @@ def cmd_alexander(args) -> int:
     return EXIT_OK
 
 
+def _option_rows(option: str, text: str) -> list[list[int]]:
+    """A switch option's integer rows; a bad token's error names it."""
+    try:
+        return [row for _, row in _int_rows(text)]
+    except MatrixParseError as exc:
+        raise BiquandleError(f"{option}: {exc}") from None
+
+
 def cmd_switch(args) -> int:
     # rows split on ';' or newlines; the switch builder checks the shape
-    a_mat, b_mat = ([row for _, row in _int_rows(text.replace(";", "\n"))]
-                    for text in (args.A, args.B))
+    a_mat, b_mat = (_option_rows(option, text.replace(";", "\n"))
+                    for option, text in (("--A", args.A), ("--B", args.B)))
     shift = None
     if args.c is not None:
-        shift = tuple(v for _, row in _int_rows(args.c.replace(",", " "))
-                      for v in row)
+        rows = _option_rows("--c", args.c.replace(",", " "))
+        shift = tuple(v for row in rows for v in row)
     report = make_switch_biquandle(
         args.m, args.k, a_mat, b_mat, shift,
         counting_element_order(args.m, args.k))

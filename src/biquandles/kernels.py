@@ -48,6 +48,8 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
     clause is an unbarred one read on mirrored tables, and each clause
     group is written once and run over two sides:
 
+    - axiom 1: codes 2..3 are codes 0..1 on (upbar, downbar, up, down) in
+      place of (up, down, upbar, downbar);
     - axiom 2: the y-group (codes 7..9) is the x-group (codes 4..6) on
       (upbar, downbar, up, down) in place of (up, down, upbar, downbar);
     - axiom 3: the barred clauses (codes 13..15) are ``_axiom3`` (codes
@@ -55,9 +57,9 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
     - axiom 4: the y-group (codes 18..19) is the x-group (codes 16..17) on
       (upbar, downbar) in place of (down, up).
 
-    Axiom 1 stays inline.  Violations come in element-wise order: per pair
-    (a, b) axiom 1, the axiom-2 x-group, then its y-group; then axiom 3 by
-    (a, b, c); then axiom 4 by a, x-group first.
+    Violations come in element-wise order: per pair (a, b) axiom 1 on both
+    sides, the axiom-2 x-group, then its y-group; then axiom 3 by (a, b, c);
+    then axiom 4 by a, x-group first.
 
     Axioms 2 and 3 are scanned on two levels.  First a whole-row pass
     decides each pair (a, b): clause 2.ii pins a = x^bar b, so one O(n)
@@ -88,12 +90,13 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
             return itertools.product(range(n), repeat=2)
         return pairs
 
-    # axiom 2 per side: the head code, the tables in the roles of (up,
-    # down, upbar, downbar), and joint[b][a], the number of x solving the
-    # group of (a, b); x solves it only for a = x^bbar
+    # per side: the axiom-1 and axiom-2 head codes, the tables in the roles
+    # of (up, down, upbar, downbar), and joint[b][a], the number of x
+    # solving the axiom-2 group of (a, b); x solves it only for a = x^bbar
     sides = []
-    for head, op_u, op_d, op_ub, op_db in ((4, up, down, upbar, downbar),
-                                           (7, upbar, downbar, up, down)):
+    for one, head, op_u, op_d, op_ub, op_db in (
+            (0, 4, up, down, upbar, downbar),
+            (2, 7, upbar, downbar, up, down)):
         joint = [None] * n
         for b in range(n) if pairs is None else {b for _, b in pairs}:
             cnt = joint[b] = [0] * n
@@ -102,25 +105,20 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
                 bx = op_db[b * n + x]
                 if x == op_u[a * n + bx] and b == op_d[bx * n + a]:
                     cnt[a] += 1
-        sides.append((head, op_u, op_d, op_ub, op_db, joint))
+        sides.append((one, head, op_u, op_d, op_ub, op_db, joint))
 
     for a, b in scan_pairs():
-        u = up[a * n + b]
-        d = down[b * n + a]
-        ub = upbar[a * n + b]
-        db = downbar[b * n + a]
-        # axiom 1: the barred pair inverts the unbarred pair and back
-        if upbar[u * n + d] != a:
-            out.append((0, (a, b)))
-        if downbar[d * n + u] != b:
-            out.append((1, (a, b)))
-        if up[ub * n + db] != a:
-            out.append((2, (a, b)))
-        if down[db * n + ub] != b:
-            out.append((3, (a, b)))
+        # axiom 1: the side's barred pair inverts its unbarred pair
+        for one, _, op_u, op_d, op_ub, op_db, _ in sides:
+            u = op_u[a * n + b]
+            d = op_d[b * n + a]
+            if op_ub[u * n + d] != a:
+                out.append((one, (a, b)))
+            if op_db[d * n + u] != b:
+                out.append((one + 1, (a, b)))
 
         # axiom 2: x = a^(b_xbar), a = x^bbar, b = (b_xbar)_a
-        for head, op_u, op_d, op_ub, op_db, joint in sides:
+        for _, head, op_u, op_d, op_ub, op_db, joint in sides:
             if joint[b][a] != 1:
                 s1 = [x for x in range(n)
                       if x == op_u[a * n + op_db[b * n + x]]]

@@ -3,9 +3,9 @@ coset, and orbit machinery.
 
 A module is an abelian group Z_m^k, its *carrier*, with two commuting
 invertible k x k matrices giving the actions of the ring generators s and t.
-A matrix is read only where it is parsed, applied to the unit vectors
-(``Carrier.images``) or shown; invertibility, commuting and every derived
-map are decided on those index images.
+A matrix is read only where it is parsed, where its columns give the index
+images of its map (``Carrier.images``), or where it is shown; invertibility,
+commuting and every derived map are decided on those index images.
 Elements are coordinate tuples at the public boundary only; the canonical
 enumeration is plain lexicographic on coordinates, so the zero vector always
 has index 0, an index is the element's base-m digits, and every algorithm
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -39,15 +39,6 @@ def _as_matrix(m: int, k: int, rows, name: str) -> Mat:
     if len(rows) != k or any(len(r) != k for r in rows):
         raise ModuleError(f"{name} must be a {k}x{k} integer matrix")
     return rows
-
-
-def _mat_vec(mat: Mat, vec: Elem, m: int) -> Elem:
-    return tuple([sum(map(mul, row, vec)) % m for row in mat])
-
-
-def _identity(k: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(k))
-                 for i in range(k))
 
 
 def _addition_table(m: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -138,20 +129,21 @@ class Carrier:
 
     @cached_property
     def neg_of(self) -> tuple[int, ...]:
-        return tuple(self.images(tuple(tuple(-c for c in row)
-                                       for row in _identity(self.k))))
+        k = self.k
+        return tuple(self.images([[-int(i == j) for j in range(k)]
+                                  for i in range(k)]))
 
     def images(self, mat: Mat) -> list[int]:
-        """Index of mat.x for each index x; mat is applied to the unit
-        vectors only, and the index of mat.e_g is read off its digits
+        """Index of mat.x for each index x, read off the matrix's columns:
+        mat.e_g is column g, whose entries mod m are the digits of its index
         (weights ``units``).  In canonical order the elements zero before
         coordinate g are the blocks x + j.e_g (j < m) over those zero up to
         g, so each block is the previous one plus mat.e_g."""
-        img, units = [0], self.units
-        for e in reversed(_identity(self.k)):
-            add = self.plus[sum(map(mul, _mat_vec(mat, e, self.m), units))]
+        img, m = [0], self.m
+        for col in reversed(list(zip(*mat))):
+            add = self.plus[sum([c % m * w for c, w in zip(col, self.units)])]
             block = img
-            for _ in range(self.m - 1):
+            for _ in range(m - 1):
                 block = list(map(add.__getitem__, block))
                 img += block
         return img

@@ -30,17 +30,18 @@ def zero_and_units(k):
 
 
 @pytest.fixture
-def mat_vec_calls(monkeypatch, fresh_carriers):
-    """The vectors passed to every matrix application, in call order."""
-    calls = []
-    mat_vec = modules._mat_vec
+def column_reads(monkeypatch, fresh_carriers):
+    """The matrix columns read by every call of ``Carrier.images``, in call
+    order: k per call."""
+    reads = []
+    images = modules.Carrier.images
 
-    def spy(mat, vec, m):
-        calls.append(vec)
-        return mat_vec(mat, vec, m)
+    def spy(group, mat):
+        reads.extend(zip(*mat))
+        return images(group, mat)
 
-    monkeypatch.setattr(modules, "_mat_vec", spy)
-    return calls
+    monkeypatch.setattr(modules.Carrier, "images", spy)
+    return reads
 
 
 def orders(m, k):
@@ -302,18 +303,19 @@ class TestFormulaOracle:
             assert [order[i] for i in table.affine_basis] == \
                 zero_and_units(k)
 
-    def test_matrices_applied_to_unit_vectors_only(self, mat_vec_calls):
-        # a Z_3^3 table needs the images of the k unit vectors under each of
-        # the module's matrices, not the images of all 27 elements
+    def test_matrices_applied_to_unit_vectors_only(self, column_reads):
+        # a Z_3^3 table reads the k columns (the images of the unit vectors)
+        # of each of the module's matrices, not the images of all 27
+        # elements
         k = 3
         mod = make_module(3, k, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
                           ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
         table = make_alexander(mod)
-        assert 0 < len(mat_vec_calls) <= 4 * k + 4
+        assert 0 < len(column_reads) <= 4 * k + 4
         assert blocks(table) == alexander_blocks(
             3, mod.s_matrix, mod.t_matrix, mod.elements)
 
-    def test_decider_and_orbits_apply_no_matrix(self, mat_vec_calls,
+    def test_decider_and_orbits_apply_no_matrix(self, column_reads,
                                                 tmp_path, capsys):
         # structural_iso and extract_witness read the images make_alexander
         # cached, and the orbits listing builds one module's images only
@@ -323,16 +325,16 @@ class TestFormulaOracle:
         b = make_module(3, k, ((2, 0, 2), (2, 1, 2), (0, 0, 2)),
                         ((2, 0, 0), (2, 1, 1), (0, 0, 2)))
         make_alexander(a), make_alexander(b)
-        built = len(mat_vec_calls)
+        built = len(column_reads)
         assert 0 < built <= 2 * (4 * k + 4)
         witness, _ = structural_iso(a, b)
         assert extract_witness(a, b, witness.perm) == witness
-        assert len(mat_vec_calls) == built
+        assert len(column_reads) == built
         path = tmp_path / "a.mod"
         path.write_text("3 3\n0 2 1\n2 0 1\n0 0 2\n0 2 0\n2 0 0\n0 0 2\n")
         assert cli.main(["orbits", "--mod", str(path), "--json"]) == 0
         assert "s_orbit_of_transversal" in capsys.readouterr().out
-        assert built < len(mat_vec_calls) <= built + 4 * k + 4
+        assert built < len(column_reads) <= built + 4 * k + 4
 
     def test_witness_path_builds_no_table(self, monkeypatch):
         # normalize_iso and extract_witness certify a map on the module:

@@ -158,15 +158,17 @@ class TestSwitch:
         assert out.startswith("125\n")
         assert err == "switch condition: fails\naxioms: fail\n"
 
-    @pytest.mark.parametrize("a,c,where,token", [
-        ("0 1;1 x", None, "line 2, column 2", "x"),
-        ("0 1;1 1", "1,y", "line 1, column 2", "y"),
-        ("0 1;1 1", "1 1.5", "line 1, column 2", "1.5"),
-    ], ids=["A", "c-comma", "c-space"])
-    def test_non_integer_entry_located(self, capsys, a, c, where, token):
+    @pytest.mark.parametrize("a,b,c,where,token", [
+        ("0 1;1 x", "1 1;0 1", None, "--A: line 2, column 2", "x"),
+        ("0 1;1 1", "1 x;0 1", None, "--B: line 1, column 2", "x"),
+        ("0 1;1 1", "1 1;0 1", "1,y", "--c: line 1, column 2", "y"),
+        ("0 1;1 1", "1 1;0 1", "1 1.5", "--c: line 1, column 2", "1.5"),
+    ], ids=["A", "B", "c-comma", "c-space"])
+    def test_non_integer_entry_located(self, capsys, a, b, c, where, token):
+        # the option is named: a bad --B first row is not a bad --A one
         shift = () if c is None else ("--c", c)
         code, out, err = run(capsys, "switch", "2", "2", "--A", a,
-                             "--B", "1 1;0 1", *shift)
+                             "--B", b, *shift)
         assert code == EXIT_INPUT and out == ""
         assert err == f"error: {where}: non-integer entry {token!r}\n"
 

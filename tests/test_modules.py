@@ -19,7 +19,7 @@ from biquandles import (FiniteModule, ModuleError, Submodule,
 from biquandles import kernels, modules
 from biquandles.errors import SwitchError
 from biquandles.kernels import MAX_STATES
-from biquandles.modules import (_addition_table, _mat_vec, carrier,
+from biquandles.modules import (_addition_table, carrier,
                                 counting_element_order)
 
 from conftest import scalar_modules
@@ -60,13 +60,18 @@ class TestMakeModule:
         assert mod.size == 9
 
 
-def test_mat_vec_reduces_unreduced_and_negative_entries():
+def test_images_reduce_unreduced_and_negative_entries():
     mat = ((7, -3, 12), (-14, 0, 5), (1, -1, -20))
-    vec = (4, -2, 9)
     m = 6
-    want = tuple((mat[i][0] * vec[0] + mat[i][1] * vec[1] +
-                  mat[i][2] * vec[2]) % m for i in range(3))
-    assert _mat_vec(mat, vec, m) == want == (4, 1, 0)
+    group = carrier(m, 3)
+    img = group.images(mat)
+    assert img == group.images(tuple(tuple(e % m for e in row)
+                                      for row in mat))
+    # oracle: the coordinates of mat.x mod m for every x in Z_6^3
+    elements = list(itertools.product(range(m), repeat=3))
+    assert [elements[i] for i in img] == [_vec(mat, x, m) for x in elements]
+    # (4, -2, 9) is (4, 4, 3) mod 6
+    assert elements[img[elements.index((4, 4, 3))]] == (4, 1, 0)
 
 
 class TestMatInv:
@@ -200,7 +205,7 @@ class TestCarrier:
         # n = 1024 is the largest group whose n x n table fits MAX_STATES
         assert len(carrier(2, 10).elements) == 1024 == MAX_STATES ** 0.5
         for m, k in ((1025, 1), (2, 11), (100000, 1)):
-            ident = modules._identity(k)
+            ident = _ident(k)
             with pytest.raises(ModuleError, match=rf"^Z_{m}\^{k} has"):
                 make_module(m, k, ident, ident)
             # plus checks the size itself: it never reads the elements
@@ -216,7 +221,7 @@ class TestCarrier:
                           ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
         assert verify_biquandle(make_alexander(mod)).passed
         report = make_switch_biquandle(3, 3, ((2, 1, 0), (1, 1, 0), (0, 0, 2)),
-                                       modules._identity(3))
+                                       ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert report.table.n == 27
         assert "elements" not in vars(mod.carrier)
         assert "index" not in vars(mod.carrier)
