@@ -14,17 +14,23 @@ CLAUSE_IDS = kernels.CLAUSE_IDS
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of a full axiom scan; ``passed`` iff no violations."""
+    """Outcome of a full axiom scan: its violations, in canonical order."""
 
-    passed: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        if self.passed != (not self.violations):
-            raise ValueError("passed flag inconsistent with violations")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def clause_ids(self) -> tuple[str, ...]:
         return tuple(sorted({cid for cid, _ in self.violations}))
+
+    def require(self, which: str) -> None:
+        """Raise ``ValueError`` naming the ``which`` table's first violation."""
+        if self.violations:
+            cid, wit = self.violations[0]
+            raise ValueError(f"{which} table is not a biquandle (first "
+                             f"violation: axiom {cid} at {wit})")
 
 
 def _scan(table: BiquandleTable) -> list:
@@ -82,11 +88,10 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     them.  The cache holds the last 8 tables: each caller reuses at most
     three, and every entry keeps its table alive.
     """
-    violations = tuple(sorted(
+    return AxiomReport(tuple(sorted(
         (CLAUSE_IDS[code], tuple(x + 1 for x in wit))
         for code, wit in _scan(table)
-    ))
-    return AxiomReport(passed=not violations, violations=violations)
+    )))
 
 
 def satisfies_axioms(table: BiquandleTable) -> bool:

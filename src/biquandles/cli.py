@@ -109,16 +109,17 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def _single_module(args, command) -> FiniteModule:
+def _modules(args, command, count) -> list[FiniteModule]:
     specs = args.modules or []
-    if len(specs) != 1:
-        raise BiquandleError(
-            f"{command} needs exactly one module (--zn or --mod)")
-    return _load_module(specs[0])
+    if len(specs) != count:
+        raise BiquandleError(f"{command} needs exactly "
+                             f"{('one module', 'two modules')[count - 1]} "
+                             "(--zn or --mod)")
+    return [_load_module(s) for s in specs]
 
 
 def cmd_alexander(args) -> int:
-    table = _module_table(_single_module(args, "alexander"))
+    table = _module_table(*_modules(args, "alexander", 1))
     if args.json:
         _emit_json({"order": table.n,
                     "matrix": serialize_matrix(table).rstrip("\n")},
@@ -165,10 +166,7 @@ def cmd_switch(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    specs = args.modules or []
-    if len(specs) != 2:
-        raise BiquandleError("iso needs exactly two modules (--zn/--mod)")
-    mod_a, mod_b = (_load_module(s) for s in specs)
+    mod_a, mod_b = _modules(args, "iso", 2)
     results = {}
     if args.method in ("brute", "both"):
         table_a, table_b = make_alexander(mod_a), make_alexander(mod_b)
@@ -243,7 +241,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    module = _single_module(args, "orbits")
+    [module] = _modules(args, "orbits", 1)
     trans = transversal(module)
     sub, ker = trans.sub, kernel_one_minus_s(module)
     if args.json:

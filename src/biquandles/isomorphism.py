@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -44,15 +45,6 @@ class SearchStats:
         return sum(self.prunes.values())
 
 
-def _require_biquandle(table: BiquandleTable, which: str):
-    report = verify_biquandle(table)
-    if not report.passed:
-        cid, wit = report.violations[0]
-        raise ValueError(
-            f"{which} table is not a biquandle (first violation: "
-            f"axiom {cid} at {wit})")
-
-
 def fixed_point_profile(table: BiquandleTable) -> tuple[tuple, ...]:
     """Per-element fingerprint preserved by isomorphisms: the one the map
     search filters candidate images by.
@@ -72,17 +64,12 @@ def profiles_compatible(src: BiquandleTable, dst: BiquandleTable) -> bool:
     return sorted(fixed_point_profile(src)) == sorted(fixed_point_profile(dst))
 
 
-def _stats(raw) -> SearchStats:
-    return SearchStats(candidates=raw["candidates"],
-                       prunes=dict(raw["prunes"]), work=raw["work"])
-
-
 def _isomorphisms(src: BiquandleTable, dst: BiquandleTable, find_all: bool
                   ) -> tuple[list[tuple[int, ...]], dict]:
     """(1-based isomorphisms in search order, all or the first, raw search
     counters) from the search on up and down (see ``brute_force_iso``)."""
-    _require_biquandle(src, "source")
-    _require_biquandle(dst, "target")
+    verify_biquandle(src).require("source")
+    verify_biquandle(dst).require("target")
     maps, raw = kernels.search_maps(src.n, src.flats()[:2], dst.n,
                                     dst.flats()[:2], find_all=find_all)
     return [tuple(v + 1 for v in m) for m in maps], raw
@@ -104,7 +91,7 @@ def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
     on all four tables, in the same order.
     """
     maps, raw = _isomorphisms(src, dst, find_all=False)
-    return (maps[0] if maps else None), _stats(raw)
+    return (maps[0] if maps else None), SearchStats(**raw)
 
 
 def all_isomorphisms(src: BiquandleTable, dst: BiquandleTable
@@ -152,17 +139,28 @@ def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
 class IsoWitness:
     """Structural certificate for an isomorphism of module biquandles.
 
-    ``submodule_map`` is the intertwining isomorphism h on the (1-st)
-    submodules, ``rep_map`` sends each canonical coset representative to its
-    image, and ``perm`` is the assembled bijection on 1-based table indices
-    (f(rep + w) = rep_map(rep) + h(w)).
+    The certified zero-fixing isomorphism f (``perm``, on 1-based canonical
+    indices), its parts read off it: ``submodule_map`` is f on the (1-st)
+    submodule, the intertwining isomorphism h, and ``rep_map`` is f on the
+    canonical representatives, so f(rep + w) = rep_map(rep) + h(w).
     """
 
     source: FiniteModule
     target: FiniteModule
-    submodule_map: ModuleIso
-    rep_map: tuple[tuple[Elem, Elem], ...]
     perm: tuple[int, ...]
+
+    def _pairs(self, xs) -> tuple[tuple[Elem, Elem], ...]:
+        """(x, f(x)) for the canonical indices ``xs``, as elements."""
+        els, eld, perm = self.source.elements, self.target.elements, self.perm
+        return tuple((els[x], eld[perm[x] - 1]) for x in sorted(xs))
+
+    @cached_property
+    def submodule_map(self) -> ModuleIso:
+        return ModuleIso(self._pairs(set(self.source.one_minus_st_of)))
+
+    @cached_property
+    def rep_map(self) -> tuple[tuple[Elem, Elem], ...]:
+        return self._pairs(set(transversal(self.source).rep_index))
 
 
 def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
@@ -171,21 +169,35 @@ def assemble_witness_map(src: FiniteModule, dst: FiniteModule,
     """Build the full index bijection from (h, rep-map) witness data.
 
     Elements are read through ``index_of``, so coordinates are reduced mod
-    m; an element of the (1-st) submodule that h does not map, or a
-    canonical representative that the rep map misses, raises
-    ``WitnessError`` naming it, and so does data that assembles to a map
-    that is not a bijection.
+    m.  ``WitnessError`` names an element that two keys of one map reduce
+    to, a key outside its map's domain (the (1-st) submodule, the canonical
+    representatives) and a member of it without an image; it is raised
+    too for data that assembles to a map that is not a bijection.
     """
     trans = transversal(src)
-    sub = trans.sub
-    h_of, k_of = ({src.index_of(x): dst.index_of(y) for x, y in pairs}
-                  for pairs in (submodule_map.pairs, rep_map.items()))
-    for name, given, needed in (("submodule map", h_of, sub.elements),
-                                ("rep map", k_of, trans.reps)):
-        for x in needed:
-            if src.index[x] not in given:
-                raise WitnessError(
-                    f"{name} has no image for {format_elem(x)}")
+
+    def elem(i):
+        return format_elem(src.elements[i])
+
+    def index_map(name, pairs, domain, outside):
+        of = {}
+        for x, y in pairs:
+            i = src.index_of(x)
+            if i in of:
+                raise WitnessError(f"{name} has two images for {elem(i)}")
+            if i not in domain:
+                raise WitnessError(f"{name} key {elem(i)} {outside}")
+            of[i] = dst.index_of(y)
+        missing = domain - of.keys()
+        if missing:
+            raise WitnessError(f"{name} has no image for {elem(min(missing))}")
+        return of
+
+    h_of = index_map("submodule map", submodule_map.pairs,
+                     set(src.one_minus_st_of),
+                     "lies outside the (1-st) submodule")
+    k_of = index_map("rep map", rep_map.items(), set(trans.rep_index),
+                     "is not a canonical representative")
     perm = _assemble(src, dst, trans, h_of, k_of)
     if sorted(perm) != list(range(1, dst.size + 1)):
         raise WitnessError("assembled map is not a bijection")
@@ -296,7 +308,7 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     ``module_isomorphisms``, so the search for them stops at the first h
     that extends.  Every step runs on canonical indices, through the
     arithmetic ``make_alexander`` reads too (the group's shared ``plus``
-    and each module's action images); the witness holds elements.
+    and each module's action images).
     """
     prunes = {"size": 0, "cycle_type": 0, "submodule": 0, "coset": 0,
               "closure": 0, "verify": 0}
@@ -304,8 +316,7 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     work = 0
 
     def done(witness):
-        return witness, SearchStats(candidates=candidates,
-                                    prunes=prunes, work=work)
+        return witness, SearchStats(candidates, prunes, work)
 
     if src.size != dst.size:
         prunes["size"] += 1
@@ -316,7 +327,6 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
         fibers.setdefault(v, []).append(y)
 
     trans_s, trans_d = transversal(src), transversal(dst)
-    sub_s, sub_d = trans_s.sub, trans_d.sub
     cycles = _s_cycles(src, trans_s)
     d_cycles = _s_cycles(dst, trans_d)
     if sorted(map(len, cycles)) != sorted(map(len, d_cycles)):
@@ -328,7 +338,7 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
     index_s, index_d = src.index, dst.index
 
     h = None
-    for h in module_isomorphisms(sub_s, sub_d):
+    for h in module_isomorphisms(trans_s.sub, trans_d.sub):
         h_of = {index_s[x]: index_d[y] for x, y in h.pairs}
         k_of: dict[int, int] = {}
         used: set[int] = set()  # target cycles taken
@@ -357,12 +367,7 @@ def structural_iso(src: FiniteModule, dst: FiniteModule
             continue
         perm = _assemble(src, dst, trans_s, h_of, k_of)
         if _certifies(src, dst, perm):
-            els, eld = src.elements, dst.elements
-            rep_map = tuple(sorted((els[rep], eld[k])
-                                   for rep, k in k_of.items()))
-            witness = IsoWitness(source=src, target=dst, submodule_map=h,
-                                 rep_map=rep_map, perm=perm)
-            return done(witness)
+            return done(IsoWitness(src, dst, perm))
         prunes["verify"] += 1
     if h is None:
         prunes["submodule"] += 1
@@ -388,7 +393,6 @@ def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
     img = [i - 1 for i in perm]  # f on 0-based canonical indices
     trans_s = transversal(src)
     ws = list(map(src.index.__getitem__, trans_s.sub.elements))
-    h_ws = [img[w] for w in ws]
 
     d_rep = transversal(dst).rep_index
     reps = sorted(set(trans_s.rep_index))  # trans_s.reps as indices
@@ -404,18 +408,12 @@ def extract_witness(src: FiniteModule, dst: FiniteModule, f) -> IsoWitness:
     plus_s, plus_d, s_src, s_dst = src.plus, dst.plus, src.s_of, dst.s_of
     for rep in reps:
         row, row_d = plus_s[s_src[rep]], plus_d[s_dst[img[rep]]]
-        for w, hw in zip(ws, h_ws):
+        for w in ws:
             x = row[w]
-            if x in orbit and img[x] != row_d[hw]:
+            if x in orbit and img[x] != row_d[img[w]]:
                 raise WitnessError("orbit compatibility fails")
 
-    els, eld = src.elements, dst.elements
-    return IsoWitness(source=src, target=dst,
-                      submodule_map=ModuleIso(tuple(
-                          (els[w], eld[hw]) for w, hw in zip(ws, h_ws))),
-                      rep_map=tuple((els[rep], eld[img[rep]])
-                                    for rep in reps),
-                      perm=perm)
+    return IsoWitness(src, dst, perm)
 
 
 def witness_to_dict(witness: IsoWitness) -> dict:

@@ -144,9 +144,7 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     ``kernels.MAX_STATES`` states raises ``ValueError``.  Kept assignments
     are 1-based, in the kernel's sorted order.
     """
-    report = verify_biquandle(target)
-    if not report.passed:
-        raise ValueError("target table is not a biquandle")
+    verify_biquandle(target).require("target")
     count, sols = kernels.diagram_count(
         diagram.semi_arcs, diagram.crossings, target.n, *target.flats()[:2],
         keep=keep_assignments)
@@ -193,19 +191,17 @@ class ReidemeisterReport:
     """Counting-invariant values on the curated move-related pairs."""
 
     entries: tuple[tuple[str, int, int], ...]  # (name, count_a, count_b)
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(ca == cb for _, ca, cb in self.entries)
 
 
 def reidemeister_suite(target: BiquandleTable) -> ReidemeisterReport:
     """Evaluate the counting invariant on all curated move-related pairs."""
-    entries = []
-    ok = True
-    for name, code_a, code_b in REIDEMEISTER_PAIRS:
-        ca = count_gauss(code_a, target)
-        cb = count_gauss(code_b, target)
-        entries.append((name, ca, cb))
-        ok = ok and ca == cb
-    return ReidemeisterReport(tuple(entries), ok)
+    return ReidemeisterReport(tuple(
+        (name, count_gauss(code_a, target), count_gauss(code_b, target))
+        for name, code_a, code_b in REIDEMEISTER_PAIRS))
 
 
 def load_fixture_codes(name: str) -> tuple[GaussCode, ...]:

@@ -409,10 +409,12 @@ def module_isomorphisms(src: Submodule, dst: Submodule) -> Iterator[ModuleIso]:
     costs more than it prunes.  On the order-729 submodule of ``Z_3^6``
     with s = 2I and t = I + J (J the superdiagonal), the first map took
     174-187 ms with it and 121-138 ms without (best of 3, four runs).
+    A set without zero, on either side, raises ``ValueError``.
     """
     xs, ys = src.elements, dst.elements
-    if len(xs) != len(ys):
-        return
+    for name, sub in (("source", src), ("target", dst)):
+        if sub.module.zero not in sub.elements:
+            raise ValueError(f"{name} set holds no zero")
     stats: dict = {}
     fixed = ((xs.index(src.module.zero), ys.index(dst.module.zero)),)
     for f in kernels.iter_maps(len(xs), (_star_table(src),), len(ys),

@@ -110,9 +110,15 @@ class TestVerify:
         assert len(report.violations) > 1
         assert report.violations == tuple(sorted(report.violations))
 
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(ValueError):
-            AxiomReport(passed=True, violations=(("1.i", (1, 1)),))
+    def test_passed_and_guard_read_the_violations(self):
+        assert AxiomReport(()).passed
+        AxiomReport(()).require("source")
+        report = AxiomReport((("1.i", (2, 1)), ("4.ii", (1,))))
+        assert not report.passed
+        with pytest.raises(ValueError, match=r"^source table is not a "
+                           r"biquandle \(first violation: axiom 1.i at "
+                           r"\(2, 1\)\)$"):
+            report.require("source")
 
     def test_cache_keeps_few_dropped_tables_alive(self):
         tables = [trivial_biquandle(n) for n in range(1, 21)]

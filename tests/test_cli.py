@@ -99,6 +99,8 @@ class TestAlexander:
     def test_missing_module(self, capsys):
         code, _, err = run(capsys, "alexander")
         assert code == EXIT_INPUT
+        assert err == \
+            "error: alexander needs exactly one module (--zn or --mod)\n"
 
 
 class TestSwitch:
@@ -271,6 +273,7 @@ class TestIso:
     def test_needs_two_modules(self, capsys):
         code, _, err = run(capsys, "iso", "--zn", "3", "2", "1")
         assert code == EXIT_INPUT
+        assert err == "error: iso needs exactly two modules (--zn or --mod)\n"
 
     @pytest.mark.parametrize("pair,brute", [
         (("8", "3", "5", "8", "7", "5"),
@@ -338,8 +341,23 @@ class TestCount:
         payload = json.loads(out)
         assert payload["count"] == 4 and payload["semi_arcs"] == 1
 
+    def test_target_names_its_first_violation(self, capsys, tmp_path):
+        path = tmp_path / "ones.bq"
+        path.write_text("2\n" + "1 1 1 1\n" * 4)
+        code, out, err = run(capsys, "count", "--gauss", "",
+                             "--target", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: target table is not a biquandle (first "
+                       "violation: axiom 1.i at (2, 1))\n")
+
 
 class TestOrbits:
+    def test_needs_one_module(self, capsys):
+        code, out, err = run(capsys, "orbits", "--zn", "3", "2", "1",
+                             "--zn", "5", "2", "3")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: orbits needs exactly one module (--zn or --mod)\n"
+
     def test_z8_listing(self, capsys):
         code, out, _ = run(capsys, "orbits", "--zn", "8", "3", "5")
         assert code == EXIT_OK

@@ -922,6 +922,28 @@ class TestWitnessRoundTrip:
         with pytest.raises(WitnessError, match="submodule map .* for 6$"):
             assemble_witness_map(Z8_35, Z8_35, partial, rep_map)
 
+    def test_assemble_refuses_two_keys_for_one_element(self):
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        with pytest.raises(WitnessError, match="^rep map has two images "
+                           "for 1$"):
+            assemble_witness_map(Z8_35, Z8_35, witness.submodule_map,
+                                 {(0,): (0,), (1,): (1,), (9,): (3,)})
+        doubled = ModuleIso(witness.submodule_map.pairs + (((10,), (2,)),))
+        with pytest.raises(WitnessError, match="^submodule map has two "
+                           "images for 2$"):
+            assemble_witness_map(Z8_35, Z8_35, doubled, dict(witness.rep_map))
+
+    def test_assemble_refuses_keys_outside_their_domain(self):
+        witness, _ = structural_iso(Z8_35, Z8_35)
+        with pytest.raises(WitnessError, match="^rep map key 5 is not a "
+                           "canonical representative$"):
+            assemble_witness_map(Z8_35, Z8_35, witness.submodule_map,
+                                 {(0,): (0,), (1,): (1,), (5,): (5,)})
+        widened = ModuleIso(witness.submodule_map.pairs + (((1,), (1,)),))
+        with pytest.raises(WitnessError, match=r"^submodule map key 1 lies "
+                           r"outside the \(1-st\) submodule$"):
+            assemble_witness_map(Z8_35, Z8_35, widened, dict(witness.rep_map))
+
     def test_assemble_refuses_a_map_that_is_not_a_bijection(self):
         identity = ModuleIso(tuple((x, x) for x in
                                    one_minus_st_submodule(Z8_35).elements))

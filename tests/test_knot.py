@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import biquandles
-from biquandles import (GaussCodeError, build_diagram, cli, count_gauss,
-                        count_homs, enumerate_biquandles, kernels,
-                        kishino_codes, make_alexander, make_module,
+from biquandles import (GaussCodeError, ReidemeisterReport, build_diagram,
+                        cli, count_gauss, count_homs, enumerate_biquandles,
+                        kernels, kishino_codes, make_alexander, make_module,
                         make_scalar_module, parse_gauss_code,
                         reidemeister_suite, serialize_matrix,
                         trivial_biquandle)
@@ -373,6 +373,10 @@ class TestReidemeister:
             report = reidemeister_suite(target)
             assert report.passed, report.entries
             assert len(report.entries) == len(REIDEMEISTER_PAIRS)
+
+    def test_passed_reads_the_entries(self):
+        assert ReidemeisterReport((("a", 2, 2), ("b", 0, 0))).passed
+        assert not ReidemeisterReport((("a", 2, 2), ("b", 1, 3))).passed
 
     @settings(max_examples=60, deadline=None)
     @given(codes=move_related_codes())

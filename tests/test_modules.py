@@ -370,6 +370,13 @@ class TestModuleIsomorphisms:
                     _vec(Z8_53.s_matrix, neg[x], 8)]
         assert failures == [(2,), (6,)]
 
+    @pytest.mark.parametrize("elements", [(), ((1,),)])
+    def test_set_without_zero_refused(self, elements):
+        bad, sub = Submodule(Z8_35, elements), one_minus_st_submodule(Z8_35)
+        for src, dst, side in ((bad, bad, "source"), (sub, bad, "target")):
+            with pytest.raises(ValueError, match=f"^{side} set holds no zero"):
+                next(module_isomorphisms(src, dst))
+
     def test_zero_submodule_has_exactly_the_empty_map(self):
         mod = make_scalar_module(5, 1, 1)
         sub = one_minus_st_submodule(mod)
