@@ -53,7 +53,8 @@ def _affine_table(group: Carrier, ops, order) -> BiquandleTable:
     i is the group's i-th canonical element; an ``order`` of canonical
     indices relabels ``order[j]`` to j.  ``affine_basis`` holds the indices
     of zero and of the unit vectors (``group.units``), so
-    ``verify_biquandle`` decides every axiom on 1 + 2k pairs.  Every entry
+    ``verify_biquandle`` decides every axiom on these generator points
+    (``kernels.affine_verdict``).  Every entry
     is read from ``plus``, so it is in range by construction and the table
     is stored without re-validation.
     """

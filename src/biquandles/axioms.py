@@ -35,11 +35,10 @@ class AxiomReport:
 
 def _scan(table: BiquandleTable) -> list:
     """``kernels.axiom_scan`` of ``table``.  A table with an
-    ``affine_basis`` is scanned first on its generator points only, and in
-    full only if that scan fails."""
+    ``affine_basis`` that ``kernels.affine_verdict`` passes has no
+    violations and is not scanned."""
     flats, basis = table.flats(), table.affine_basis
-    if basis is not None and not kernels.axiom_scan(table.n, *flats,
-                                                    basis=basis):
+    if basis is not None and kernels.affine_verdict(table.n, *flats, basis):
         return []
     return kernels.axiom_scan(table.n, *flats)
 
@@ -55,38 +54,45 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
     when the members disagree).  Witnesses are 1-based element tuples.
 
     A table built by ``alexander._affine_table`` carries an
-    ``affine_basis`` (0, e_1, ..., e_k), and ``kernels.axiom_scan`` given
-    it as ``basis`` decides every axiom on its generator points: axioms
-    1-3 on the 1 + 2k pairs (0, 0), (e_i, 0) and (0, e_i), axiom 3 over
-    every c, and axiom 4 on the 1 + k basis elements, instead of all n^2
-    pairs and n elements.  That builder succeeds only when
-    S(a, b) = (b_a, a^b) is a bijection; S is an affine map of Z_m^2k, so
-    its inverse is affine too, and so are both barred operations, which
-    are read off that inverse.
+    ``affine_basis`` (0, e_1, ..., e_k), and ``kernels.affine_verdict``
+    decides it exactly in O(nk) steps, with no scan.  That builder
+    succeeds only when S(a, b) = (b_a, a^b) is a bijection; S is an affine
+    map of Z_m^2k, so its inverse is affine too, and so are both barred
+    operations, which are read off that inverse.  Write the unbarred ones
+    x^y = Cx + Dy + c and x_y = Ay + Bx + c'.  Two affine maps of
+    (Z_m^k)^r agree everywhere iff they agree at zero and at each unit
+    vector in each argument, since the unit vectors generate Z_m^k as a
+    group.
 
-    - Axioms 1 and 3.  Each side of each clause is a composite of affine
-      maps, hence an affine map of (a, b) or (a, b, c), and two affine
-      maps agree everywhere iff they agree at zero and at each unit vector
-      in each argument, since the unit vectors generate Z_m^k as a group.
-    - Axiom 2.  Write the operations as x^y = Cx + Dy + c,
-      x_y = Ay + Bx + c, x^ybar = Qx + Py + c' and x_ybar = Rx + Ty + c''.
-      For a fixed (a, b), the joint solutions of a clause group solve
-      L x = M(a, b) + const, where M is linear and L does not depend on
-      (a, b).  The x-group, for instance, stacks I - DT, Q and BT, from
-      x = a^(b_xbar), a = x^bbar and b = (b_xbar)_a.  So the solutions
-      form a coset of ker L, or none.  One solution at
-      (0, 0) gives ker L = 0 and const in im L.  One at each (e_i, 0) and
-      (0, e_i) then puts M of every generator in im L, and im L is a
-      subgroup, so M(a, b) + const lies in it for every pair: exactly one
-      solution everywhere.
-    - Axiom 4.  The same argument, per element a, on 0 and the e_i.
+    - Axiom 1.  Each side of each clause is an affine map of (a, b), so
+      the clauses hold everywhere iff they hold at the 1 + 2k pairs
+      (0, 0), (e_i, 0) and (0, e_i).
+    - Axiom 2.  Once axiom 1 holds on a side, the x-group at (a, b)
+      (x = a^(b_xbar), a = x^bbar, b = (b_xbar)_a) is solved exactly by
+      x = a^y for the y with y_a = b: put y = b_xbar one way, and read
+      axiom 1 at (a, y) the other.  S is injective, so distinct y give
+      distinct x, and the group has exactly one solution at every pair iff
+      every column y -> y_a of down is a permutation.  The y-group is the
+      same on the mirrored side, with downbar.  On an affine table column
+      a, y -> Ay + Ba + c', is a translate of column 0, so column 0 decides.
+    - Axiom 3.  Each side of each clause is an affine map of (a, b, c),
+      so the six clauses hold everywhere iff they hold at the 1 + 3k
+      triples (0, 0, 0) and e_i in each argument.
+    - Axiom 4.  For fixed a the x-group (x = a_x, a = x^a) reads
+      (I - A)x = Ba + c' and Cx = (I - D)a - c: L x = M a + const, with
+      L and M linear and L independent of a.  Exactly one solution at
+      a = 0 gives ker L = 0 and const in im L; one at each e_i then puts
+      each M e_i in the subgroup im L, and with them M a + const for
+      every a.  The
+      y-group is the same with upbar and downbar.  So the 1 + k basis
+      elements decide.
 
-    A table that fails there is scanned again in full, so its report is
-    the same as without the marker.  Only that builder marks a table, so
-    the marker is right and an equal unmarked table has the same report:
-    the cache, whose key ignores the marker, may share one entry between
-    them.  The cache holds the last 8 tables: each caller reuses at most
-    three, and every entry keeps its table alive.
+    A table that fails there is scanned in full, so its report is the same
+    as without the marker.  Only that builder marks a table, so the marker
+    is right and an equal unmarked table has the same report: the cache,
+    whose key ignores the marker, may share one entry between them.  The
+    cache holds the last 8 tables: each caller reuses at most three, and
+    every entry keeps its table alive.
     """
     return AxiomReport(tuple(sorted(
         (CLAUSE_IDS[code], tuple(x + 1 for x in wit))
@@ -96,12 +102,12 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
 
 def satisfies_axioms(table: BiquandleTable) -> bool:
     """``verify_biquandle(table).passed``.  A table with an
-    ``affine_basis`` is decided by the scan on that basis alone, so a
-    failing switch builds no report; any other reads the cached report,
-    so a failing one pays for one full scan."""
+    ``affine_basis`` is decided by ``kernels.affine_verdict`` alone, so a
+    failing switch builds no report and is never scanned; any other reads
+    the cached report, so a failing one pays for one full scan."""
     if table.affine_basis is not None:
-        return not kernels.axiom_scan(table.n, *table.flats(),
-                                      basis=table.affine_basis)
+        return kernels.affine_verdict(table.n, *table.flats(),
+                                      table.affine_basis)
     return verify_biquandle(table).passed
 
 

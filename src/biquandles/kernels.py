@@ -32,17 +32,13 @@ CLAUSE_IDS = (
 )
 
 
-def axiom_scan(n, up, down, upbar, downbar, basis=None):
+def axiom_scan(n, up, down, upbar, downbar):
     """Scan all biquandle axiom clauses; return [(clause_code, witness)].
 
     Witnesses are 0-based tuples: (a, b) for axioms 1-2, (a, b, c) for
-    axiom 3, (a,) for axiom 4; every violation is listed.  A ``basis``
-    (z, e_1, ..., e_k) limits the scan to its generator points: axioms 1,
-    2 and 3 to the 1 + 2k pairs (z, z), (e_i, z) and (z, e_i), in that
-    order, axiom 3 over every c, and axiom 4 to the basis elements.  The
-    default scans every pair and element.  ``axioms.verify_biquandle``
-    passes the ``affine_basis`` of an affine table, whose generator points
-    decide every axiom.
+    axiom 3, (a,) for axiom 4; every violation is listed, at every pair,
+    triple and element.  A table known to be affine is decided first by
+    ``affine_verdict``; this scan is what reports its violations.
 
     The barred operations invert S(a, b) = (b_a, a^b), so each barred
     clause is an unbarred one read on mirrored tables, and each clause
@@ -70,11 +66,6 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
     solutions to assign blame; axiom 3 walks c through the same lists).
     """
     out = []
-    pairs = None
-    if basis is not None:
-        zero, units = basis[0], basis[1:]
-        pairs = [(zero, zero)] + [(e, zero) for e in units] + \
-            [(zero, e) for e in units]
 
     def group(head, wit, *sols):
         """Joint existence-and-uniqueness check for one clause group."""
@@ -85,11 +76,6 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
             blamed = [head + off for off, s in enumerate(sols) if len(s) != 1]
             out.extend((code, wit) for code in blamed or [head])
 
-    def scan_pairs():
-        if pairs is None:
-            return itertools.product(range(n), repeat=2)
-        return pairs
-
     # per side: the axiom-1 and axiom-2 head codes, the tables in the roles
     # of (up, down, upbar, downbar), and joint[b][a], the number of x
     # solving the axiom-2 group of (a, b); x solves it only for a = x^bbar
@@ -98,7 +84,7 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
             (0, 4, up, down, upbar, downbar),
             (2, 7, upbar, downbar, up, down)):
         joint = [None] * n
-        for b in range(n) if pairs is None else {b for _, b in pairs}:
+        for b in range(n):
             cnt = joint[b] = [0] * n
             for x in range(n):
                 a = op_ub[x * n + b]
@@ -107,7 +93,7 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
                     cnt[a] += 1
         sides.append((one, head, op_u, op_d, op_ub, op_db, joint))
 
-    for a, b in scan_pairs():
+    for a, b in itertools.product(range(n), repeat=2):
         # axiom 1: the side's barred pair inverts its unbarred pair
         for one, _, op_u, op_d, op_ub, op_db, _ in sides:
             u = op_u[a * n + b]
@@ -130,7 +116,7 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
     # axiom 3 over all c at once
     rows = _rows(n, up, down)
     rows_bar = _rows(n, upbar, downbar)
-    for a, b in scan_pairs():
+    for a, b in itertools.product(range(n), repeat=2):
         lhs, rhs = _axiom3(*rows, a, b)
         lhs_bar, rhs_bar = _axiom3(*rows_bar, a, b)
         if lhs == rhs and lhs_bar == rhs_bar:
@@ -143,13 +129,65 @@ def axiom_scan(n, up, down, upbar, downbar, basis=None):
                     out.append((10 + k, (a, b, c)))
 
     # axiom 4: x = a_x, a = x^a
-    for a in range(n) if basis is None else basis:
+    for a in range(n):
         for head, op_d, op_u in ((16, down, up), (18, upbar, downbar)):
             s1 = [x for x in range(n) if x == op_d[a * n + x]]
             s2 = [x for x in range(n) if a == op_u[x * n + a]]
             group(head, (a,), s1, s2)
 
     return out
+
+
+def affine_verdict(n, up, down, upbar, downbar, basis):
+    """True iff the table passes every axiom, decided on generator points.
+
+    The caller vouches that the four operations are affine maps of Z_m^k
+    and that ``basis`` (z, e_1, ..., e_k) holds the indices of its zero and
+    unit vectors; ``axioms.verify_biquandle`` says why these points decide
+    each axiom.  Builds no rows and reports no violations:
+
+    - axiom 1 on both sides at the 1 + 2k pairs (z, z), (e_i, z), (z, e_i);
+    - axiom 2 as column z of down and of downbar being permutations;
+    - axiom 3, all six clauses, at the 1 + 3k triples (z, z, z) and e_i in
+      each argument, by flat indexing;
+    - axiom 4 at the 1 + k basis elements, each group by its count of x.
+    """
+    z, units = basis[0], basis[1:]
+    pairs = [(z, z)] + [(e, z) for e in units] + [(z, e) for e in units]
+    for op_u, op_d, op_ub, op_db in ((up, down, upbar, downbar),
+                                     (upbar, downbar, up, down)):
+        for a, b in pairs:
+            u = op_u[a * n + b]
+            d = op_d[b * n + a]
+            if op_ub[u * n + d] != a or op_db[d * n + u] != b:
+                return False
+
+    if len(set(down[z::n])) != n or len(set(downbar[z::n])) != n:
+        return False
+
+    triples = [(z, z, z)] + [t for e in units
+                             for t in ((e, z, z), (z, e, z), (z, z, e))]
+    for op_u, op_d in ((up, down), (upbar, downbar)):
+        for a, b, c in triples:
+            ab, ba = op_u[a * n + b], op_d[b * n + a]
+            cb, bc = op_d[c * n + b], op_u[b * n + c]
+            a_cb, c_ab = op_u[a * n + cb], op_d[c * n + ab]
+            # 3.i, 3.ii and 3.iii as in ``_axiom3``
+            if (op_u[ab * n + c] != op_u[a_cb * n + bc]
+                    or op_d[cb * n + a] != op_d[c_ab * n + ba]
+                    or op_u[ba * n + c_ab] != op_d[bc * n + a_cb]):
+                return False
+
+    # axiom 4: one x with x = a_x and a = x^a, among the fixed points x
+    # of row a of down
+    cols = range(n)
+    for op_d, op_u in ((down, up), (upbar, downbar)):
+        for a in basis:
+            fixed = itertools.compress(cols, map(eq, op_d[a * n:a * n + n],
+                                                 cols))
+            if sum(op_u[x * n + a] == a for x in fixed) != 1:
+                return False
+    return True
 
 
 def _rows(n, up, down):
@@ -361,7 +399,7 @@ def diagram_count(n_arcs, crossings, n, up, down, keep=False):
     free = [a for a in range(n_arcs) if not left[a]]
     opened = free if keep else []
     states = dict.fromkeys(itertools.product(range(n), repeat=len(opened)),
-                           1 if keep else n ** len(free))
+                           n ** (len(free) - len(opened)))
     arc_sets = [set(crossing[1:]) for crossing in crossings]
     quads, relations = None, {}
     todo = list(range(len(crossings)))

@@ -398,7 +398,9 @@ def failing_units(raw):
 
 class TestAffineBasis:
     """Every axiom of a marked affine table is decided on its generator
-    points: 1 + 2k pairs (a, b) and 1 + k elements a."""
+    points: axiom 1 on 1 + 2k pairs (a, b), axiom 2 on one column of down
+    and of downbar, axiom 3 on 1 + 3k triples and axiom 4 on 1 + k
+    elements a."""
 
     def test_verdict_agrees_with_full_scan(self):
         tables = affine_sweep_tables()
@@ -420,9 +422,8 @@ class TestAffineBasis:
         seen, without_3 = set(), set()
         for table in random_affine_tables(200, seed=11):
             full = kernels.axiom_scan(table.n, *table.flats())
-            limited = kernels.axiom_scan(table.n, *table.flats(),
-                                         basis=table.affine_basis)
-            assert failing_units(limited) == failing_units(full)
+            assert kernels.affine_verdict(table.n, *table.flats(),
+                                          table.affine_basis) == (not full)
             report = verify_biquandle.__wrapped__(table)
             assert (report.passed, report.violations) == \
                 full_scan_report(table, full)
@@ -436,52 +437,25 @@ class TestAffineBasis:
             (code, None) for code in range(len(CLAUSE_IDS)))
         assert without_3 == {"2", "4"}
 
-    def test_marked_table_scans_few_axiom_3_pairs(self, monkeypatch):
-        # every axiom of a marked table is scanned on its basis of 1 + k
-        # elements, so on 1 + 2k pairs (test_basis_scan_reports_only_
-        # generator_points); an unmarked copy is scanned in full
+    def test_passing_marked_table_is_not_scanned(self, monkeypatch):
+        # a marked table that passes is decided by affine_verdict alone;
+        # an unmarked copy is scanned in full, once
         table = make_alexander(make_module(
             3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
             ((1, 1, 0), (0, 1, 1), (0, 0, 1))))
         scan, seen = kernels.axiom_scan, []
 
-        def spy(*args, basis=None, **kwargs):
-            seen.append(basis)
-            return scan(*args, basis=basis, **kwargs)
+        def spy(*args):
+            seen.append(args[0])
+            return scan(*args)
 
         monkeypatch.setattr(kernels, "axiom_scan", spy)
         assert verify_biquandle.__wrapped__(table).passed
         assert satisfies_axioms(table)
-        assert seen == [(0, 9, 3, 1)] * 2 == [table.affine_basis] * 2
-        seen.clear()
+        assert seen == []
         unmarked = BiquandleTable.from_flats(table.n, *table.flats())
         assert verify_biquandle.__wrapped__(unmarked).passed
-        assert seen == [None]
-
-    def test_basis_scan_reports_only_generator_points(self):
-        # a random table fails at every pair and element; scanned on a
-        # basis (z, e_1, ..., e_k) it reports exactly the full scan's
-        # violations at the 1 + 2k pairs (z, z), (e_i, z), (z, e_i) and at
-        # the 1 + k basis elements
-        rng = random.Random(27)
-        n, basis = 6, (2, 0, 5)
-        z, units = basis[0], basis[1:]
-        flats = [tuple(rng.randrange(n) for _ in range(n * n))
-                 for _ in range(4)]
-        full = kernels.axiom_scan(n, *flats)
-        limited = kernels.axiom_scan(n, *flats, basis=basis)
-        pairs = {(z, z)} | {(e, z) for e in units} | {(z, e) for e in units}
-        assert len(pairs) == 1 + 2 * len(units)
-
-        def at_generators(wit):
-            return wit[:2] in pairs if len(wit) > 1 else wit[0] in basis
-
-        assert {wit[:2] for _, wit in full if len(wit) > 1} == \
-            set(itertools.product(range(n), repeat=2))
-        assert {wit for _, wit in full if len(wit) == 1} == \
-            {(a,) for a in range(n)}
-        assert sorted(limited) == sorted(
-            (code, wit) for code, wit in full if at_generators(wit))
+        assert seen == [27]
 
     def test_marked_and_unmarked_tables_are_one_key(self):
         built = make_alexander(make_scalar_module(9, 2, 4))
@@ -496,20 +470,60 @@ class TestAffineBasis:
 
     def test_failing_switch_is_decided_on_generator_points(self,
                                                            monkeypatch):
-        # satisfies_axioms scans a marked table once, on its generator
-        # points, and never builds the full report
+        # satisfies_axioms decides a marked table by affine_verdict alone
+        # and never scans it
         scan, seen = kernels.axiom_scan, []
 
-        def spy(*args, basis=None):
-            seen.append(None if basis is None else len(basis))
-            return scan(*args, basis=basis)
+        def spy(*args):
+            seen.append(args[0])
+            return scan(*args)
 
         monkeypatch.setattr(kernels, "axiom_scan", spy)
         for table in failing_switches(6, seed=20061021):
-            k = len(table.affine_basis) - 1
-            seen.clear()
             assert not satisfies_axioms(table)
-            assert seen == [1 + k]
+        assert seen == []
+
+
+def pair_map_tables(count, seed):
+    """Seeded ``from_pair_map`` tables of orders 2-4, mostly not affine.
+    In every other one each column of down is a permutation and up is
+    chosen so that S stays a bijection; in the rest S is a random
+    permutation of the pairs."""
+    rng = random.Random(seed)
+    tables = []
+    for i in range(count):
+        n = rng.randint(2, 4)
+        pairs = list(itertools.product(range(n), repeat=2))
+        if i % 2:
+            images = rng.sample(pairs, len(pairs))
+        else:
+            # cols[a][b] = b_a, and a -> a^b is rows[b_a] for fixed b_a
+            cols, rows = ([rng.sample(range(n), n) for _ in range(n)]
+                          for _ in range(2))
+            images = [(cols[a][b], rows[cols[a][b]][a]) for a, b in pairs]
+        up, down = [0] * (n * n), [0] * (n * n)
+        for (a, b), (c, x) in zip(pairs, images):
+            down[b * n + a], up[a * n + b] = c, x
+        tables.append(from_pair_map(n, up, down))
+    return tables
+
+
+class TestAxiom2Columns:
+    def test_group_holds_iff_every_column_is_a_permutation(self):
+        # with axiom 1 holding on a side, the x-group's solutions at (a, b)
+        # are the a^y with y_a = b, so the group holds at every pair iff
+        # every column y -> y_a of down is a permutation; the y-group reads
+        # downbar the same way
+        outcomes = set()
+        for table in pair_map_tables(400, seed=20061031):
+            n, flats = table.n, table.flats()
+            codes = {code for code, _ in kernels.axiom_scan(n, *flats)}
+            assert not codes & {0, 1, 2, 3}
+            for head, flat in ((4, flats[1]), (7, flats[3])):
+                columns = all(len(set(flat[a::n])) == n for a in range(n))
+                assert columns != bool(codes & {head, head + 1, head + 2})
+                outcomes.add((head, columns))
+        assert outcomes == {(4, True), (4, False), (7, True), (7, False)}
 
 
 class TestMarker:

@@ -12,10 +12,11 @@ from biquandles import (BiquandleTable, WitnessError, all_isomorphisms,
                         extract_witness, fixed_point_profile,
                         is_homomorphism, kernel_one_minus_s, kernels,
                         make_alexander, make_module, make_scalar_module,
-                        ModuleIso, module_isomorphisms, normalize_iso,
-                        one_minus_st_submodule, profiles_compatible,
-                        structural_iso, translation_map, transversal,
-                        trivial_biquandle, verify_biquandle)
+                        make_switch_biquandle, ModuleIso, module_isomorphisms,
+                        normalize_iso, one_minus_st_submodule, parse_matrix,
+                        profiles_compatible, serialize_matrix, structural_iso,
+                        translation_map, transversal, trivial_biquandle,
+                        verify_biquandle)
 from biquandles.isomorphism import (_assemble, format_witness,
                                     witness_to_dict)
 
@@ -264,6 +265,30 @@ class TestProfiles:
                 for subset in itertools.combinations(tables, size):
                     assert kernels._profiles(n, subset) == \
                         literal(subset), (n, size)
+
+    def test_fixed_point_profile_is_the_search_filter(self, monkeypatch):
+        # the profile read off a marked or a parsed table is the one the
+        # map search computes from the two tables brute_force_iso hands it
+        marked = [make_alexander(make_scalar_module(5, 2, 3)),
+                  make_alexander(make_module(
+                      3, 2, ((2, 0), (0, 2)), ((1, 1), (0, 1)))),
+                  make_switch_biquandle(3, 2, ((0, 1), (1, 2)),
+                                        ((2, 1), (0, 1)), (1, 1)).table]
+        parsed = [parse_matrix(serialize_matrix(t))
+                  for t in marked + list(enumerate_biquandles(3).tables)]
+        profiles, seen = kernels._profiles, []
+
+        def spy(n, tables):
+            seen.append(profiles(n, tables))
+            return seen[-1]
+
+        monkeypatch.setattr(kernels, "_profiles", spy)
+        for table in marked + parsed:
+            prof = fixed_point_profile(table)
+            assert prof == tuple(profiles(table.n, table.flats()[:2]))
+            seen.clear()
+            brute_force_iso(table, table)
+            assert [tuple(p) for p in seen] == [prof, prof]
 
     def test_profiles_preserved_by_isomorphism(self):
         table = make_alexander(make_scalar_module(5, 2, 3))

@@ -218,6 +218,24 @@ class TestCountHoms:
             rotated = build_diagram(code.rotated(k))
             assert count_homs(rotated, target).count == count
 
+    def test_kept_and_summed_counts_agree(self, z2z2_table):
+        # arcs that meet no crossing (split unknots past the diagram's own
+        # semi-arcs) are summed out at the start or kept as keys; both
+        # count each n times
+        codes = ["", KINK_POSITIVE, KINK_NEGATIVE, R2_POKE, TREFOIL,
+                 MIRROR_BRAID, str(kishino_codes()[0])]
+        for text in codes:
+            diagram = build_diagram(parse_gauss_code(text))
+            for target in self.targets(z2z2_table):
+                base = count_homs(diagram, target).count
+                for extra in range(3):
+                    args = (diagram.semi_arcs + extra, diagram.crossings,
+                            target.n, *target.flats()[:2])
+                    count, _ = kernels.diagram_count(*args)
+                    kept, sols = kernels.diagram_count(*args, keep=True)
+                    assert count == kept == len(sols) == \
+                        base * target.n ** extra, (text, extra)
+
     def test_assignments_retained(self):
         report = count_homs(build_diagram(parse_gauss_code("")),
                             trivial_biquandle(3), keep_assignments=True)
