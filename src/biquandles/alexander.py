@@ -11,13 +11,13 @@ the addition table of its one shared ``Carrier``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .axioms import AxiomReport, verify_biquandle
 from .errors import ModuleError, SwitchError
 from .modules import (Carrier, Elem, FiniteModule, _as_matrix, _check_size,
                       carrier)
+from .record import Record
 from .tables import BiquandleTable
 
 
@@ -95,14 +95,14 @@ def make_alexander(module: FiniteModule,
         (t_inv, barred, 0), (s_inv, zero, 0)), order)
 
 
-@dataclass(frozen=True)
-class SwitchReport:
+class SwitchReport(Record):
     """Constructed switch table plus the two verdicts about it; the axiom
     report is built on first access, since a failing table's exhaustive
     report can hold hundreds of thousands of violations."""
 
-    table: BiquandleTable
-    switch_condition_holds: bool
+    def __init__(self, table: BiquandleTable, switch_condition_holds: bool):
+        self.__dict__.update(table=table,
+                             switch_condition_holds=switch_condition_holds)
 
     @cached_property
     def axioms(self) -> AxiomReport:

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
+from .record import Record
 from .tables import BiquandleTable
 
 #: Clause identifiers in canonical report order.
 CLAUSE_IDS = kernels.CLAUSE_IDS
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of a full axiom scan: its violations, in canonical order."""
 
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
+    def __init__(self, violations: tuple[tuple[str, tuple[int, ...]], ...]):
+        self.__dict__["violations"] = violations
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,6 @@ must never happen on valid input).  All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -88,6 +87,7 @@ def _fmt_set(elems):
 
 
 def _emit_json(payload, command):
+    import json
     payload = {"schema": f"{SCHEMA_PREFIX}/{command}/1", **payload}
     print(json.dumps(payload, indent=2, sort_keys=True))
 

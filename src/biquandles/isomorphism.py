@@ -20,26 +20,25 @@ canonical form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
 
 from . import kernels
 from .axioms import verify_biquandle
 from .errors import WitnessError
 from .modules import (Elem, FiniteModule, ModuleIso, Transversal, _s_closure,
                       format_elem, module_isomorphisms, transversal)
+from .record import Record
 from .tables import KINDS, BiquandleTable, from_pair_map, normalize_map
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     """Search effort counters; prune counts are keyed by reason."""
 
-    candidates: int = 0
-    prunes: dict = field(default_factory=dict)
-    work: int = 0
+    def __init__(self, candidates: int = 0, prunes: dict | None = None,
+                 work: int = 0):
+        self.__dict__.update(candidates=candidates, work=work,
+                             prunes={} if prunes is None else prunes)
 
     def total_prunes(self) -> int:
         return sum(self.prunes.values())
@@ -76,7 +75,7 @@ def _isomorphisms(src: BiquandleTable, dst: BiquandleTable, find_all: bool
 
 
 def brute_force_iso(src: BiquandleTable, dst: BiquandleTable
-                    ) -> tuple[Optional[tuple[int, ...]], SearchStats]:
+                    ) -> tuple[tuple[int, ...] | None, SearchStats]:
     """The lexicographically least isomorphism, or None.
 
     Both inputs must pass the axiom check.  The search assigns the first
@@ -135,8 +134,7 @@ def enumerate_homomorphisms(src: BiquandleTable, dst: BiquandleTable,
     return [tuple(v + 1 for v in m) for m in maps]
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(Record):
     """Structural certificate for an isomorphism of module biquandles.
 
     The certified zero-fixing isomorphism f (``perm``, on 1-based canonical
@@ -145,9 +143,9 @@ class IsoWitness:
     canonical representatives, so f(rep + w) = rep_map(rep) + h(w).
     """
 
-    source: FiniteModule
-    target: FiniteModule
-    perm: tuple[int, ...]
+    def __init__(self, source: FiniteModule, target: FiniteModule,
+                 perm: tuple[int, ...]):
+        self.__dict__.update(source=source, target=target, perm=perm)
 
     def _pairs(self, xs) -> tuple[tuple[Elem, Elem], ...]:
         """(x, f(x)) for the canonical indices ``xs``, as elements."""
@@ -288,7 +286,7 @@ def _s_cycles(mod: FiniteModule, trans: Transversal
 
 
 def structural_iso(src: FiniteModule, dst: FiniteModule
-                   ) -> tuple[Optional[IsoWitness], SearchStats]:
+                   ) -> tuple[IsoWitness | None, SearchStats]:
     """Decide isomorphism of two module biquandles structurally.
 
     Searches for an intertwining submodule isomorphism h and a zero-fixing
@@ -438,13 +436,12 @@ def format_witness(witness: IsoWitness) -> str:
     ])
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """All biquandles of one order plus their isomorphism classes."""
 
-    order: int
-    tables: tuple[BiquandleTable, ...]
-    classes: tuple[tuple[int, ...], ...]
+    def __init__(self, order: int, tables: tuple[BiquandleTable, ...],
+                 classes: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(order=order, tables=tables, classes=classes)
 
 
 def _preserves(p, rs) -> bool:

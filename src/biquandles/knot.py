@@ -14,23 +14,21 @@ S(a, b) = (b_a, a^b), so the counter reads them through S^-1 on up and down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
 
 from . import kernels
 from .axioms import verify_biquandle
 from .errors import GaussCodeError
+from .record import Record
 from .tables import BiquandleTable, _content_lines
 
 _TOKEN = re.compile(r"^([OU])([0-9]+)([+-])$")
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class GaussCode(Record):
     """Validated token sequence: (passage "O"/"U", label, sign +1/-1)."""
 
-    tokens: tuple[tuple[str, int, int], ...]
+    def __init__(self, tokens: tuple[tuple[str, int, int], ...]):
+        self.__dict__["tokens"] = tokens
 
     @property
     def crossing_count(self) -> int:
@@ -83,8 +81,7 @@ def parse_gauss_code(text: str) -> GaussCode:
     return GaussCode(tuple(tokens))
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """Semi-arc incidence structure of a closed one-component diagram.
 
     Semi-arc i (0-based) is the segment leaving passage i and entering
@@ -93,8 +90,8 @@ class Diagram:
     over_out) semi-arc ids.
     """
 
-    semi_arcs: int
-    crossings: tuple[tuple[int, int, int, int, int], ...]
+    def __init__(self, semi_arcs: int, crossings: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(semi_arcs=semi_arcs, crossings=crossings)
 
 
 def build_diagram(code: GaussCode) -> Diagram:
@@ -120,13 +117,13 @@ def build_diagram(code: GaussCode) -> Diagram:
     return Diagram(total, tuple(crossings))
 
 
-@dataclass(frozen=True)
-class HomCountReport:
+class HomCountReport(Record):
     """Number of consistent labelings; assignments retained on request."""
 
-    count: int
-    target_order: int
-    assignments: Optional[tuple[tuple[int, ...], ...]] = None
+    def __init__(self, count: int, target_order: int,
+                 assignments: tuple[tuple[int, ...], ...] | None = None):
+        self.__dict__.update(count=count, target_order=target_order,
+                             assignments=assignments)
 
 
 def count_homs(diagram: Diagram, target: BiquandleTable,
@@ -186,11 +183,11 @@ REIDEMEISTER_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class ReidemeisterReport:
+class ReidemeisterReport(Record):
     """Counting-invariant values on the curated move-related pairs."""
 
-    entries: tuple[tuple[str, int, int], ...]  # (name, count_a, count_b)
+    def __init__(self, entries: tuple[tuple[str, int, int], ...]):
+        self.__dict__["entries"] = entries  # (name, count_a, count_b)
 
     @property
     def passed(self) -> bool:
@@ -206,6 +203,7 @@ def reidemeister_suite(target: BiquandleTable) -> ReidemeisterReport:
 
 def load_fixture_codes(name: str) -> tuple[GaussCode, ...]:
     """Codes from a packaged fixture file (one code per line, '#' comments)."""
+    from importlib import resources
     text = resources.files("biquandles.data").joinpath(name).read_text()
     return tuple(parse_gauss_code(line) for _, line in _content_lines(text))
 

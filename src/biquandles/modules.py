@@ -21,14 +21,14 @@ a caller passes elements in or reads them out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 from . import kernels
 from .errors import ModuleError
+from .record import Record
 
 Elem = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -90,6 +90,9 @@ class Carrier:
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m ** k
+
+    def __reduce__(self):
+        return carrier, (self.m, self.k)  # so unpickled modules share it
 
     @cached_property
     def elements(self) -> tuple[Elem, ...]:
@@ -164,8 +167,7 @@ def _carried(name: str) -> property:
                         "on the same group.")
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(Record):
     """Z_m^k with commuting invertible actions of s and t.
 
     The group arithmetic is its carrier's (``size``, ``elements``,
@@ -174,14 +176,9 @@ class FiniteModule:
     and repr ignore the carrier.
     """
 
-    m: int
-    k: int
-    s_matrix: Mat
-    t_matrix: Mat
-    carrier: Carrier = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", carrier(self.m, self.k))
+    def __init__(self, m: int, k: int, s_matrix: Mat, t_matrix: Mat):
+        self.__dict__.update(m=m, k=k, s_matrix=s_matrix, t_matrix=t_matrix,
+                             carrier=carrier(m, k))
 
     size, elements, index, index_of, units, plus, neg_of, images = map(
         _carried, ("size", "elements", "index", "index_of", "units", "plus",
@@ -256,12 +253,11 @@ def format_elem(e: Elem) -> str:
     return str(e[0]) if len(e) == 1 else "(" + ",".join(map(str, e)) + ")"
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(Record):
     """A subset of a module closed under +, -, and both actions."""
 
-    module: FiniteModule
-    elements: tuple[Elem, ...]
+    def __init__(self, module: FiniteModule, elements: tuple[Elem, ...]):
+        self.__dict__.update(module=module, elements=elements)
 
     @cached_property
     def members(self) -> frozenset[Elem]:
@@ -298,17 +294,18 @@ def kernel_one_minus_s(module: FiniteModule) -> Submodule:
         x for i, x in enumerate(module.elements) if s_of[i] == i))
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(Record):
     """Canonical representatives (zero first) of the cosets of the (1-st)
-    submodule ``sub``, plus their s-orbit;
-    ``rep_index[i]`` is the index of the representative of the coset of
-    the element with canonical 0-based index i."""
+    submodule ``sub``, plus their s-orbit; ``rep_index[i]``, which equality,
+    hashing and repr ignore, is the index of the representative of the
+    coset of the element with canonical 0-based index i."""
 
-    module: FiniteModule
-    sub: Submodule
-    reps: tuple[Elem, ...]
-    rep_index: list[int] = field(compare=False, repr=False)
+    _fields = ("module", "sub", "reps")
+
+    def __init__(self, module: FiniteModule, sub: Submodule,
+                 reps: tuple[Elem, ...], rep_index: list[int]):
+        self.__dict__.update(module=module, sub=sub, reps=reps,
+                             rep_index=rep_index)
 
     def rep_of(self, x: Elem) -> Elem:
         """The representative of x's coset."""
@@ -361,12 +358,12 @@ def transversal(module: FiniteModule) -> Transversal:
     return Transversal(module, sub, tuple(reps), rep_index)
 
 
-@dataclass(frozen=True)
-class ModuleIso:
+class ModuleIso(Record):
     """An additive bijection between submodules intertwining the actions:
     h(s x) = s' h(x) and h(t x) = t' h(x)."""
 
-    pairs: tuple[tuple[Elem, Elem], ...]
+    def __init__(self, pairs: tuple[tuple[Elem, Elem], ...]):
+        self.__dict__["pairs"] = pairs
 
     @cached_property
     def mapping(self) -> dict[Elem, Elem]:

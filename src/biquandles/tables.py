@@ -19,10 +19,11 @@ candidate; ``axioms.verify_biquandle`` decides the axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
+from functools import cached_property
 
 from .errors import MatrixParseError, SwitchError
+from .record import Record
 
 KINDS = ("up", "down", "upbar", "downbar")
 
@@ -65,8 +66,7 @@ def _view(i: int) -> property:
     return property(block)
 
 
-@dataclass(frozen=True, init=False)
-class BiquandleTable:
+class BiquandleTable(Record):
     """Order plus the four operations as 0-based flat tuples; ``up``,
     ``down``, ``upbar`` and ``downbar`` are derived 1-based blocks.
 
@@ -77,10 +77,7 @@ class BiquandleTable:
     marked table equals the same table parsed from text.
     """
 
-    n: int
-    _flats: tuple[Flat, Flat, Flat, Flat]
-    affine_basis: tuple[int, ...] | None = field(
-        default=None, compare=False, repr=False)
+    _fields = ("n", "_flats")
 
     def __init__(self, n: int, up, down, upbar, downbar):
         """Table from four 1-based blocks, ``up[i-1][j-1] = i ^ j``."""
@@ -99,12 +96,18 @@ class BiquandleTable:
         on 0..n-1, such as a builder's own arithmetic; not re-validated."""
         table = cls.__new__(cls)
         table._store(n, flats)
-        object.__setattr__(table, "affine_basis", affine_basis)
+        table.__dict__["affine_basis"] = affine_basis
         return table
 
     def _store(self, n, flats):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_flats", flats)
+        self.__dict__.update(n=n, _flats=flats, affine_basis=None)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self._flats))
+
+    def __hash__(self):
+        return self._hash
 
     def flats(self) -> tuple[Flat, Flat, Flat, Flat]:
         """The stored (up, down, upbar, downbar) flat tables, 0-based."""

@@ -170,9 +170,10 @@ class TestCarrier:
 
     def test_switch_builds_on_the_shared_carrier(self, tables_built,
                                                  monkeypatch):
-        made = []
-        monkeypatch.setattr(FiniteModule, "__post_init__",
-                            lambda mod: made.append(mod))
+        made, init = [], FiniteModule.__init__
+        monkeypatch.setattr(FiniteModule, "__init__",
+                            lambda mod, *args: made.append(args) or
+                            init(mod, *args))
         plus = carrier(3, 2).plus
         report = make_switch_biquandle(3, 2, ((2, 1), (1, 1)),
                                        ((1, 0), (0, 1)), (1, 2))
