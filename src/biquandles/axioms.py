@@ -74,10 +74,29 @@ def verify_biquandle(table: BiquandleTable) -> AxiomReport:
       distinct x, and the group has exactly one solution at every pair iff
       every column y -> y_a of down is a permutation.  The y-group is the
       same on the mirrored side, with downbar.  On an affine table column
-      a, y -> Ay + Ba + c', is a translate of column 0, so column 0 decides.
-    - Axiom 3.  Each side of each clause is an affine map of (a, b, c),
-      so the six clauses hold everywhere iff they hold at the 1 + 3k
-      triples (0, 0, 0) and e_i in each argument.
+      a, y -> By + Aa + c', is a translate of column 0, so column 0 decides.
+    - Axiom 3.  Clauses 3.i-3.iii are the components of the braid
+      relation (S x 1)(1 x S)(S x 1) = (1 x S)(S x 1)(1 x S) at (a, b, c),
+      and 3.iv-3.vi those of the barred pair map, which axiom 1 makes
+      tau S^-1 tau (tau swaps a pair), so they hold iff 3.i-3.iii do.
+      Each side of each clause is an affine map of (a, b, c), and with
+      axioms 1, 2 and 4 holding, 3.ii at (e_i, 0, 0) and 3.i at
+      (0, e_i, 0) decide all six; the check reads 3.i and 3.ii at the
+      1 + 2k triples (a, b, 0) of axiom 1's pairs.  Write S(x, y) =
+      N(x, y) + (c', c) with N(x, y) = (Ax + By, Cx + Dy), and P = I - A.
+      By axiom 4, S fixes exactly one (x, a) for each a, so N fixes
+      exactly the (phi a, a) of a homomorphism phi, and S fixes some
+      (x0, 0): B = P phi, D = I - C phi, c' = P x0 and c = -C x0.
+      Axiom 2 makes B, the linear part of a column of down, invertible,
+      and so P and phi.  N = T [[Q, 0], [C, I]] T^-1 with
+      T = [[I, phi], [0, I]] and Q = A - phi C, so the linear part of a
+      column of downbar, the lower left block -C Q^-1 of N^-1, makes C
+      invertible.  Put U = A - phi A C and W = A - phi C + C phi P.
+      Expanded, the clauses' coefficients of a, b and c and their
+      constants are, up to sign: in 3.i 0, C W, C W phi and C W x0; in
+      3.ii P U, P U phi, 0 and P U x0; in 3.iii C U, P W - C U phi,
+      P W phi and (P W + C U) x0.  So 3.ii at (e_i, 0, 0) gives U = 0,
+      3.i at (0, e_i, 0) gives W = 0, and every clause holds.
     - Axiom 4.  For fixed a the x-group (x = a_x, a = x^a) reads
       (I - A)x = Ba + c' and Cx = (I - D)a - c: L x = M a + const, with
       L and M linear and L independent of a.  Exactly one solution at

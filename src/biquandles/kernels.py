@@ -148,8 +148,9 @@ def affine_verdict(n, up, down, upbar, downbar, basis):
 
     - axiom 1 on both sides at the 1 + 2k pairs (z, z), (e_i, z), (z, e_i);
     - axiom 2 as column z of down and of downbar being permutations;
-    - axiom 3, all six clauses, at the 1 + 3k triples (z, z, z) and e_i in
-      each argument, by flat indexing;
+    - axiom 3 by clauses 3.i and 3.ii at the 1 + 2k triples (a, b, z) for
+      those pairs (a, b), by flat indexing; with axioms 1, 2 and 4 they
+      imply the other four clauses at every triple;
     - axiom 4 at the 1 + k basis elements, each group by its count of x.
     """
     z, units = basis[0], basis[1:]
@@ -165,18 +166,15 @@ def affine_verdict(n, up, down, upbar, downbar, basis):
     if len(set(down[z::n])) != n or len(set(downbar[z::n])) != n:
         return False
 
-    triples = [(z, z, z)] + [t for e in units
-                             for t in ((e, z, z), (z, e, z), (z, z, e))]
-    for op_u, op_d in ((up, down), (upbar, downbar)):
-        for a, b, c in triples:
-            ab, ba = op_u[a * n + b], op_d[b * n + a]
-            cb, bc = op_d[c * n + b], op_u[b * n + c]
-            a_cb, c_ab = op_u[a * n + cb], op_d[c * n + ab]
-            # 3.i, 3.ii and 3.iii as in ``_axiom3``
-            if (op_u[ab * n + c] != op_u[a_cb * n + bc]
-                    or op_d[cb * n + a] != op_d[c_ab * n + ba]
-                    or op_u[ba * n + c_ab] != op_d[bc * n + a_cb]):
-                return False
+    c = z
+    for a, b in pairs:
+        ab, ba = up[a * n + b], down[b * n + a]
+        cb, bc = down[c * n + b], up[b * n + c]
+        a_cb, c_ab = up[a * n + cb], down[c * n + ab]
+        # 3.i and 3.ii as in ``_axiom3``
+        if (up[ab * n + c] != up[a_cb * n + bc]
+                or down[cb * n + a] != down[c_ab * n + ba]):
+            return False
 
     # axiom 4: one x with x = a_x and a = x^a, among the fixed points x
     # of row a of down
@@ -372,7 +370,8 @@ def iter_maps(n_src, src, n_dst, dst, stats, require_bijection=True,
     yield from dfs()
 
 
-def diagram_count(n_arcs, crossings, n, up, down, keep=False):
+def diagram_count(n_arcs, crossings, n, up, down, keep=False,
+                  relations=None):
     """Count semi-arc labelings consistent at every crossing.
 
     ``crossings`` holds (sign, under_in, over_in, under_out, over_out) with
@@ -385,14 +384,18 @@ def diagram_count(n_arcs, crossings, n, up, down, keep=False):
     so the final keys are the full labelings.
 
     A crossing's valid rows come from the n^2 quads (x, y, x^y, y_x), built
-    once per call.  A negative crossing's quads (x, y, x^ybar, y_xbar) are
-    (a^b, b_a, a, b), since the barred operations invert S, so it reads as
-    a positive one on (under_out, over_out, under_in, over_in).  Its
-    relation keeps the quads that agree on tied slots (an arc met twice,
-    as at a kink) and groups them as {labels of shared arcs: [labels of new
-    arcs]}; it depends only on the crossing's pattern (ties, shared slots,
-    new slots), so it is built once per pattern.  States join it through
-    tuple projections.  More than ``MAX_STATES`` states raise
+    only when a call meets a pattern it has no relation for.  A negative
+    crossing's quads (x, y, x^ybar, y_xbar) are (a^b, b_a, a, b), since
+    the barred operations invert S, so it reads as a positive one on
+    (under_out, over_out, under_in, over_in).  Its relation keeps the quads
+    that agree on tied slots (an arc met twice, as at a kink) and groups
+    them as {labels of shared arcs: (labels of new arcs, ...)}; it depends
+    only on up, down and the crossing's pattern (ties, shared slots, new
+    slots), so ``relations``, a {pattern: relation} dict for these up and
+    down tables, holds each one once.  ``count_homs`` passes the target's
+    own, so a relation is built once per crossing pattern and target,
+    kept on the target; None gives a fresh dict per call.  States join it
+    through tuple projections.  More than ``MAX_STATES`` states raise
     ``ValueError``.  Returns (count, sorted 0-based assignments or None).
     """
     left = Counter(arc for crossing in crossings for arc in crossing[1:])
@@ -401,7 +404,7 @@ def diagram_count(n_arcs, crossings, n, up, down, keep=False):
     states = dict.fromkeys(itertools.product(range(n), repeat=len(opened)),
                            n ** (len(free) - len(opened)))
     arc_sets = [set(crossing[1:]) for crossing in crossings]
-    quads, relations = None, {}
+    quads, relations = None, {} if relations is None else relations
     todo = list(range(len(crossings)))
     while todo:
         pos = {a: i for i, a in enumerate(opened)}
@@ -451,7 +454,7 @@ def _quads(n, up, down):
 
 
 def _relation(quads, ties, key_slots, tail_slots):
-    """{quad[key_slots]: [quad[tail_slots], ...]} over the quads with
+    """{quad[key_slots]: (quad[tail_slots], ...)} over the quads with
     quad[ties[i]] == quad[i] for every slot i."""
     if ties != (0, 1, 2, 3):
         tied = itemgetter(*ties)
@@ -460,7 +463,7 @@ def _relation(quads, ties, key_slots, tail_slots):
     for key, tail in zip(map(_proj(key_slots), quads),
                          map(_proj(tail_slots), quads)):
         rel.setdefault(key, []).append(tail)
-    return rel
+    return {key: tuple(tails) for key, tails in rel.items()}
 
 
 def _proj(slots):

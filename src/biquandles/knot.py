@@ -135,16 +135,17 @@ def count_homs(diagram: Diagram, target: BiquandleTable,
     one at a time into a map from the labels of still-open semi-arcs to
     counts, so the cost follows the widest frontier rather than the number
     of crossings.  Each crossing's relation {labels of shared arcs: labels
-    of new arcs} is built once per crossing pattern from the target's n^2
-    pairs and joined through tuple projections; only up and down are read
-    (a negative crossing goes through S^-1).  A frontier past
-    ``kernels.MAX_STATES`` states raises ``ValueError``.  Kept assignments
-    are 1-based, in the kernel's sorted order.
+    of new arcs} is built from the target's n^2 pairs once per crossing
+    pattern and target, kept on the target (``BiquandleTable._relations``)
+    for every later count, and joined through tuple projections; only up
+    and down are read (a negative crossing goes through S^-1).  A frontier
+    past ``kernels.MAX_STATES`` states raises ``ValueError``.  Kept
+    assignments are 1-based, in the kernel's sorted order.
     """
     verify_biquandle(target).require("target")
     count, sols = kernels.diagram_count(
         diagram.semi_arcs, diagram.crossings, target.n, *target.flats()[:2],
-        keep=keep_assignments)
+        keep=keep_assignments, relations=target._relations)
     assignments = None
     if keep_assignments:
         assignments = tuple(tuple(v + 1 for v in s) for s in sols)

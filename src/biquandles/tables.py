@@ -74,7 +74,8 @@ class BiquandleTable(Record):
     four operations are affine maps of Z_m^k; no public constructor takes
     it.  It holds the 0-based indices of the zero vector and of the k unit
     vectors, in that order.  Equality, hashing and repr ignore it, so a
-    marked table equals the same table parsed from text.
+    marked table equals the same table parsed from text.  The cached
+    ``_hash`` and ``_relations`` take no part either.
     """
 
     _fields = ("n", "_flats")
@@ -108,6 +109,12 @@ class BiquandleTable(Record):
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def _relations(self) -> dict:
+        """``kernels.diagram_count``'s {crossing pattern: relation} memo
+        for this table's up and down, filled by ``knot.count_homs``."""
+        return {}
 
     def flats(self) -> tuple[Flat, Flat, Flat, Flat]:
         """The stored (up, down, upbar, downbar) flat tables, 0-based."""

@@ -389,6 +389,29 @@ def random_affine_tables(count, seed):
     return tables
 
 
+def linear_switch(a, b, c, d):
+    """Marked table over Z_2^2 of S(x, y) = (Ax + By, Cx + Dy), that is
+    y_x = Ax + By and x^y = Cx + Dy, with the barred pair inverting S."""
+    up, down = affine_op(2, 2, c, d, [0, 0]), affine_op(2, 2, b, a, [0, 0])
+    return marked(from_pair_map(4, up, down), (0, 2, 1))
+
+
+def fails_one_check(table, clauses):
+    """Assert that the full scan of a marked table fails exactly
+    ``clauses``, chosen so that one check of ``affine_verdict`` alone can
+    see it, and that the verdict, ``satisfies_axioms`` and the report all
+    say it fails; return the scan."""
+    flats, basis = table.flats(), table.affine_basis
+    full = kernels.axiom_scan(table.n, *flats)
+    assert {CLAUSE_IDS[code] for code, _ in full} == clauses
+    assert not kernels.affine_verdict(table.n, *flats, basis)
+    assert not satisfies_axioms(table)
+    report = verify_biquandle.__wrapped__(table)
+    assert (report.passed, report.violations) == full_scan_report(table,
+                                                                  full)
+    return full
+
+
 def failing_units(raw):
     """Each failing equation clause, and each failing solution group as the
     code of its first clause (blame within a group may depend on where)."""
@@ -399,8 +422,8 @@ def failing_units(raw):
 class TestAffineBasis:
     """Every axiom of a marked affine table is decided on its generator
     points: axiom 1 on 1 + 2k pairs (a, b), axiom 2 on one column of down
-    and of downbar, axiom 3 on 1 + 3k triples and axiom 4 on 1 + k
-    elements a."""
+    and of downbar, axiom 3 by clauses 3.i and 3.ii on 1 + 2k triples and
+    axiom 4 on 1 + k elements a."""
 
     def test_verdict_agrees_with_full_scan(self):
         tables = affine_sweep_tables()
@@ -436,6 +459,35 @@ class TestAffineBasis:
         assert seen == failing_units(
             (code, None) for code in range(len(CLAUSE_IDS)))
         assert without_3 == {"2", "4"}
+
+    def test_axiom_1_needs_the_pairs_with_a_unit_second_argument(self):
+        # x^y = x_y = x with the affine barred pair x^ybar = x - y,
+        # x_ybar = 2x over Z_3: every violation sits at a pair (a, b) with
+        # b != 0, so of the generator points only (z, e) = (0, 1) finds it
+        ops = [affine_op(3, 1, *p) for p in (
+            ([[1]], [[0]], [0]), ([[1]], [[0]], [0]),
+            ([[1]], [[2]], [0]), ([[2]], [[0]], [0]))]
+        full = fails_one_check(
+            marked(BiquandleTable.from_flats(3, *ops), (0, 1)),
+            {"1.i", "1.ii", "1.iii", "1.iv", "2.iii", "2.vi"})
+        assert {b for _, (a, b) in full} == {1, 2}
+
+    def test_axiom_3_needs_the_column_check(self):
+        # B singular: axioms 1 and 4 and clauses 3.i, 3.ii, 3.iv and 3.v
+        # hold everywhere, so only the columns of down and downbar find the
+        # table failing; 3.iii and 3.vi fail too, as the checked clauses
+        # imply them only when every column is a permutation
+        table = linear_switch([[0, 0], [0, 1]], [[1, 0], [0, 0]],
+                              [[1, 1], [0, 0]], [[0, 0], [0, 1]])
+        fails_one_check(table, {"2.i", "2.ii", "2.iii", "2.iv", "2.v",
+                                "2.vi", "3.iii", "3.vi"})
+        assert len(set(table.flats()[1][0::4])) < 4
+
+    def test_axiom_3_needs_clause_ii(self):
+        # axioms 1, 2 and 4 and clauses 3.i and 3.iv hold everywhere
+        table = linear_switch([[0, 0], [1, 0]], [[0, 1], [1, 0]],
+                              [[1, 1], [1, 0]], [[0, 0], [0, 0]])
+        fails_one_check(table, {"3.ii", "3.iii", "3.v", "3.vi"})
 
     def test_passing_marked_table_is_not_scanned(self, monkeypatch):
         # a marked table that passes is decided by affine_verdict alone;

@@ -8,13 +8,14 @@ import biquandles
 from biquandles import (GaussCodeError, ReidemeisterReport, build_diagram,
                         cli, count_gauss, count_homs, enumerate_biquandles,
                         kernels, kishino_codes, make_alexander, make_module,
-                        make_scalar_module, parse_gauss_code,
+                        make_scalar_module, parse_gauss_code, parse_matrix,
                         reidemeister_suite, serialize_matrix,
                         trivial_biquandle)
 from biquandles.knot import (KINK_NEGATIVE, KINK_POSITIVE, MIRROR_BRAID,
                              MIRROR_BRAID_R3, R2_POKE, REIDEMEISTER_PAIRS,
                              TREFOIL, TREFOIL_BRAID, TREFOIL_BRAID_R3)
 
+from conftest import Z2Z2_MATRIX
 from oracles import (braid_closure_code, naive_labeling_count,
                      naive_labelings, smith_labeling_count)
 
@@ -344,6 +345,102 @@ class TestCountHoms:
         bad = BiquandleTable(2, ((2, 1), (2, 2)), t.down, t.upbar, t.downbar)
         with pytest.raises(ValueError):
             count_gauss("", bad)
+
+
+def fresh(table):
+    """An equal table that has counted nothing yet, so its relation memo
+    is empty."""
+    return parse_matrix(serialize_matrix(table))
+
+
+class TestRelationMemo:
+    """``count_homs`` keeps each crossing relation on its target table, so
+    later counts on that table reuse it; sharing it changes no count."""
+
+    def test_shared_memo_counts_equal_fresh_tables_and_oracles(self):
+        # one long-lived table per target, counted with every code in turn
+        shared = {
+            "z2z2": (parse_matrix(Z2Z2_MATRIX), None),
+            "z3_2_1": (make_alexander(make_scalar_module(3, 2, 1)),
+                       SMITH_TARGETS["z3_2_1"]),
+            "z8_3_5": (make_alexander(make_scalar_module(8, 3, 5)),
+                       SMITH_TARGETS["z8_3_5"]),
+        }
+        small = [code for _, a, b in REIDEMEISTER_PAIRS for code in (a, b)]
+        small += [str(code) for code in kishino_codes()]
+        braids = [code for _, code in seeded_braid_closures(0, 20)]
+        for text in small + braids:
+            diagram = build_diagram(parse_gauss_code(text))
+            for name, (target, smith) in shared.items():
+                count = count_homs(diagram, target).count
+                assert count == count_homs(diagram, fresh(target)).count
+                if smith is not None:
+                    assert count == smith_labeling_count(text, *smith), text
+                if text in braids:
+                    continue
+                kept = count_homs(diagram, target, keep_assignments=True)
+                assert kept == count_homs(diagram, fresh(target),
+                                          keep_assignments=True)
+                assert kept.count == count
+                if target.n < 8:
+                    assert list(kept.assignments) == \
+                        naive_labelings(diagram, target), (name, text)
+
+    def test_second_count_builds_no_relation(self, monkeypatch):
+        target = make_alexander(make_scalar_module(3, 2, 1))
+        diagram = build_diagram(parse_gauss_code(MIRROR_BRAID))
+        real, built = kernels._relation, []
+
+        def spy(*args):
+            built.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_relation", spy)
+        first = count_homs(diagram, target)
+        assert built and len(built) == len(set(built))
+        assert len(target._relations) == len(built)
+        built.clear()
+        assert count_homs(diagram, target) == first
+        assert built == []
+        # a caller passing no memo gets a fresh one per call
+        args = (diagram.semi_arcs, diagram.crossings, target.n,
+                *target.flats()[:2])
+        assert kernels.diagram_count(*args)[0] == first.count
+        assert built
+
+    def test_each_target_keeps_its_own_relations(self):
+        # same-order targets meet the same crossing patterns, so a memo
+        # keyed by pattern alone would hand one target's relations to the
+        # other
+        codes = [TREFOIL, TREFOIL_BRAID, MIRROR_BRAID, R2_POKE,
+                 *map(str, kishino_codes())]
+        diagrams = [build_diagram(parse_gauss_code(c)) for c in codes]
+        targets = [make_alexander(make_scalar_module(3, 2, 1)),
+                   make_alexander(make_scalar_module(3, 1, 2)),
+                   trivial_biquandle(3)]
+        counts = [[count_homs(d, t).count for d in diagrams]
+                  for t in targets]
+        for target, row in zip(targets, counts):
+            assert row == [count_homs(d, fresh(target)).count
+                           for d in diagrams]
+        assert len({tuple(row) for row in counts}) == len(targets)
+
+    def test_memo_survives_a_frontier_error(self, monkeypatch):
+        m, s, t = SMITH_TARGETS["z8_3_5"]
+        target = make_alexander(make_module(m, 1, s, t))
+        code = braid_closure_code([(1, 1)] * 5)
+        monkeypatch.setattr(kernels, "MAX_STATES", 16)
+        with pytest.raises(ValueError, match="frontier exceeds 16 states"):
+            count_gauss(code, target)
+        assert target._relations
+        monkeypatch.undo()
+        quads = kernels._quads(target.n, *target.flats()[:2])
+        for pattern, rel in target._relations.items():
+            assert rel == kernels._relation(quads, *pattern)
+            assert all(type(tails) is tuple for tails in rel.values())
+        assert count_gauss(code, target) == \
+            count_gauss(code, fresh(target)) == \
+            smith_labeling_count(code, m, s, t)
 
 
 class TestKishino:
